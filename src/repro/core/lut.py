@@ -66,14 +66,15 @@ class LookupTable:
         return self.table[offsets * self.n_filters + filter_index]
 
     def lookup_all(self, feature_maps: np.ndarray) -> np.ndarray:
-        """Vectorized lookup over a (filters, H, W) integer tensor."""
-        if feature_maps.shape[0] != self.n_filters:
+        """Vectorized lookup over a (..., filters, H, W) integer tensor."""
+        if feature_maps.ndim < 3 or feature_maps.shape[-3] != self.n_filters:
             raise MappingError(
-                f"{feature_maps.shape[0]} maps for {self.n_filters} LUT filters"
+                f"maps of shape {feature_maps.shape} for "
+                f"{self.n_filters} LUT filters"
             )
         out = np.empty(feature_maps.shape, dtype=np.uint8)
         for j in range(self.n_filters):
-            out[j] = self.lookup_map(feature_maps[j], j)
+            out[..., j, :, :] = self.lookup_map(feature_maps[..., j, :, :], j)
         return out
 
     def to_bytes(self) -> bytes:

@@ -30,7 +30,13 @@ from repro import telemetry
 from repro.core.lut import LookupTable, create_lut
 from repro.dpu.attributes import UpmemAttributes
 from repro.dpu.costs import Operation, OptLevel, Precision
-from repro.dpu.kernel import GLOBAL_KERNELS, KernelContext
+from repro.dpu.kernel import (
+    GLOBAL_KERNELS,
+    KernelContext,
+    KernelResult,
+    charged_result,
+    symbol_bytes,
+)
 from repro.dpu.device import DpuImage
 from repro.dpu.profiler import SubroutineProfile
 from repro.errors import MappingError
@@ -38,10 +44,8 @@ from repro.host.alignment import align_up
 from repro.host.runtime import DpuSystem, LaunchReport  # noqa: F401 (waves)
 from repro.nn.binary import (
     MNIST_PACKED_PADDED_BYTES,
-    pack_bits,
     pack_image,
     unpack_bits,
-    unpack_image,
 )
 from repro.nn.models.ebnn import EbnnConfig, EbnnModel
 
@@ -171,59 +175,75 @@ def charge_ebnn_costs(
     ctx.set_work_units(n_images)
 
 
-@GLOBAL_KERNELS.register("ebnn_conv_pool")
+@GLOBAL_KERNELS.register("ebnn_conv_pool", set_wide=True)
 def ebnn_conv_pool_kernel(
-    ctx: KernelContext,
+    dpus,
     *,
+    n_tasklets: int,
+    opt_level: OptLevel,
     model: EbnnModel,
     layout: EbnnDpuLayout,
     use_lut: bool,
-) -> None:
-    """The DPU program of the eBNN scheme (functional + cycle-charged).
+) -> list[KernelResult]:
+    """The DPU program of the eBNN scheme on every DPU of a launch.
 
-    Reads packed images and the image count from MRAM, computes binary
-    features (via the LUT read back from MRAM, or the float BN path), and
-    writes packed feature bits to the ``results`` symbol.
+    Each DPU reads its packed images and image count from its MRAM,
+    computes the binary features of all its images at once (via the LUT
+    read back from its MRAM, or the float BN path), and writes packed
+    feature bits to its ``results`` symbol.  The cost depends only on the
+    image count, so it is charged once per distinct count.
     """
     config = model.config
-    n_images = int(ctx.read_symbol_array("meta", np.uint32, 1)[0])
-    if not 1 <= n_images <= layout.images_per_dpu:
-        raise MappingError(
-            f"DPU metadata declares {n_images} images; layout holds "
-            f"up to {layout.images_per_dpu}"
+    side = config.image_size
+    lo, hi = config.conv_range
+    counts = []
+    for dpu in dpus:
+        meta = symbol_bytes(dpu, "meta", 4)
+        n_images = int(np.frombuffer(meta, np.uint32)[0])
+        if not 1 <= n_images <= layout.images_per_dpu:
+            raise MappingError(
+                f"DPU metadata declares {n_images} images; layout holds "
+                f"up to {layout.images_per_dpu}"
+            )
+        counts.append(n_images)
+    for dpu, n_images in zip(dpus, counts):
+        packed = np.frombuffer(
+            symbol_bytes(dpu, "images", n_images * layout.image_bytes),
+            np.uint8,
+        ).reshape(n_images, layout.image_bytes)
+        bits = np.unpackbits(
+            packed, axis=1, count=side * side, bitorder="little"
         )
-
-    lut = None
-    if use_lut:
-        lo, hi = config.conv_range
-        raw = bytes(
-            ctx.read_symbol_array("lut", np.uint8, layout.lut_bytes).tobytes()
-        )
-        lut = LookupTable.from_bytes(raw, lo, hi, config.filters)
-
-    for index in range(n_images):
-        raw = bytes(
-            ctx.read_symbol_array(
-                "images", np.uint8, layout.image_bytes,
-                offset=index * layout.image_bytes,
-            ).tobytes()
-        )
-        signs = unpack_image(raw, config.image_size, config.image_size)
-        # conv_pool binarizes >= 0.5; feed {0,1} so signs survive unchanged.
-        pooled = model.conv_pool((signs > 0).astype(np.float32))
+        signs = np.where(bits > 0, 1, -1).astype(np.int8)
+        pooled = model.conv_pool_stack(signs.reshape(n_images, side, side))
         if use_lut:
-            bits = lut.lookup_all(pooled)
+            lut = LookupTable.from_bytes(
+                symbol_bytes(dpu, "lut", layout.lut_bytes), lo, hi,
+                config.filters,
+            )
+            features = lut.lookup_all(pooled)
         else:
-            bits = model.bn_binact_float(pooled)
-        packed = pack_bits(bits.reshape(-1).astype(np.uint8))
-        padded = packed + bytes(layout.result_bytes_per_image - len(packed))
-        ctx.write_symbol_array(
-            "results",
-            np.frombuffer(padded, dtype=np.uint8),
-            offset=index * layout.result_bytes_per_image,
+            features = model.bn_binact_float(pooled)
+        feature_bytes = np.packbits(
+            features.reshape(n_images, -1).astype(np.uint8),
+            axis=1, bitorder="little",
         )
+        block = np.zeros(
+            (n_images, layout.result_bytes_per_image), dtype=np.uint8
+        )
+        block[:, : feature_bytes.shape[1]] = feature_bytes
+        dpu.mram.write_array(dpu.symbol("results").mram_addr, block)
 
-    charge_ebnn_costs(ctx, config, layout, n_images, use_lut=use_lut)
+    charged: dict[int, KernelResult] = {}
+    for n_images in counts:
+        if n_images not in charged:
+            charged[n_images] = charged_result(
+                lambda ctx: charge_ebnn_costs(
+                    ctx, config, layout, n_images, use_lut=use_lut
+                ),
+                n_tasklets=n_tasklets, opt_level=opt_level,
+            )
+    return [charged[n_images] for n_images in counts]
 
 
 @dataclass
@@ -434,14 +454,13 @@ def ebnn_dpu_cycles(
     Shares :func:`charge_ebnn_costs` with the kernel, so sweeps (Figs. 4.4
     and 4.7) and functional runs can never drift apart.
     """
-    from repro.dpu.memory import Mram, Wram
-
     layout = EbnnDpuLayout(config, images_per_dpu)
-    ctx = KernelContext(
-        Mram(), Wram(), n_tasklets=n_tasklets, opt_level=opt_level
-    )
-    charge_ebnn_costs(ctx, config, layout, n_images, use_lut=use_lut)
-    return ctx.elapsed_cycles()
+    return charged_result(
+        lambda ctx: charge_ebnn_costs(
+            ctx, config, layout, n_images, use_lut=use_lut
+        ),
+        n_tasklets=n_tasklets, opt_level=opt_level,
+    ).cycles
 
 
 def ebnn_image_latency_seconds(

@@ -30,13 +30,18 @@ from repro import telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import Operation, OptLevel, Precision, mram_access_cycles
 from repro.dpu.device import DpuImage
-from repro.dpu.kernel import GLOBAL_KERNELS, KernelContext
-from repro.dpu.memory import Mram, Wram
+from repro.dpu.kernel import (
+    GLOBAL_KERNELS,
+    KernelContext,
+    KernelResult,
+    charged_result,
+    symbol_bytes,
+)
 from repro.errors import MappingError
 from repro.host.alignment import align_up
 from repro.host.runtime import DpuSystem
 from repro.host.transfer import scatter_rows
-from repro.nn.gemm import GemmShape, gemm_row
+from repro.nn.gemm import GemmShape, gemm_fast
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.quantize import QuantParams
 
@@ -156,27 +161,79 @@ class YoloDpuLayout:
         )
 
 
-@GLOBAL_KERNELS.register("yolo_gemm_row")
-def yolo_gemm_row_kernel(ctx: KernelContext, *, layout: YoloDpuLayout) -> None:
-    """One DPU's GEMM row (functional + cycle-charged).
+@GLOBAL_KERNELS.register("yolo_gemm_row", set_wide=True)
+def yolo_gemm_row_kernel(
+    dpus,
+    *,
+    n_tasklets: int,
+    opt_level: OptLevel,
+    layout: YoloDpuLayout,
+) -> list[KernelResult]:
+    """Every DPU's GEMM row of one layer launch (functional + cycle-charged).
 
-    The metadata carries the actual dimensions plus the accumulator
-    divisor — 32 in Algorithm 2, widened by the host for layers whose
-    quantization would otherwise clamp (the padded-size side-channel
-    protocol of Section 3.2 applied to scaling metadata).
+    DPU ``i`` holds row ``i`` of A, its own copy of B, and metadata with
+    the actual dimensions plus the accumulator divisor — 32 in Algorithm
+    2, widened by the host for layers whose quantization would otherwise
+    clamp (the padded-size side-channel protocol of Section 3.2 applied
+    to scaling metadata).  DPUs whose metadata and B are byte-identical
+    (normally all of them; a transfer bit flip makes a copy differ) form
+    one group, whose rows are one :func:`gemm_fast`.  Every DPU does the
+    same work, so the costs are charged once per launch.
     """
     shape = layout.shape
-    meta = ctx.read_symbol_array("meta", np.int32, 6)
-    n, k, alpha, divisor = (int(meta[i]) for i in range(1, 5))
-    if (n, k) != (shape.n, shape.k):
-        raise MappingError(
-            f"metadata GEMM shape ({n}, {k}) != layout ({shape.n}, {shape.k})"
+    b_bytes = 2 * shape.k * shape.n
+    groups: list[tuple[bytes, bytes, list[int]]] = []
+    for index, dpu in enumerate(dpus):
+        meta = symbol_bytes(dpu, "meta", 24)
+        b = symbol_bytes(dpu, "b", b_bytes)
+        for group_meta, group_b, members in groups:
+            if group_meta == meta and group_b == b:
+                members.append(index)
+                break
+        else:
+            groups.append((meta, b, [index]))
+    for meta, b, members in groups:
+        fields = np.frombuffer(meta, np.int32)
+        n, k, alpha, divisor = (int(fields[i]) for i in range(1, 5))
+        if (n, k) != (shape.n, shape.k):
+            raise MappingError(
+                f"metadata GEMM shape ({n}, {k}) != layout "
+                f"({shape.n}, {shape.k})"
+            )
+        a = np.stack([
+            np.frombuffer(symbol_bytes(dpus[i], "a_row", 2 * k), np.int16)
+            for i in members
+        ])
+        c = gemm_fast(
+            alpha, a, np.frombuffer(b, np.int16).reshape(k, n),
+            divisor=divisor or 32,
         )
-    a_row = ctx.read_symbol_array("a_row", np.int16, k)
-    b = ctx.read_symbol_array("b", np.int16, k * n).reshape(k, n)
-    c_row = gemm_row(alpha, a_row, b, divisor=divisor or 32)
-    ctx.write_symbol_array("c_row", c_row.astype(np.int32))
-    charge_gemm_row_costs(ctx, shape)
+        for i, c_row in zip(members, c.astype(np.int32)):
+            dpu = dpus[i]
+            dpu.mram.write_array(dpu.symbol("c_row").mram_addr, c_row)
+    result = charged_result(
+        lambda ctx: charge_gemm_row_costs(ctx, shape),
+        n_tasklets=n_tasklets, opt_level=opt_level,
+    )
+    return [result] * len(dpus)
+
+
+def accumulator_divisor(a_q: np.ndarray, b_q: np.ndarray, alpha: int) -> int:
+    """The Algorithm 2 accumulator divisor for one quantized layer GEMM.
+
+    Algorithm 2 divides the accumulator by 32 before the int16 clamp;
+    the thesis's quantized network has calibrated scales that make 32
+    sufficient.  With ad-hoc per-layer quantization the divisor widens
+    (doubling) until the worst-case accumulator fits, which plays the
+    same calibration role.
+    """
+    bound = int(np.abs(a_q.astype(np.int64)).sum(axis=1).max()) * int(
+        np.abs(b_q).max() or 1
+    )
+    divisor = 32
+    while bound * alpha // divisor > 32767:
+        divisor *= 2
+    return divisor
 
 
 def gemm_layer_cycles(
@@ -190,9 +247,10 @@ def gemm_layer_cycles(
     """Closed-form DPU cycles for one layer (all row-DPUs run in parallel)."""
     if policy is None:
         policy = AccumulatorPolicy.for_shape(shape, ctmp_budget_bytes)
-    ctx = KernelContext(Mram(), Wram(), n_tasklets=n_tasklets, opt_level=opt_level)
-    charge_gemm_row_costs(ctx, shape, policy=policy)
-    return ctx.elapsed_cycles()
+    return charged_result(
+        lambda ctx: charge_gemm_row_costs(ctx, shape, policy=policy),
+        n_tasklets=n_tasklets, opt_level=opt_level,
+    ).cycles
 
 
 @dataclass
@@ -312,18 +370,7 @@ class YoloPimRunner:
         b_params = QuantParams.from_tensor(b, bits=8)
         a_q = a_params.quantize(a).astype(np.int16)
         b_q = b_params.quantize(b).astype(np.int16)
-
-        # Algorithm 2 divides the accumulator by 32 before the int16 clamp;
-        # the thesis's quantized network has calibrated scales that make 32
-        # sufficient.  With ad-hoc per-layer quantization we widen the
-        # divisor until the worst-case accumulator fits, which plays the
-        # same calibration role.
-        bound = int(np.abs(a_q.astype(np.int64)).sum(axis=1).max()) * int(
-            np.abs(b_q).max() or 1
-        )
-        divisor = 32
-        while bound * self.alpha // divisor > 32767:
-            divisor *= 2
+        divisor = accumulator_divisor(a_q, b_q, self.alpha)
 
         n_dpus = min(shape.m, self.system.n_dpus)
         layout = YoloDpuLayout(shape)

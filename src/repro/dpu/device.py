@@ -4,8 +4,8 @@ One :class:`Dpu` owns an MRAM, a WRAM and a DMA engine, and can run either
 
 * an assembled :class:`~repro.dpu.isa.Program` through the instruction
   interpreter (exact, used for microbenchmarks), or
-* a registered Python kernel through :class:`~repro.dpu.kernel.KernelContext`
-  (fast, used for CNN workloads),
+* a registered Python kernel (fast, used for CNN workloads), which runs
+  set-wide over every DPU of a launch (:func:`launch_kernel`),
 
 mirroring how a physical DPU runs whatever image ``dpu_load`` put in its
 IRAM.  MRAM *symbols* — named, sized regions — are how the host addresses
@@ -24,7 +24,7 @@ from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import OptLevel
 from repro.dpu.interpreter import ExecutionResult, make_interpreter
 from repro.dpu.isa import Program
-from repro.dpu.kernel import GLOBAL_KERNELS, KernelContext, KernelResult
+from repro.dpu.kernel import GLOBAL_KERNELS, KernelResult
 from repro.dpu.memory import DmaEngine, Mram, Wram
 from repro.errors import DpuError, LaunchError, SymbolError
 
@@ -298,14 +298,44 @@ class Dpu:
         """Run the loaded image to completion and return its result.
 
         Program images run through the instruction interpreter; kernel
-        images run through the cycle-accounted Python path, receiving
-        ``kernel_params`` after the context argument.
+        images run the cycle-accounted Python kernel as a one-DPU
+        :func:`launch_kernel`, which receives ``kernel_params``.
 
         ``fault_attempt`` is the injection gate: set-level launches pass
         the attempt number so an installed :class:`repro.faults.FaultPlan`
         may make this DPU fault or hang; direct launches leave it ``None``
         and are never injected.
         """
+        self.check_launch(n_tasklets)
+        event = None
+        if fault_attempt is not None:
+            plan = faults.current_plan()
+            if plan is not None:
+                event = plan.exec_fault(self.dpu_id, fault_attempt)
+        if self.image.program is None:
+            if event is not None:
+                # Kernel images have no instruction stream to trap inside;
+                # the fault fires before the kernel touches any state.
+                event.raise_now()
+            (result,) = launch_kernel(
+                [self], n_tasklets=n_tasklets, opt_level=opt_level,
+                kernel_params=kernel_params,
+            )
+            return result
+        interpreter = make_interpreter(
+            self.image.program,
+            self.wram,
+            self.dma,
+            n_tasklets=n_tasklets,
+            opt_level=opt_level,
+            inject=event,
+        )
+        result = interpreter.run()
+        self._finish(result, n_tasklets, telemetry.current_tracer())
+        return result
+
+    def check_launch(self, n_tasklets: int) -> None:
+        """Reject a launch without an image or with a bad tasklet count."""
         if self.image is None:
             raise LaunchError("launch without a loaded image")
         if not 1 <= n_tasklets <= self.attributes.max_tasklets:
@@ -313,47 +343,23 @@ class Dpu:
                 f"tasklet count {n_tasklets} outside "
                 f"[1, {self.attributes.max_tasklets}]"
             )
-        event = None
-        if fault_attempt is not None:
-            plan = faults.current_plan()
-            if plan is not None:
-                event = plan.exec_fault(self.dpu_id, fault_attempt)
-        if self.image.program is not None:
-            interpreter = make_interpreter(
-                self.image.program,
-                self.wram,
-                self.dma,
-                n_tasklets=n_tasklets,
-                opt_level=opt_level,
-                inject=event,
-            )
-            self.last_result = interpreter.run()
-        else:
-            if event is not None:
-                # Kernel images have no instruction stream to trap inside;
-                # the fault fires before the kernel touches any state.
-                event.raise_now()
-            kernel = GLOBAL_KERNELS.get(self.image.kernel_name)
-            context = KernelContext(
-                self.mram,
-                self.wram,
-                n_tasklets=n_tasklets,
-                opt_level=opt_level,
-                symbols=self.image.symbols,
-            )
-            kernel(context, **kernel_params)
-            self.last_result = context.result()
-        result = self.last_result
+
+    def _finish(
+        self,
+        result: ExecutionResult | KernelResult,
+        n_tasklets: int,
+        tracer: "telemetry.Tracer | None",
+    ) -> None:
+        """Record a completed launch: last result, metrics and exec span."""
+        self.last_result = result
         _M_DPU_EXECS.inc()
         _M_LAUNCH_CYCLES.observe(float(result.cycles))
         if isinstance(result, ExecutionResult):
             _M_DPU_INSTRUCTIONS.inc(result.instructions_retired)
         else:
             _M_DPU_INSTRUCTIONS.inc(result.issue_slots)
-        tracer = telemetry.current_tracer()
         if tracer is not None:
             self._record_exec_span(tracer, result, n_tasklets)
-        return result
 
     def _record_exec_span(
         self,
@@ -415,3 +421,31 @@ class Dpu:
     def last_seconds(self) -> float:
         """Wall-clock seconds of the most recent launch at DPU frequency."""
         return self.attributes.cycles_to_seconds(self.last_cycles())
+
+
+def launch_kernel(
+    dpus: list[Dpu],
+    *,
+    n_tasklets: int,
+    opt_level: OptLevel,
+    kernel_params: dict,
+) -> list[KernelResult]:
+    """Run the kernel image loaded on ``dpus`` over all of them in one call.
+
+    The registered set-wide kernel computes every DPU's work at once;
+    each DPU then records its result exactly as a launch of its own would
+    (``last_result``, the ``dpu.execs`` / ``dpu.instructions`` /
+    ``launch.cycles`` metrics and, when traced, one ``dpu.exec`` span).
+    Validation and fault decisions are the caller's: every DPU given here
+    has passed :meth:`Dpu.check_launch` and runs.
+    """
+    if not dpus:
+        return []
+    kernel = GLOBAL_KERNELS.set_kernel(dpus[0].image.kernel_name)
+    results = kernel(
+        dpus, n_tasklets=n_tasklets, opt_level=opt_level, **kernel_params
+    )
+    tracer = telemetry.current_tracer()
+    for dpu, result in zip(dpus, results, strict=True):
+        dpu._finish(result, n_tasklets, tracer)
+    return results

@@ -14,6 +14,16 @@ A kernel is written for the SIMT model of Section 3.1: it describes the
 work of the *whole DPU*; the context spreads the charged slots evenly over
 the resident tasklets (the straggler rule of
 :func:`repro.dpu.pipeline.balanced_execution_cycles`).
+
+Every registered kernel runs *set-wide*: one call receives all the DPUs of
+a launch, each on its own memories, and returns one :class:`KernelResult`
+per DPU — the SPMD launch of Section 3.1, where every DPU runs the same
+image on its own data.  A mapping kernel registered with
+``set_wide=True`` computes the whole set at once (one GEMM for a layer's
+rows, one charge per distinct cost); a plain per-DPU kernel
+``kernel(ctx, **params)`` is looped over the set by :func:`per_dpu`.
+Kernels always run in the host process; only interpreted programs fan out
+to :mod:`repro.host.parallel` workers.
 """
 
 from __future__ import annotations
@@ -262,31 +272,102 @@ class KernelContext:
         )
 
 
-#: A DPU kernel: receives the context plus host-provided launch parameters.
+#: A per-DPU kernel: receives the context plus host-provided launch parameters.
 Kernel = Callable[..., None]
+
+#: A set-wide kernel: ``kernel(dpus, *, n_tasklets, opt_level, **params)``
+#: runs one launch on every DPU of ``dpus`` (each with its image loaded)
+#: and returns their :class:`KernelResult` s in order.  DPUs that did
+#: identical work may share one result object.
+SetKernel = Callable[..., list[KernelResult]]
+
+
+def per_dpu(kernel: Kernel) -> SetKernel:
+    """Adapt a per-DPU kernel to the set-wide contract by looping over DPUs."""
+
+    def run(dpus, *, n_tasklets: int, opt_level: OptLevel, **params):
+        results = []
+        for dpu in dpus:
+            ctx = KernelContext(
+                dpu.mram,
+                dpu.wram,
+                n_tasklets=n_tasklets,
+                opt_level=opt_level,
+                symbols=dpu.image.symbols,
+            )
+            kernel(ctx, **params)
+            results.append(ctx.result())
+        return results
+
+    return run
+
+
+def charged_result(
+    charge: Callable[[KernelContext], None],
+    *,
+    n_tasklets: int,
+    opt_level: OptLevel,
+) -> KernelResult:
+    """The result of a kernel that only charges costs (no memory access).
+
+    Set-wide kernels use it to charge a cost recipe once and hand the
+    result to every DPU whose work it describes.
+    """
+    ctx = KernelContext(
+        Mram(), Wram(), n_tasklets=n_tasklets, opt_level=opt_level
+    )
+    charge(ctx)
+    return ctx.result()
+
+
+def symbol_bytes(dpu, name: str, n_bytes: int) -> bytes:
+    """The first ``n_bytes`` of a DPU's MRAM symbol, read DPU-side.
+
+    The set-wide kernels' read path: unlike the host's
+    :meth:`Dpu.read_symbol <repro.dpu.device.Dpu.read_symbol>` it is not
+    a host transfer.
+    """
+    return dpu.mram.read(dpu.symbol(name).mram_addr, n_bytes)
 
 
 class KernelRegistry:
     """Named kernels the host can "load" onto a DPU (the dpu-clang stand-in)."""
 
     def __init__(self) -> None:
-        self._kernels: dict[str, Kernel] = {}
+        self._kernels: dict[str, Kernel | SetKernel] = {}
+        self._set_kernels: dict[str, SetKernel] = {}
 
-    def register(self, name: str, kernel: Kernel | None = None):
-        """Register a kernel, usable directly or as a decorator."""
-        if kernel is not None:
-            self._kernels[name] = kernel
-            return kernel
+    def register(
+        self,
+        name: str,
+        kernel: Kernel | SetKernel | None = None,
+        *,
+        set_wide: bool = False,
+    ):
+        """Register a kernel, usable directly or as a decorator.
 
-        def decorator(fn: Kernel) -> Kernel:
+        A per-DPU kernel takes ``(ctx, **params)``; with ``set_wide=True``
+        the kernel follows the :data:`SetKernel` contract instead.
+        """
+
+        def add(fn):
             self._kernels[name] = fn
+            self._set_kernels[name] = fn if set_wide else per_dpu(fn)
             return fn
 
-        return decorator
+        return add(kernel) if kernel is not None else add
 
-    def get(self, name: str) -> Kernel:
+    def get(self, name: str) -> Kernel | SetKernel:
+        """The kernel function as registered."""
         try:
             return self._kernels[name]
+        except KeyError:
+            raise DpuError(f"no kernel registered under {name!r}") from None
+
+    def set_kernel(self, name: str) -> SetKernel:
+        """The kernel under its set-wide contract (per-DPU kernels adapted)."""
+        try:
+            return self._set_kernels[name]
         except KeyError:
             raise DpuError(f"no kernel registered under {name!r}") from None
 

@@ -20,10 +20,11 @@ Design rules:
   fault sites, and a serial run injects exactly the faults a parallel
   run does (the determinism contract of :mod:`repro.host.parallel`
   holds *under injection* too).
-* **Only set-level launches are injectable.**  ``DpuSet.launch`` passes
-  a ``fault_attempt`` to :meth:`Dpu.launch`; direct single-DPU launches
-  pass ``None`` and never consult the plan, so unit-level code keeps
-  exact behavior even when a smoke plan is installed process-wide.
+* **Only set-level launches are injectable.**  ``DpuSet.launch``
+  consults the plan for each (DPU, attempt) — for a program image by
+  passing a ``fault_attempt`` to :meth:`Dpu.launch`; direct single-DPU
+  launches pass ``None`` and never consult the plan, so unit-level code
+  keeps exact behavior even when a smoke plan is installed process-wide.
 
 Environment knobs (read once at import, for CI smoke injection)::
 

@@ -1,10 +1,11 @@
-"""Parallel launch engine: fan a set-wide launch out over worker processes.
+"""Parallel launch engine: fan a program launch out over worker processes.
 
-Serial host execution of a :class:`~repro.host.runtime.DpuSet` launch costs
-wall-clock time linear in the DPU count, which makes the paper's
-thousand-DPU sweeps (Fig. 4.7 runs up to 2560 DPUs) impractical even
-though every DPU is independent.  This module runs the per-DPU
-interpreter/kernel executions across a ``ProcessPoolExecutor``:
+Serial host execution of a :class:`~repro.host.runtime.DpuSet` launch of
+an assembled program costs wall-clock time linear in the DPU count, since
+every DPU interprets its own instruction stream.  This module runs those
+per-DPU interpreter executions across a ``ProcessPoolExecutor``.  Kernel
+images never come here: they run as one set-wide computation in the host
+process (:func:`repro.dpu.device.launch_kernel`).
 
 * DPUs are split into one contiguous chunk per worker to amortize IPC;
 * each chunk ships the loaded image plus every member DPU's sparse MRAM
@@ -47,7 +48,6 @@ from repro.dpu import interpreter as interp
 from repro.dpu.attributes import UpmemAttributes
 from repro.dpu.costs import OptLevel
 from repro.dpu.device import Dpu, DpuImage, DpuMemoryState
-from repro.dpu.kernel import GLOBAL_KERNELS
 from repro.errors import DpuError, DpuHangError, LaunchError
 
 _M_PARALLEL_LAUNCHES = telemetry.GLOBAL_METRICS.counter(
@@ -149,9 +149,6 @@ class ChunkTask:
     opt_level: OptLevel
     kernel_params: dict
     orders: list[DpuWorkOrder]
-    #: The kernel function itself (pickled by reference) so that a spawned
-    #: worker imports the module that registers it; None for program images.
-    kernel_fn: Any = None
     chunk_index: int = 0
     #: The parent's fault plan, shipped so pool workers (which are reused
     #: across launches) always run under the plan of *this* launch.
@@ -301,8 +298,6 @@ def _run_chunk(task: ChunkTask, in_worker: bool = True) -> ChunkOutcome:
             and plan.kill_worker(task.chunk_index, task.orders[0].dpu_id)
         ):
             os._exit(_KILL_EXIT)
-    if task.kernel_fn is not None and task.image.kernel_name not in GLOBAL_KERNELS:
-        GLOBAL_KERNELS.register(task.image.kernel_name, task.kernel_fn)
     before = telemetry.GLOBAL_METRICS.snapshot() if in_worker else None
     outcomes = [_run_order(task, order) for order in task.orders]
     return ChunkOutcome(
@@ -341,7 +336,7 @@ def _executor(workers: int) -> ProcessPoolExecutor:
     pool = _EXECUTORS.get(workers)
     if pool is None:
         try:
-            # fork is fastest and inherits the kernel/metric registries;
+            # fork is fastest and inherits the metrics registry;
             # platforms without it (Windows) fall back to the default.
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -406,7 +401,7 @@ def launch_parallel(
     fault_policy: str = "raise",
     max_retries: int = 0,
 ) -> list[DpuLaunchOutcome]:
-    """Run every DPU of ``dpu_set`` across ``workers`` processes.
+    """Run every DPU of ``dpu_set`` (a program image) across processes.
 
     Returns the per-DPU :class:`DpuLaunchOutcome` list in set order, with
     each parent-side DPU updated in place (memories, DMA counters,
@@ -426,11 +421,6 @@ def launch_parallel(
     """
     dpus = dpu_set.dpus
     image = dpu_set.image
-    kernel_fn = (
-        GLOBAL_KERNELS.get(image.kernel_name)
-        if image.kernel_name is not None
-        else None
-    )
     plan = faults.current_plan()
     chunks = chunk_indices(len(dpus), workers)
     tasks = []
@@ -451,7 +441,6 @@ def launch_parallel(
                 opt_level=opt_level,
                 kernel_params=kernel_params,
                 orders=orders,
-                kernel_fn=kernel_fn,
                 chunk_index=chunk_index,
                 fault_plan=plan,
                 fault_policy=fault_policy,

@@ -7,11 +7,13 @@ API, launch, synchronize, and read results back.
 
 Launches across a set are *parallel in simulated time*: every DPU runs the
 same image on its own data (the SIMD-across-DIMMs model of Section 3.1),
-so the set's elapsed time is the maximum over its members.  Host-side
-Python can also execute them in parallel across worker processes (see
-:mod:`repro.host.parallel` and the ``workers=`` launch argument) with
-results bit-identical to serial execution; all reported latencies come
-from the simulated clocks either way.
+so the set's elapsed time is the maximum over its members.  A kernel
+image runs as one set-wide computation in this process
+(:func:`repro.dpu.device.launch_kernel`); an interpreted program can also
+run across worker processes (see :mod:`repro.host.parallel` and the
+``workers=`` launch argument) with results bit-identical to serial
+execution.  All reported latencies come from the simulated clocks either
+way.
 
 Asynchronous launches (``launch_async``) do **not** advance the simulated
 cursor when issued: the first ``wait()`` on a handle advances it by that
@@ -28,7 +30,7 @@ import numpy as np
 from repro import faults, telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import OptLevel
-from repro.dpu.device import Dpu, DpuImage
+from repro.dpu.device import Dpu, DpuImage, launch_kernel
 from repro.host import parallel
 from repro.host import transfer as xfer
 from repro.host.topology import SystemTopology
@@ -197,11 +199,12 @@ class DpuSet:
         """``dpu_launch`` + sync: run every DPU, report the set's timing.
 
         ``workers`` selects how many host processes execute the per-DPU
-        runs: 1 is the in-process serial path, >1 fans out through
-        :mod:`repro.host.parallel` with bit-identical results.  ``None``
-        resolves the configured default (``repro --workers`` /
-        ``REPRO_WORKERS`` / cpu count), which only engages the pool for
-        sets of at least ``parallel.PARALLEL_MIN_DPUS`` DPUs.
+        runs of an interpreted program: 1 is the in-process serial path,
+        >1 fans out through :mod:`repro.host.parallel` with bit-identical
+        results.  ``None`` resolves the configured default (``repro
+        --workers`` / ``REPRO_WORKERS`` / cpu count), which only engages
+        the pool for sets of at least ``parallel.PARALLEL_MIN_DPUS`` DPUs.
+        Kernel images ignore it: they run set-wide in this process.
 
         ``fault_policy`` decides what happens when a DPU faults or hangs
         (see :mod:`repro.faults`):
@@ -276,6 +279,8 @@ class DpuSet:
         if self.image is None:
             raise LaunchError("launch before load")
         n_workers = parallel.resolve_workers(len(self.dpus), workers)
+        if self.image.kernel_name is not None:
+            n_workers = 1
         plan = faults.current_plan()
         policy = fault_policy or (
             plan.default_policy if plan is not None else "raise"
@@ -331,7 +336,12 @@ class DpuSet:
         max_retries: int = 0,
     ) -> LaunchReport:
         outcomes: list[parallel.DpuLaunchOutcome] | None = None
-        if workers > 1 and len(self.dpus) > 1:
+        if self.image.kernel_name is not None:
+            per_dpu, outcomes = self._launch_kernel(
+                n_tasklets, opt_level, kernel_params,
+                fault_policy, max_retries,
+            )
+        elif workers > 1 and len(self.dpus) > 1:
             outcomes = parallel.launch_parallel(
                 self,
                 n_tasklets=n_tasklets,
@@ -397,6 +407,76 @@ class DpuSet:
         if report.degraded:
             _M_LAUNCH_DEGRADED.inc()
         return report
+
+    def _launch_kernel(
+        self,
+        n_tasklets: int,
+        opt_level: OptLevel,
+        kernel_params: dict,
+        policy: str,
+        max_retries: int,
+    ) -> tuple[list[float] | None, list[parallel.DpuLaunchOutcome] | None]:
+        """Run a kernel image set-wide: decide faults, then run once.
+
+        Each DPU's attempts are decided up front by the fault plan.  An
+        injected kernel fault fires before the kernel touches any state,
+        so a failed attempt leaves nothing to roll back, and the retry
+        policy simply moves on to the next attempt.  The DPUs that end
+        up healthy then run in one :func:`launch_kernel` call.  Under
+        ``"raise"`` the DPUs before the first failure run, then the raw
+        :class:`DpuError` propagates, as a per-DPU loop would leave it.
+        """
+        dpus = self.dpus
+        for dpu in dpus:
+            dpu.check_launch(n_tasklets)
+        params = dict(
+            n_tasklets=n_tasklets, opt_level=opt_level,
+            kernel_params=kernel_params,
+        )
+        plan = faults.current_plan()
+        if plan is None and policy == "raise":
+            results = launch_kernel(dpus, **params)
+            return [float(r.cycles) for r in results], None
+        outcomes = []
+        for index, dpu in enumerate(dpus):
+            for attempt in range(max_retries + 1 if policy == "retry" else 1):
+                event = (
+                    plan.exec_fault(dpu.dpu_id, attempt)
+                    if plan is not None else None
+                )
+                if event is None:
+                    outcomes.append(parallel.DpuLaunchOutcome(
+                        index=index, memory=None, result=None,
+                        dpu_id=dpu.dpu_id, attempts=attempt + 1,
+                    ))
+                    break
+                if policy == "raise":
+                    launch_kernel(dpus[:index], **params)
+                    event.raise_now()
+                try:
+                    event.raise_now()
+                except DpuError as exc:
+                    # Keep strings, not the exception: its traceback would
+                    # pin this frame and every caller's locals.
+                    hung = isinstance(exc, DpuHangError)
+                    error, error_type = str(exc), type(exc).__name__
+            else:
+                dpu.last_result = None
+                outcomes.append(parallel.DpuLaunchOutcome(
+                    index=index, memory=None, result=None,
+                    dpu_id=dpu.dpu_id,
+                    status="hung" if hung else "faulted",
+                    attempts=attempt + 1,
+                    error=error,
+                    error_type=error_type,
+                ))
+        healthy = [o for o in outcomes if o.ok]
+        results = launch_kernel([dpus[o.index] for o in healthy], **params)
+        for outcome, result in zip(healthy, results):
+            outcome.result = result
+        if policy == "raise":
+            return [float(r.cycles) for r in results], None
+        return None, outcomes
 
     def _execute_tolerant(
         self,

@@ -99,23 +99,54 @@ def binary_conv2d(
             f"expected (H,W) image and (F,k,k) weights, got "
             f"{image_signs.shape} and {weight_signs.shape}"
         )
+    return binary_conv2d_stack(
+        image_signs[None], weight_signs, padding=padding, stride=stride
+    )[0].astype(np.int32)
+
+
+def binary_conv2d_stack(
+    images_signs: np.ndarray,
+    weight_signs: np.ndarray,
+    *,
+    padding: int = 1,
+    stride: int = 1,
+) -> np.ndarray:
+    """:func:`binary_conv2d` over a stack of images, vectorised.
+
+    ``images_signs`` is (n, H, W); returns (n, filters, H', W'), image by
+    image what :func:`binary_conv2d` returns, in the narrowest signed
+    integer dtype that holds [-k*k, k*k] (int8 for eBNN's 3x3 filters),
+    so a stack's working set stays small.
+    """
+    if images_signs.ndim != 3 or weight_signs.ndim != 3:
+        raise WorkloadError(
+            f"expected (n,H,W) images and (F,k,k) weights, got "
+            f"{images_signs.shape} and {weight_signs.shape}"
+        )
     kernel = weight_signs.shape[1]
     if weight_signs.shape[2] != kernel:
         raise WorkloadError(f"non-square binary kernel: {weight_signs.shape}")
-    padded = np.pad(image_signs, padding, mode="constant", constant_values=-1)
-    h, w = padded.shape
+    padded = np.pad(
+        images_signs,
+        ((0, 0), (padding, padding), (padding, padding)),
+        mode="constant",
+        constant_values=-1,
+    )
+    n, h, w = padded.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
     filters = weight_signs.shape[0]
-    out = np.zeros((filters, out_h, out_w), dtype=np.int32)
-    weights = weight_signs.astype(np.int32)
+    dtype = np.min_scalar_type(-kernel * kernel)
+    out = np.zeros((n, filters, out_h, out_w), dtype=dtype)
+    weights = weight_signs.astype(dtype)
     for ky in range(kernel):
         for kx in range(kernel):
             patch = padded[
+                :,
                 ky : ky + out_h * stride : stride,
                 kx : kx + out_w * stride : stride,
-            ].astype(np.int32)
-            out += weights[:, ky, kx][:, None, None] * patch[None, :, :]
+            ].astype(dtype)
+            out += weights[:, ky, kx][:, None, None] * patch[:, None, :, :]
     return out
 
 

@@ -64,16 +64,19 @@ def maxpool2d(image: np.ndarray, size: int, stride: int | None = None) -> np.nda
 
 
 def maxpool2d_int(image: np.ndarray, size: int, stride: int | None = None) -> np.ndarray:
-    """Integer max pooling (keeps the integer dtype; used by eBNN on DPU)."""
+    """Integer max pooling (keeps the integer dtype; used by eBNN on DPU).
+
+    Pools the last two axes of a (..., C, H, W) tensor.
+    """
     stride = stride or size
-    c, h, w = image.shape
+    h, w = image.shape[-2:]
     out_h = (h - size) // stride + 1
     out_w = (w - size) // stride + 1
     out = None
     for dy in range(size):
         for dx in range(size):
             patch = image[
-                :,
+                ...,
                 dy : dy + out_h * stride : stride,
                 dx : dx + out_w * stride : stride,
             ]
@@ -117,10 +120,11 @@ class BatchNormParams:
         return tmp + self.w4[j]
 
     def apply_all(self, feature_maps: np.ndarray) -> np.ndarray:
-        """Vectorized BN over a (filters, H, W) tensor."""
-        if feature_maps.shape[0] != self.n_filters:
+        """Vectorized BN over a (..., filters, H, W) tensor."""
+        if feature_maps.ndim < 3 or feature_maps.shape[-3] != self.n_filters:
             raise WorkloadError(
-                f"{feature_maps.shape[0]} maps for {self.n_filters} BN filters"
+                f"maps of shape {feature_maps.shape} for "
+                f"{self.n_filters} BN filters"
             )
         shape = (-1, 1, 1)
         tmp = feature_maps + self.w0.reshape(shape) - self.w1.reshape(shape)

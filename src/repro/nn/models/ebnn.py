@@ -22,6 +22,7 @@ from repro.errors import WorkloadError
 from repro.nn.binary import (
     binarize,
     binary_conv2d,
+    binary_conv2d_stack,
     conv_result_range,
 )
 from repro.nn.layers import (
@@ -114,8 +115,23 @@ class EbnnModel:
         conv = binary_conv2d(signs, self.conv_weights, padding=cfg.kernel // 2)
         return maxpool2d_int(conv, cfg.pool)
 
+    def conv_pool_stack(self, signs: np.ndarray) -> np.ndarray:
+        """:meth:`conv_pool` over a stack of binarized images, vectorised.
+
+        ``signs`` is (n, H, W) in {-1, +1}; returns (n, filters, p, p),
+        image by image what :meth:`conv_pool` returns.
+        """
+        cfg = self.config
+        conv = binary_conv2d_stack(
+            signs, self.conv_weights, padding=cfg.kernel // 2
+        )
+        return maxpool2d_int(conv, cfg.pool)
+
     def bn_binact_float(self, pooled: np.ndarray) -> np.ndarray:
-        """The default Fig. 4.2(a) path: float BN then binary activation."""
+        """The default Fig. 4.2(a) path: float BN then binary activation.
+
+        ``pooled`` is one image's (filters, p, p) maps or a stack of them.
+        """
         normalized = self.bn.apply_all(pooled.astype(np.float64))
         return binary_activation(normalized)
 

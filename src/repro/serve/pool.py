@@ -35,9 +35,14 @@ from repro import telemetry
 from repro.core.mapping_ebnn import (
     EBNN_TASKLETS,
     EbnnDpuLayout,
+    EbnnPimRunner,
     IMAGES_PER_DPU,
 )
-from repro.core.mapping_yolo import YOLO_TASKLETS, YoloDpuLayout
+from repro.core.mapping_yolo import (
+    YOLO_TASKLETS,
+    YoloDpuLayout,
+    accumulator_divisor,
+)
 from repro.dpu.costs import OptLevel
 from repro.errors import AllocationError, LaunchError, ServeError
 from repro.host.runtime import DpuSet, DpuSystem
@@ -119,9 +124,6 @@ class EbnnBackend(ModelBackend):
     """
 
     name = "ebnn"
-
-    #: Host-side FC+softmax time per image (EbnnPimRunner's constant).
-    HOST_SECONDS_PER_IMAGE = 2.0e-6
 
     def __init__(
         self,
@@ -220,7 +222,7 @@ class EbnnBackend(ModelBackend):
         # Deadline shedding: when every request of the wave would finish
         # past its deadline, the work is worthless — abandon the launch
         # and roll the DPUs back instead of charging simulated time.
-        host_seconds = self.HOST_SECONDS_PER_IMAGE * len(wave)
+        host_seconds = EbnnPimRunner.HOST_SECONDS_PER_IMAGE * len(wave)
         completion = now + handle.pending_seconds + host_seconds
         if wave and all(
             r.deadline_s is not None and completion > r.deadline_s
@@ -255,7 +257,7 @@ class EbnnBackend(ModelBackend):
                 label, _ = self.model.classify_features(features)
                 execution.outputs[request.request_id] = int(label)
                 n_classified += 1
-        host_seconds = self.HOST_SECONDS_PER_IMAGE * n_classified
+        host_seconds = EbnnPimRunner.HOST_SECONDS_PER_IMAGE * n_classified
         telemetry.advance_sim(host_seconds)
         execution.seconds += report.seconds + host_seconds
 
@@ -364,15 +366,7 @@ class YoloBackend(ModelBackend):
         a_q, a_params = self._weights[plan.layer_index]
         b_params = QuantParams.from_tensor(b, bits=8)
         b_q = b_params.quantize(b).astype(np.int16)
-
-        # Same divisor-widening calibration as the offline YoloPimRunner:
-        # grow past 32 until the worst-case accumulator fits int16.
-        bound = int(np.abs(a_q.astype(np.int64)).sum(axis=1).max()) * int(
-            np.abs(b_q).max() or 1
-        )
-        divisor = 32
-        while bound * self.alpha // divisor > 32767:
-            divisor *= 2
+        divisor = accumulator_divisor(a_q, b_q, self.alpha)
 
         layout = YoloDpuLayout(shape)
         image = self._layer_image(plan)
@@ -401,7 +395,6 @@ class YoloBackend(ModelBackend):
                     layout=layout,
                 )
             except LaunchError:
-                seconds_box[0] += 0.0
                 raise _RequestFailed({d.dpu_id for d in view}) from None
             seconds_box[0] += report.seconds
             if report.outcomes and any(not o.ok for o in report.outcomes):

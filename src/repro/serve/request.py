@@ -53,7 +53,7 @@ class InferenceRequest:
         return self.deadline_s is not None and now > self.deadline_s
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceResponse:
     """The terminal outcome of one request."""
 
