@@ -16,12 +16,15 @@ Scheme summary (Section 4.2.3, Fig. 4.6):
 
 Like the eBNN mapping, one cost recipe (:func:`charge_gemm_row_costs`)
 backs both the functional kernel and the closed-form layer/network
-estimators used by the Fig. 4.7 sweeps.
+estimators used by the Fig. 4.7 sweeps, and one layer routine
+(:func:`run_gemm_layer`) backs both the offline :class:`YoloPimRunner`
+and the serving backend.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +40,9 @@ from repro.dpu.kernel import (
     charged_result,
     symbol_bytes,
 )
-from repro.errors import MappingError
+from repro.errors import LaunchError, MappingError
 from repro.host.alignment import align_up
-from repro.host.runtime import DpuSystem
-from repro.host.transfer import scatter_rows
+from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
 from repro.nn.gemm import GemmShape, gemm_fast
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.quantize import QuantParams
@@ -211,11 +213,28 @@ def yolo_gemm_row_kernel(
         for i, c_row in zip(members, c.astype(np.int32)):
             dpu = dpus[i]
             dpu.mram.write_array(dpu.symbol("c_row").mram_addr, c_row)
-    result = charged_result(
-        lambda ctx: charge_gemm_row_costs(ctx, shape),
-        n_tasklets=n_tasklets, opt_level=opt_level,
+    result = _row_cost(
+        shape, n_tasklets, opt_level, AccumulatorPolicy.for_shape(shape)
     )
     return [result] * len(dpus)
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_cost(
+    shape: GemmShape,
+    n_tasklets: int,
+    opt_level: OptLevel,
+    policy: AccumulatorPolicy,
+) -> KernelResult:
+    """One DPU's charged GEMM row, computed once per distinct cost.
+
+    The result is shared by every launch and estimate that asks for the
+    same cost; nothing mutates a :class:`KernelResult` after charging.
+    """
+    return charged_result(
+        lambda ctx: charge_gemm_row_costs(ctx, shape, policy=policy),
+        n_tasklets=n_tasklets, opt_level=opt_level,
+    )
 
 
 def accumulator_divisor(a_q: np.ndarray, b_q: np.ndarray, alpha: int) -> int:
@@ -236,6 +255,78 @@ def accumulator_divisor(a_q: np.ndarray, b_q: np.ndarray, alpha: int) -> int:
     return divisor
 
 
+class LayerFailedError(LaunchError):
+    """A layer GEMM lost the DPUs ``failed_dpu_ids`` and has no output;
+    ``reports`` holds its launches that ran, a degraded one included."""
+
+    def __init__(
+        self, failed_dpu_ids: set[int], reports: list[LaunchReport]
+    ) -> None:
+        super().__init__(f"layer GEMM lost DPUs {sorted(failed_dpu_ids)}")
+        self.failed_dpu_ids = failed_dpu_ids
+        self.reports = reports
+
+
+def run_gemm_layer(
+    dpus,
+    attributes: UpmemAttributes,
+    plan,
+    a_q: np.ndarray,
+    b_q: np.ndarray,
+    divisor: int,
+    alpha: int,
+    *,
+    n_tasklets: int = YOLO_TASKLETS,
+    opt_level: OptLevel = OptLevel.O3,
+    fault_policy: str | None = None,
+) -> tuple[np.ndarray, list[LaunchReport]]:
+    """One int16 layer GEMM on ``dpus``, one row of A per DPU (Fig. 4.6).
+
+    The first ``min(M, len(dpus))`` DPUs are loaded with the layer's
+    image and receive B and the metadata once.  The layer then runs in
+    waves on the first DPUs of that staged set: each wave scatters its
+    rows of A, launches, and gathers its rows of C, while B stays
+    resident, as on the hardware.
+
+    Returns C as int32 rows and the report of every wave.  A wave that
+    loses DPUs, degraded or with every DPU failed, raises
+    :class:`LayerFailedError`; under the ``raise`` policy the DPU's own
+    error propagates instead.
+    """
+    shape = plan.gemm
+    layout = YoloDpuLayout(shape)
+    staged = DpuSet(list(dpus[: min(shape.m, len(dpus))]), attributes)
+    staged.load(layout.build_image(f"yolo_layer_{plan.layer_index}"))
+    staged.broadcast("b", b_q.reshape(-1))
+    meta = [shape.m, shape.n, shape.k, alpha, divisor, 0]
+    staged.broadcast("meta", np.array(meta, dtype=np.int32))
+    c_rows = np.zeros((shape.m, shape.n), dtype=np.int32)
+    reports: list[LaunchReport] = []
+    for start in range(0, shape.m, len(staged)):
+        stop = min(start + len(staged), shape.m)
+        wave = staged.subset(stop - start)
+        wave.scatter("a_row", list(a_q[start:stop]))
+        try:
+            report = wave.launch(
+                n_tasklets=n_tasklets,
+                opt_level=opt_level,
+                fault_policy=fault_policy,
+                layout=layout,
+            )
+        except LaunchError:
+            raise LayerFailedError(
+                {d.dpu_id for d in wave}, reports
+            ) from None
+        reports.append(report)
+        if report.degraded:
+            raise LayerFailedError(
+                {o.dpu_id for o in report.failed}, reports
+            )
+        for row, dpu in enumerate(wave, start):
+            c_rows[row] = dpu.read_symbol_array("c_row", np.int32, shape.n)
+    return c_rows, reports
+
+
 def gemm_layer_cycles(
     shape: GemmShape,
     *,
@@ -247,10 +338,7 @@ def gemm_layer_cycles(
     """Closed-form DPU cycles for one layer (all row-DPUs run in parallel)."""
     if policy is None:
         policy = AccumulatorPolicy.for_shape(shape, ctmp_budget_bytes)
-    return charged_result(
-        lambda ctx: charge_gemm_row_costs(ctx, shape, policy=policy),
-        n_tasklets=n_tasklets, opt_level=opt_level,
-    ).cycles
+    return _row_cost(shape, n_tasklets, opt_level, policy).cycles
 
 
 @dataclass
@@ -373,7 +461,7 @@ class YoloPimRunner:
         divisor = accumulator_divisor(a_q, b_q, self.alpha)
 
         n_dpus = min(shape.m, self.system.n_dpus)
-        layout = YoloDpuLayout(shape)
+        attributes = self.system.attributes
         with telemetry.span(
             "yolo.layer",
             category="pipeline",
@@ -383,73 +471,30 @@ class YoloPimRunner:
             k=shape.k,
             n_dpus=n_dpus,
         ) as layer_span:
-            c_rows, cycles = self._run_layer(
-                plan, layout, a_q, b_q, shape, n_dpus, divisor
-            )
-            layer_span.set(
+            dpu_set = self.system.allocate(n_dpus)
+            try:
+                c_rows, reports = run_gemm_layer(
+                    dpu_set.dpus, attributes, plan, a_q, b_q, divisor,
+                    self.alpha, n_tasklets=self.n_tasklets,
+                    opt_level=self.opt_level,
+                )
+            finally:
+                self.system.free(dpu_set)
+            cycles = sum(report.cycles for report in reports)
+            timing = YoloLayerTiming(
+                layer_index=plan.layer_index,
+                shape=shape,
+                n_dpus=n_dpus,
                 cycles=cycles,
-                seconds=self.system.attributes.cycles_to_seconds(cycles),
-                policy=AccumulatorPolicy.for_shape(shape).value,
+                seconds=attributes.cycles_to_seconds(cycles),
+                policy=AccumulatorPolicy.for_shape(shape),
+            )
+            self.layer_reports.append(timing)
+            layer_span.set(
+                cycles=cycles, seconds=timing.seconds,
+                policy=timing.policy.value,
             )
 
         # Host-side dequantization: undo quantization scales and divisor.
         scale = a_params.scale * b_params.scale * divisor / self.alpha
         return c_rows.astype(np.float32) * np.float32(scale)
-
-    def _run_layer(
-        self, plan, layout, a_q, b_q, shape, n_dpus, divisor
-    ) -> tuple[np.ndarray, float]:
-        dpu_set = self.system.allocate(n_dpus)
-        try:
-            dpu_set.load(layout.build_image(f"yolo_layer_{plan.layer_index}"))
-            dpu_set.broadcast(
-                "b", np.ascontiguousarray(b_q.reshape(-1), dtype=np.int16)
-            )
-            dpu_set.broadcast(
-                "meta",
-                np.array(
-                    [shape.m, shape.n, shape.k, self.alpha, divisor, 0],
-                    dtype=np.int32,
-                ),
-            )
-            c_rows = np.zeros((shape.m, shape.n), dtype=np.int32)
-            cycles = 0.0
-            for start in range(0, shape.m, n_dpus):
-                rows = list(range(start, min(start + n_dpus, shape.m)))
-                wave = [dpu_set[i] for i in range(len(rows))]
-                batch_rows = [
-                    np.ascontiguousarray(a_q[r], dtype=np.int16) for r in rows
-                ]
-                scatter_rows(wave, "a_row", batch_rows)
-                wave_cycles = 0.0
-                for dpu in wave:
-                    result = dpu.launch(
-                        n_tasklets=self.n_tasklets,
-                        opt_level=self.opt_level,
-                        layout=layout,
-                    )
-                    wave_cycles = max(wave_cycles, float(result.cycles))
-                cycles += wave_cycles
-                # Row-DPUs of a wave ran in parallel on the simulated clock;
-                # the layer advances by the slowest row.
-                telemetry.advance_sim(
-                    self.system.attributes.cycles_to_seconds(wave_cycles)
-                )
-                for dpu, row_index in zip(wave, rows):
-                    c_rows[row_index] = dpu.read_symbol_array(
-                        "c_row", np.int32, shape.n
-                    )
-            policy = AccumulatorPolicy.for_shape(shape)
-            self.layer_reports.append(
-                YoloLayerTiming(
-                    layer_index=plan.layer_index,
-                    shape=shape,
-                    n_dpus=n_dpus,
-                    cycles=cycles,
-                    seconds=self.system.attributes.cycles_to_seconds(cycles),
-                    policy=policy,
-                )
-            )
-        finally:
-            self.system.free(dpu_set)
-        return c_rows, cycles

@@ -241,13 +241,19 @@ class Mram:
     def write(self, addr: int, data: bytes | bytearray | memoryview) -> None:
         """Write a byte string starting at ``addr`` (host-side / DMA use)."""
         if isinstance(data, memoryview):
-            if not data.c_contiguous:
-                data = bytes(data)
+            # Bytes, not items: a view of an int16 array has 2 per item.
+            data = data.cast("B") if data.c_contiguous else data.tobytes()
         elif not isinstance(data, (bytes, bytearray)):
             data = bytes(data)
         n_bytes = len(data)
         self._check(addr, n_bytes)
         if n_bytes == 0:
+            return
+        page_index, offset = divmod(addr, _MRAM_PAGE_BYTES)
+        if offset + n_bytes <= _MRAM_PAGE_BYTES:
+            # Within one page (every DMA beat, most host rows): one copy.
+            memoryview(self._page(page_index))[offset : offset + n_bytes] = data
+            self._dirty.add(page_index)
             return
         src = np.frombuffer(data, dtype=np.uint8)
         pos = 0

@@ -38,10 +38,16 @@ Rate-based faults trigger at instruction 0 — before any architectural
 side effect — so a retried attempt reproduces the fault-free execution
 bit for bit, and the whole test suite passes under smoke injection.
 Targeted faults (``targets=``) default to a mid-program site instead.
+
+Bit flips are drawn per transfer, in each DPU's transfer order, so they
+depend on how many transfers a mapping makes.  The YOLO layer routine
+sends B and the metadata once per layer, not once per wave: a flipped
+B persists across the layer's waves, as it would on hardware.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from contextlib import contextmanager
@@ -140,6 +146,14 @@ def record_worker_failure(chunk_index: int, error: BaseException) -> None:
         )
 
 
+@functools.lru_cache(maxsize=1 << 16, typed=True)
+def _uniform(seed: int, label: str, ids: tuple[int, ...]) -> float:
+    """The draw behind :meth:`FaultPlan._u`, memoized: it is pure."""
+    key = f"{seed}:{label}:" + ":".join(str(i) for i in ids)
+    digest = hashlib.sha256(key.encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
 @dataclass
 class FaultPlan:
     """A seeded recipe of which failures to inject where.
@@ -192,9 +206,7 @@ class FaultPlan:
 
     def _u(self, label: str, *ids: int) -> float:
         """A uniform [0, 1) draw, stable across processes and platforms."""
-        key = f"{self.seed}:{label}:" + ":".join(str(i) for i in ids)
-        digest = hashlib.sha256(key.encode()).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
+        return _uniform(self.seed, label, ids)
 
     def exec_fault(self, dpu_id: int, attempt: int = 0) -> ExecFault | None:
         """Does launch ``attempt`` of ``dpu_id`` fail?  And how?"""

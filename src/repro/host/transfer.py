@@ -25,7 +25,7 @@ import numpy as np
 
 from repro import faults, telemetry
 from repro.dpu.device import Dpu
-from repro.host.alignment import pad_buffer, validate_transfer
+from repro.host.alignment import align_up, validate_transfer
 from repro.errors import TransferError
 
 _M_XFER_BYTES = telemetry.GLOBAL_METRICS.counter(
@@ -203,7 +203,6 @@ class XferBatch:
                 )
             dpu.symbol(symbol_name).check_range(symbol_offset, length)
         plan = faults.current_plan()
-        stats = stats or GLOBAL_TRANSFER_STATS
         results: list[bytes] = []
         n_dpus = len(self._prepared)
         for dpu, buffer in self._prepared:
@@ -219,21 +218,7 @@ class XferBatch:
                 if isinstance(buffer, bytearray):
                     buffer[:length] = data
                 results.append(data)
-        # All-or-nothing accounting: stats and the metrics registry move
-        # together, and only once every member transfer has succeeded.
-        total = length * n_dpus
-        if direction is XferDirection.TO_DPU:
-            stats.bytes_to_dpus += total
-            _M_BYTES_TO_DPU.inc(total)
-        else:
-            stats.bytes_from_dpus += total
-            _M_BYTES_FROM_DPU.inc(total)
-        stats.pushes += 1
-        _M_PUSHES.inc()
-        if direction is XferDirection.TO_DPU:
-            _record_transfer("transfer.push", "to_dpu", total, n_dpus)
-        else:
-            _record_transfer("transfer.push", "from_dpu", total, n_dpus)
+        _account_push(direction, length * n_dpus, n_dpus, stats)
         self._prepared.clear()
         return results if direction is XferDirection.FROM_DPU else None
 
@@ -247,20 +232,31 @@ def scatter_rows(
 ) -> int:
     """Send a different (padded) row to each DPU; returns the pushed length.
 
-    Convenience wrapper over :class:`XferBatch` implementing the paper's
-    per-DPU row distribution (Fig. 4.6): all rows are padded to a common
-    8-byte-aligned length and pushed to the same symbol.
+    The paper's per-DPU row distribution (Fig. 4.6) as one
+    ``dpu_push_xfer``: all rows are padded to a common 8-byte-aligned
+    length and written to the same symbol.  Like :meth:`XferBatch.push`
+    it validates every DPU before writing any, and accounts the push
+    only once every row is written.
     """
     if len(rows) != len(dpus):
         raise TransferError(
             f"{len(rows)} rows for {len(dpus)} DPUs; counts must match"
         )
-    padded = [pad_buffer(_as_bytes(row)) for row in rows]
-    length = max(buf.padded_size for buf in padded)
-    batch = XferBatch()
-    for dpu, buf in zip(dpus, padded):
-        batch.prepare(dpu, buf.data + bytes(length - buf.padded_size))
-    batch.push(XferDirection.TO_DPU, symbol_name, length=length, stats=stats)
+    raws = [_as_bytes(row) for row in rows]
+    length = align_up(max(len(raw) for raw in raws))
+    validate_transfer(length)
+    addrs = []
+    for dpu in dpus:
+        symbol = dpu.symbol(symbol_name)
+        symbol.check_range(0, length)
+        addrs.append(symbol.mram_addr)
+    plan = faults.current_plan()
+    for dpu, addr, raw in zip(dpus, addrs, raws):
+        payload = raw.ljust(length, b"\0")
+        if plan is not None:
+            payload = plan.corrupt(payload, dpu_id=dpu.dpu_id)
+        dpu.mram.write(addr, payload)
+    _account_push(XferDirection.TO_DPU, length * len(dpus), len(dpus), stats)
     return length
 
 
@@ -278,6 +274,25 @@ def gather_rows(
     return batch.push(
         XferDirection.FROM_DPU, symbol_name, length=length, stats=stats
     )
+
+
+def _account_push(
+    direction: XferDirection,
+    total: int,
+    n_dpus: int,
+    stats: TransferStats | None,
+) -> None:
+    """Account one completed push: stats and metrics move together."""
+    stats = stats or GLOBAL_TRANSFER_STATS
+    if direction is XferDirection.TO_DPU:
+        stats.bytes_to_dpus += total
+        _M_BYTES_TO_DPU.inc(total)
+    else:
+        stats.bytes_from_dpus += total
+        _M_BYTES_FROM_DPU.inc(total)
+    stats.pushes += 1
+    _M_PUSHES.inc()
+    _record_transfer("transfer.push", direction.value, total, n_dpus)
 
 
 def _as_bytes(data: bytes | bytearray | memoryview | np.ndarray) -> bytes:

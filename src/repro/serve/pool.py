@@ -40,8 +40,9 @@ from repro.core.mapping_ebnn import (
 )
 from repro.core.mapping_yolo import (
     YOLO_TASKLETS,
-    YoloDpuLayout,
+    LayerFailedError,
     accumulator_divisor,
+    run_gemm_layer,
 )
 from repro.dpu.costs import OptLevel
 from repro.errors import AllocationError, LaunchError, ServeError
@@ -80,14 +81,6 @@ class BatchExecution:
     shed: list[InferenceRequest] = field(default_factory=list)
     failed: list[InferenceRequest] = field(default_factory=list)
     failed_dpu_ids: set[int] = field(default_factory=set)
-
-
-class _RequestFailed(Exception):
-    """Internal: a YOLO request hit a degraded wave; carries dead DPUs."""
-
-    def __init__(self, failed_dpu_ids: set[int]) -> None:
-        super().__init__(f"degraded wave, DPUs {sorted(failed_dpu_ids)}")
-        self.failed_dpu_ids = failed_dpu_ids
 
 
 class ModelBackend:
@@ -292,7 +285,6 @@ class YoloBackend(ModelBackend):
         self.opt_level = opt_level
         self.alpha = alpha
         self._weights: dict[int, tuple[np.ndarray, QuantParams]] = {}
-        self._images: dict[int, Any] = {}
 
     def warm(self, dpu_set: DpuSet) -> None:
         # The warm work is host-side: quantized per-layer weights, ready
@@ -314,15 +306,6 @@ class YoloBackend(ModelBackend):
                 params.quantize(a).astype(np.int16), params
             )
 
-    def _layer_image(self, plan):
-        image = self._images.get(plan.layer_index)
-        if image is None:
-            image = YoloDpuLayout(plan.gemm).build_image(
-                f"serve_yolo_layer_{plan.layer_index}"
-            )
-            self._images[plan.layer_index] = image
-        return image
-
     def run_batch(
         self,
         members: list,
@@ -337,16 +320,17 @@ class YoloBackend(ModelBackend):
             if not active:
                 execution.failed.append(request)
                 continue
-            seconds_box = [0.0]
+            # Every wave's report, completed or aborted.
+            reports: list = []
             try:
                 detections = self.model.forward(
                     np.asarray(request.payload, dtype=np.float32),
                     conv_fn=lambda plan, a, b: self._pim_gemm(
-                        plan, a, b, active, attributes,
-                        fault_policy, seconds_box,
+                        plan, b, active, attributes, fault_policy, reports
                     ),
                 )
-            except _RequestFailed as failure:
+            except LayerFailedError as failure:
+                reports += failure.reports
                 execution.failed.append(request)
                 execution.failed_dpu_ids.update(failure.failed_dpu_ids)
                 active = [
@@ -355,56 +339,22 @@ class YoloBackend(ModelBackend):
                 ]
             else:
                 execution.outputs[request.request_id] = detections
-            # Simulated time spent on the waves, completed or aborted.
-            execution.seconds += seconds_box[0]
+            execution.seconds += sum(report.seconds for report in reports)
         return execution
 
     def _pim_gemm(
-        self, plan, a, b, active, attributes, fault_policy, seconds_box
+        self, plan, b, active, attributes, fault_policy, reports
     ) -> np.ndarray:
-        shape = plan.gemm
         a_q, a_params = self._weights[plan.layer_index]
         b_params = QuantParams.from_tensor(b, bits=8)
         b_q = b_params.quantize(b).astype(np.int16)
         divisor = accumulator_divisor(a_q, b_q, self.alpha)
-
-        layout = YoloDpuLayout(shape)
-        image = self._layer_image(plan)
-        n_dpus = min(shape.m, len(active))
-        b_flat = np.ascontiguousarray(b_q.reshape(-1), dtype=np.int16)
-        meta = np.array(
-            [shape.m, shape.n, shape.k, self.alpha, divisor, 0],
-            dtype=np.int32,
+        c_rows, layer_reports = run_gemm_layer(
+            active, attributes, plan, a_q, b_q, divisor, self.alpha,
+            n_tasklets=self.n_tasklets, opt_level=self.opt_level,
+            fault_policy=fault_policy,
         )
-        c_rows = np.zeros((shape.m, shape.n), dtype=np.int32)
-        for start in range(0, shape.m, n_dpus):
-            rows = list(range(start, min(start + n_dpus, shape.m)))
-            view = DpuSet(list(active[: len(rows)]), attributes)
-            view.load(image)
-            view.broadcast("b", b_flat)
-            view.broadcast("meta", meta)
-            view.scatter(
-                "a_row",
-                [np.ascontiguousarray(a_q[r], dtype=np.int16) for r in rows],
-            )
-            try:
-                report = view.launch(
-                    n_tasklets=self.n_tasklets,
-                    opt_level=self.opt_level,
-                    fault_policy=fault_policy,
-                    layout=layout,
-                )
-            except LaunchError:
-                raise _RequestFailed({d.dpu_id for d in view}) from None
-            seconds_box[0] += report.seconds
-            if report.outcomes and any(not o.ok for o in report.outcomes):
-                raise _RequestFailed(
-                    {o.dpu_id for o in report.outcomes if not o.ok}
-                )
-            for dpu, row_index in zip(view, rows):
-                c_rows[row_index] = dpu.read_symbol_array(
-                    "c_row", np.int32, shape.n
-                )
+        reports += layer_reports
         scale = a_params.scale * b_params.scale * divisor / self.alpha
         return c_rows.astype(np.float32) * np.float32(scale)
 

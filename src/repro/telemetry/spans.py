@@ -271,7 +271,8 @@ class tracing:
     """
 
     def __init__(self, tracer: Tracer | None = None) -> None:
-        self._tracer = tracer or Tracer()
+        # Not ``tracer or Tracer()``: an empty tracer is falsy (__len__).
+        self._tracer = tracer if tracer is not None else Tracer()
         self._previous: Tracer | None = None
 
     def __enter__(self) -> Tracer:

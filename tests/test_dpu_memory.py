@@ -123,6 +123,48 @@ class TestMram:
         assert np.array_equal(mram.read_array(4096, np.int16, 100), values)
 
 
+class TestMramWrite:
+    """The single-page fast path against the page-crossing path."""
+
+    PAGE = 64 * 1024
+
+    BUFFERS = {
+        "bytes": bytes(range(40)),
+        "bytearray": bytearray(range(100, 140)),
+        "int16 view": memoryview(np.arange(-10, 10, dtype=np.int16)),
+        "strided view": memoryview(np.arange(40, dtype=np.int16))[::2],
+        "empty": b"",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BUFFERS))
+    @pytest.mark.parametrize(
+        "where", ["in page", "crossing", "ends on boundary", "starts on page"]
+    )
+    def test_matches_a_flat_reference(self, kind, where):
+        data = self.BUFFERS[kind]
+        raw = bytes(data) if not isinstance(data, memoryview) else data.tobytes()
+        addr = {
+            "in page": 8,
+            "crossing": self.PAGE - 16,
+            "ends on boundary": self.PAGE - len(raw),
+            "starts on page": self.PAGE,
+        }[where]
+        mram = Mram(3 * self.PAGE)
+        mram.write(addr, data)
+        assert mram.read(0, 3 * self.PAGE) == (
+            bytes(addr) + raw + bytes(3 * self.PAGE - addr - len(raw))
+        )
+        end = addr + len(raw)
+        pages = range(addr // self.PAGE, -(-end // self.PAGE)) if raw else []
+        assert mram.dirty_pages() == list(pages)
+
+    def test_views_write_bytes_not_items(self):
+        values = np.arange(6, dtype=np.int32).reshape(2, 3)
+        mram = Mram()
+        mram.write(16, memoryview(values))
+        assert mram.read(16, values.nbytes) == values.tobytes()
+
+
 class TestDmaEngine:
     def make(self):
         mram, wram = Mram(), Wram()

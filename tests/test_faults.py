@@ -7,6 +7,8 @@ faulted DPU in a 64-DPU parallel launch leaves the other 63 bit-identical
 to a fault-free run.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,25 @@ class TestFaultPlan:
         second = plan.corrupt(payload, dpu_id=1)
         assert first != payload and second != payload
         assert first != second  # independent draws per transfer
+
+    def test_memoized_draws_equal_fresh_ones(self):
+        def fresh(seed, label, *ids):
+            key = f"{seed}:{label}:" + ":".join(str(i) for i in ids)
+            digest = hashlib.sha256(key.encode()).digest()
+            return int.from_bytes(digest[:8], "big") / 2**64
+
+        plan = FaultPlan(seed=11, fault_rate=0.3)
+        sites = [(d, t) for d in range(32) for t in range(3)]
+        for seed in (11, 12, 11):
+            plan.seed = seed
+            for _ in range(2):  # the second pass is served from the memo
+                assert [plan._u("fault", d, t) for d, t in sites] == [
+                    fresh(seed, "fault", d, t) for d, t in sites
+                ]
+            decisions = [plan.exec_fault(d, t) is not None for d, t in sites]
+            assert decisions == [
+                fresh(seed, "fault", d, t) < 0.3 for d, t in sites
+            ]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(LaunchError, match="default_policy"):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import faults, telemetry
 from repro.dpu.device import Dpu, DpuImage
+from repro.faults import FaultPlan
 from repro.host import transfer
 from repro.host.transfer import TransferStats, XferBatch, XferDirection
-from repro.errors import TransferError
+from repro.errors import SymbolError, TransferError
 
 
 def make_dpus(n=3, symbol_size=64):
@@ -131,6 +133,56 @@ class TestRowHelpers:
         assert np.array_equal(
             dpus[1].read_symbol_array("data", np.int16, 4), rows[1]
         )
+
+    def test_scatter_missing_symbol_touches_nothing(self):
+        dpus = make_dpus(3)
+        dpus[2].load(DpuImage.from_symbol_layout(
+            "other", kernel_name="test_double", layout=[("blob", 64)]
+        ))
+        totals = vars(transfer.GLOBAL_TRANSFER_STATS).copy()
+        before = telemetry.GLOBAL_METRICS.snapshot()
+        with pytest.raises(SymbolError, match="data"):
+            transfer.scatter_rows(dpus, "data", [b"\xaa" * 8] * 3)
+        delta = telemetry.GLOBAL_METRICS.delta_since(before)
+        for dpu in dpus[:2]:
+            assert dpu.read_symbol("data", 64) == bytes(64)
+            assert dpu.mram.dirty_pages() == []
+        assert vars(transfer.GLOBAL_TRANSFER_STATS) == totals
+        assert delta["transfer.pushes"]["state"] == 0
+        children = delta["transfer.bytes"].get("children", {})
+        assert all(child["state"] == 0 for child in children.values())
+
+    def test_scatter_flips_like_a_batch_push(self):
+        """One corrupt draw per DPU, in set order, as XferBatch.push makes."""
+        rows = [bytes([i] * 12) for i in range(3)]
+
+        def pushed(scatter):
+            dpus = make_dpus(3)
+            plan = FaultPlan(seed=4, bitflip_rate=1.0)
+            draws = []
+            corrupt = plan.corrupt
+
+            def recorded(data, *, dpu_id):
+                draws.append(dpu_id)
+                return corrupt(data, dpu_id=dpu_id)
+
+            plan.corrupt = recorded
+            with faults.fault_injection(plan):
+                scatter(dpus)
+            return [d.read_symbol("data", 16) for d in dpus], draws
+
+        def batch(dpus):
+            batch = XferBatch()
+            for dpu, row in zip(dpus, rows):
+                batch.prepare(dpu, row.ljust(16, b"\0"))
+            batch.push(XferDirection.TO_DPU, "data")
+
+        got = pushed(lambda dpus: transfer.scatter_rows(dpus, "data", rows))
+        want = pushed(batch)
+        assert got == want
+        assert got[1] == [0, 1, 2]
+        assert all(stored[:16] != row.ljust(16, b"\0")
+                   for stored, row in zip(got[0], rows))
 
     def test_scatter_count_mismatch(self):
         with pytest.raises(TransferError, match="counts must match"):

@@ -82,6 +82,15 @@ class TestSpans:
             assert telemetry.current_tracer() is inner
         assert telemetry.current_tracer() is outer
 
+    def test_tracing_keeps_an_empty_tracer_passed_in(self):
+        tracer = telemetry.Tracer()
+        assert not tracer  # empty, so falsy through __len__
+        with telemetry.tracing(tracer) as active:
+            assert active is tracer
+            with telemetry.span("work"):
+                pass
+        assert [s.name for s in tracer.find("work")] == ["work"]
+
 
 class TestMetrics:
     def test_counter_and_gauge(self):
