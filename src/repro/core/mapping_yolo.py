@@ -38,7 +38,6 @@ from repro.dpu.kernel import (
     KernelContext,
     KernelResult,
     charged_result,
-    symbol_bytes,
 )
 from repro.errors import LaunchError, MappingError
 from repro.host.alignment import align_up
@@ -177,17 +176,25 @@ def yolo_gemm_row_kernel(
     the actual dimensions plus the accumulator divisor — 32 in Algorithm
     2, widened by the host for layers whose quantization would otherwise
     clamp (the padded-size side-channel protocol of Section 3.2 applied
-    to scaling metadata).  DPUs whose metadata and B are byte-identical
-    (normally all of them; a transfer bit flip makes a copy differ) form
-    one group, whose rows are one :func:`gemm_fast`.  Every DPU does the
-    same work, so the costs are charged once per launch.
+    to scaling metadata).  Each DPU's symbols, laid out in the order
+    a_row, b, c_row, meta, are read as one span.  DPUs whose metadata
+    and B are byte-identical (normally all of them; a transfer bit flip
+    makes a copy differ) form one group, whose rows are one
+    :func:`gemm_fast`.  Every DPU does the same work, so the costs are
+    charged once per launch.
     """
     shape = layout.shape
-    b_bytes = 2 * shape.k * shape.n
+    image = dpus[0].image
+    if any(dpu.image is not image for dpu in dpus):
+        raise MappingError("YOLO row launch over DPUs with different images")
+    symbols = image.symbols
+    base, c_addr = symbols["a_row"].mram_addr, symbols["c_row"].mram_addr
+    b_at, meta_at = symbols["b"].mram_addr - base, symbols["meta"].mram_addr - base
+    spans = [dpu.mram.read(base, meta_at + 24) for dpu in dpus]
     groups: list[tuple[bytes, bytes, list[int]]] = []
-    for index, dpu in enumerate(dpus):
-        meta = symbol_bytes(dpu, "meta", 24)
-        b = symbol_bytes(dpu, "b", b_bytes)
+    for index, span in enumerate(spans):
+        meta = span[meta_at : meta_at + 24]
+        b = span[b_at : b_at + 2 * shape.k * shape.n]
         for group_meta, group_b, members in groups:
             if group_meta == meta and group_b == b:
                 members.append(index)
@@ -195,24 +202,20 @@ def yolo_gemm_row_kernel(
         else:
             groups.append((meta, b, [index]))
     for meta, b, members in groups:
-        fields = np.frombuffer(meta, np.int32)
-        n, k, alpha, divisor = (int(fields[i]) for i in range(1, 5))
+        n, k, alpha, divisor = np.frombuffer(meta, np.int32)[1:5].tolist()
         if (n, k) != (shape.n, shape.k):
             raise MappingError(
                 f"metadata GEMM shape ({n}, {k}) != layout "
                 f"({shape.n}, {shape.k})"
             )
-        a = np.stack([
-            np.frombuffer(symbol_bytes(dpus[i], "a_row", 2 * k), np.int16)
-            for i in members
-        ])
+        a_rows = b"".join(spans[i][: 2 * k] for i in members)
         c = gemm_fast(
-            alpha, a, np.frombuffer(b, np.int16).reshape(k, n),
-            divisor=divisor or 32,
+            alpha, np.frombuffer(a_rows, np.int16).reshape(-1, k),
+            np.frombuffer(b, np.int16).reshape(k, n), divisor=divisor or 32,
         )
-        for i, c_row in zip(members, c.astype(np.int32)):
-            dpu = dpus[i]
-            dpu.mram.write_array(dpu.symbol("c_row").mram_addr, c_row)
+        c_view, row = memoryview(c).cast("B"), 4 * n
+        for j, i in enumerate(members):
+            dpus[i].mram.write(c_addr, c_view[j * row : (j + 1) * row])
     result = _row_cost(
         shape, n_tasklets, opt_level, AccumulatorPolicy.for_shape(shape)
     )
@@ -304,7 +307,9 @@ def run_gemm_layer(
     reports: list[LaunchReport] = []
     for start in range(0, shape.m, len(staged)):
         stop = min(start + len(staged), shape.m)
-        wave = staged.subset(stop - start)
+        count = stop - start
+        # Full waves run on the staged set; only the last may be shorter.
+        wave = staged if count == len(staged) else staged.subset(count)
         wave.scatter("a_row", list(a_q[start:stop]))
         try:
             report = wave.launch(
@@ -322,8 +327,9 @@ def run_gemm_layer(
             raise LayerFailedError(
                 {o.dpu_id for o in report.failed}, reports
             )
-        for row, dpu in enumerate(wave, start):
-            c_rows[row] = dpu.read_symbol_array("c_row", np.int32, shape.n)
+        raw = b"".join(wave.gather("c_row", layout.c_row_bytes))
+        c = np.frombuffer(raw, np.int32).reshape(count, -1)
+        c_rows[start:stop] = c[:, : shape.n]
     return c_rows, reports
 
 

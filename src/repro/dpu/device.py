@@ -346,18 +346,15 @@ class Dpu:
 
     def _finish(
         self,
-        result: ExecutionResult | KernelResult,
+        result: ExecutionResult,
         n_tasklets: int,
         tracer: "telemetry.Tracer | None",
     ) -> None:
-        """Record a completed launch: last result, metrics and exec span."""
+        """Record a completed program run: last result, metrics, exec span."""
         self.last_result = result
         _M_DPU_EXECS.inc()
         _M_LAUNCH_CYCLES.observe(float(result.cycles))
-        if isinstance(result, ExecutionResult):
-            _M_DPU_INSTRUCTIONS.inc(result.instructions_retired)
-        else:
-            _M_DPU_INSTRUCTIONS.inc(result.issue_slots)
+        _M_DPU_INSTRUCTIONS.inc(result.instructions_retired)
         if tracer is not None:
             self._record_exec_span(tracer, result, n_tasklets)
 
@@ -433,11 +430,12 @@ def launch_kernel(
     """Run the kernel image loaded on ``dpus`` over all of them in one call.
 
     The registered set-wide kernel computes every DPU's work at once;
-    each DPU then records its result exactly as a launch of its own would
-    (``last_result``, the ``dpu.execs`` / ``dpu.instructions`` /
-    ``launch.cycles`` metrics and, when traced, one ``dpu.exec`` span).
-    Validation and fault decisions are the caller's: every DPU given here
-    has passed :meth:`Dpu.check_launch` and runs.
+    each DPU then records its result as a launch of its own would
+    (``last_result``, one ``launch.cycles`` observation and, when traced,
+    one ``dpu.exec`` span), and ``dpu.execs`` / ``dpu.instructions``
+    move once by the launch's totals.  Validation and fault decisions
+    are the caller's: every DPU given here has passed
+    :meth:`Dpu.check_launch` and runs.
     """
     if not dpus:
         return []
@@ -447,5 +445,10 @@ def launch_kernel(
     )
     tracer = telemetry.current_tracer()
     for dpu, result in zip(dpus, results, strict=True):
-        dpu._finish(result, n_tasklets, tracer)
+        dpu.last_result = result
+        _M_LAUNCH_CYCLES.observe(float(result.cycles))
+        if tracer is not None:
+            dpu._record_exec_span(tracer, result, n_tasklets)
+    _M_DPU_EXECS.inc(len(dpus))
+    _M_DPU_INSTRUCTIONS.inc(sum(result.issue_slots for result in results))
     return results

@@ -42,7 +42,9 @@ Targeted faults (``targets=``) default to a mid-program site instead.
 Bit flips are drawn per transfer, in each DPU's transfer order, so they
 depend on how many transfers a mapping makes.  The YOLO layer routine
 sends B and the metadata once per layer, not once per wave: a flipped
-B persists across the layer's waves, as it would on hardware.
+B persists across the layer's waves, as it would on hardware.  Its C
+rows return through a host gather, which a flip can hit too, so each
+DPU's transfer sequence advances once more per wave.
 """
 
 from __future__ import annotations

@@ -356,8 +356,9 @@ class DpuSet:
         max_retries: int = 0,
     ) -> LaunchReport:
         outcomes: list[parallel.DpuLaunchOutcome] | None = None
+        dpu_outcomes: list[DpuOutcome] = []
         if self.image.kernel_name is not None:
-            per_dpu, outcomes = self._launch_kernel(
+            per_dpu, dpu_outcomes = self._launch_kernel(
                 n_tasklets, opt_level, kernel_params,
                 fault_policy, max_retries,
             )
@@ -390,15 +391,7 @@ class DpuSet:
                 )
                 for index, dpu in enumerate(self.dpus)
             ]
-        dpu_outcomes: list[DpuOutcome] = []
         if outcomes is not None:
-            if not any(o.ok for o in outcomes):
-                first = outcomes[0]
-                raise LaunchError(
-                    f"all {len(outcomes)} DPUs of the launch failed under "
-                    f"fault_policy={fault_policy!r}; first failure: DPU "
-                    f"{first.dpu_id}: {first.error_type}: {first.error}"
-                )
             per_dpu = [
                 float(o.result.cycles) if o.ok else 0.0 for o in outcomes
             ]
@@ -410,6 +403,13 @@ class DpuSet:
                 )
                 for o in outcomes
             ]
+        if dpu_outcomes and not any(o.ok for o in dpu_outcomes):
+            first = dpu_outcomes[0]
+            raise LaunchError(
+                f"all {len(dpu_outcomes)} DPUs of the launch failed under "
+                f"fault_policy={fault_policy!r}; first failure: DPU "
+                f"{first.dpu_id}: {first.error_type}: {first.error}"
+            )
         cycles = max(per_dpu)
         report = LaunchReport(
             cycles=cycles,
@@ -435,7 +435,7 @@ class DpuSet:
         kernel_params: dict,
         policy: str,
         max_retries: int,
-    ) -> tuple[list[float] | None, list[parallel.DpuLaunchOutcome] | None]:
+    ) -> tuple[list[float], list[DpuOutcome]]:
         """Run a kernel image set-wide: decide faults, then run once.
 
         Each DPU's attempts are decided up front by the fault plan.  An
@@ -445,6 +445,9 @@ class DpuSet:
         up healthy then run in one :func:`launch_kernel` call.  Under
         ``"raise"`` the DPUs before the first failure run, then the raw
         :class:`DpuError` propagates, as a per-DPU loop would leave it.
+
+        Returns every DPU's cycles (0.0 for a failed DPU) and, under a
+        tolerant policy, every DPU's outcome.
         """
         dpus = self.dpus
         for dpu in dpus:
@@ -456,7 +459,7 @@ class DpuSet:
         plan = faults.current_plan()
         if plan is None and policy == "raise":
             results = launch_kernel(dpus, **params)
-            return [float(r.cycles) for r in results], None
+            return [float(r.cycles) for r in results], []
         outcomes = []
         for index, dpu in enumerate(dpus):
             for attempt in range(max_retries + 1 if policy == "retry" else 1):
@@ -465,9 +468,8 @@ class DpuSet:
                     if plan is not None else None
                 )
                 if event is None:
-                    outcomes.append(parallel.DpuLaunchOutcome(
-                        index=index, memory=None, result=None,
-                        dpu_id=dpu.dpu_id, attempts=attempt + 1,
+                    outcomes.append(DpuOutcome(
+                        index=index, dpu_id=dpu.dpu_id, attempts=attempt + 1,
                     ))
                     break
                 if policy == "raise":
@@ -482,8 +484,8 @@ class DpuSet:
                     error, error_type = str(exc), type(exc).__name__
             else:
                 dpu.last_result = None
-                outcomes.append(parallel.DpuLaunchOutcome(
-                    index=index, memory=None, result=None,
+                outcomes.append(DpuOutcome(
+                    index=index,
                     dpu_id=dpu.dpu_id,
                     status="hung" if hung else "faulted",
                     attempts=attempt + 1,
@@ -492,11 +494,10 @@ class DpuSet:
                 ))
         healthy = [o for o in outcomes if o.ok]
         results = launch_kernel([dpus[o.index] for o in healthy], **params)
+        per_dpu = [0.0] * len(dpus)
         for outcome, result in zip(healthy, results):
-            outcome.result = result
-        if policy == "raise":
-            return [float(r.cycles) for r in results], None
-        return None, outcomes
+            per_dpu[outcome.index] = float(result.cycles)
+        return per_dpu, [] if policy == "raise" else outcomes
 
     def _execute_tolerant(
         self,

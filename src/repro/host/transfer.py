@@ -102,14 +102,11 @@ def copy_to(
     """``dpu_copy_to``: broadcast one buffer to a symbol on every DPU."""
     raw = _as_bytes(data)
     validate_transfer(len(raw), symbol_offset)
-    # Resolve and range-check the symbol on every DPU before writing any,
-    # so a missing symbol cannot leave the set partially written.
-    for dpu in dpus:
-        dpu.symbol(symbol_name).check_range(symbol_offset, len(raw))
+    addrs = _symbol_addrs(dpus, symbol_name, symbol_offset, len(raw))
     plan = faults.current_plan()
-    for dpu in dpus:
+    for dpu, addr in zip(dpus, addrs):
         payload = raw if plan is None else plan.corrupt(raw, dpu_id=dpu.dpu_id)
-        dpu.write_symbol(symbol_name, payload, symbol_offset)
+        dpu.mram.write(addr, payload)
     stats = stats or GLOBAL_TRANSFER_STATS
     total = len(raw) * len(dpus)
     stats.bytes_to_dpus += total
@@ -245,11 +242,7 @@ def scatter_rows(
     raws = [_as_bytes(row) for row in rows]
     length = align_up(max(len(raw) for raw in raws))
     validate_transfer(length)
-    addrs = []
-    for dpu in dpus:
-        symbol = dpu.symbol(symbol_name)
-        symbol.check_range(0, length)
-        addrs.append(symbol.mram_addr)
+    addrs = _symbol_addrs(dpus, symbol_name, 0, length)
     plan = faults.current_plan()
     for dpu, addr, raw in zip(dpus, addrs, raws):
         payload = raw.ljust(length, b"\0")
@@ -267,13 +260,36 @@ def gather_rows(
     *,
     stats: TransferStats | None = None,
 ) -> list[bytes]:
-    """Read the same symbol back from every DPU (one row each)."""
-    batch = XferBatch()
-    for dpu in dpus:
-        batch.prepare(dpu, bytearray(length))
-    return batch.push(
-        XferDirection.FROM_DPU, symbol_name, length=length, stats=stats
-    )
+    """Read the same symbol back from every DPU (one row each).
+
+    The ``dpu_push_xfer`` gather of :meth:`XferBatch.push` without the
+    staging buffers: the same validation, corruption draws and accounting.
+    """
+    if not dpus:
+        raise TransferError("push_xfer with no prepared transfers")
+    validate_transfer(length)
+    addrs = _symbol_addrs(dpus, symbol_name, 0, length)
+    plan = faults.current_plan()
+    rows = []
+    for dpu, addr in zip(dpus, addrs):
+        row = dpu.mram.read(addr, length)
+        rows.append(row if plan is None else plan.corrupt(row, dpu_id=dpu.dpu_id))
+    _account_push(XferDirection.FROM_DPU, length * len(dpus), len(dpus), stats)
+    return rows
+
+
+def _symbol_addrs(
+    dpus: list[Dpu], symbol_name: str, offset: int, n_bytes: int
+) -> list[int]:
+    """Each DPU's MRAM address of ``symbol_name`` at ``offset``, checked
+    once per distinct image before any DPU is touched, so a missing
+    symbol cannot leave the set partially written."""
+    resolved = {}
+    for key, dpu in {id(dpu.image): dpu for dpu in dpus}.items():
+        symbol = dpu.symbol(symbol_name)
+        symbol.check_range(offset, n_bytes)
+        resolved[key] = symbol.mram_addr + offset
+    return [resolved[id(dpu.image)] for dpu in dpus]
 
 
 def _account_push(

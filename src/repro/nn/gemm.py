@@ -113,11 +113,31 @@ def gemm_fast(
     divisor: int = OUTPUT_DIVISOR,
     clamp: int = OUTPUT_CLAMP,
 ) -> np.ndarray:
-    """Vectorized Algorithm 2 over all rows; returns C of shape (m, n)."""
+    """Vectorized Algorithm 2 over all rows; returns C of shape (m, n).
+
+    Integer operands whose every partial sum stays below 2**53 multiply
+    in float64 (BLAS): each partial sum is then an exact integer, so any
+    summation order gives the int64 result.  Wider operands keep int64.
+    """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise WorkloadError(f"GEMM shape mismatch: a {a.shape}, b {b.shape}")
-    acc = (int(alpha) * a.astype(np.int64)) @ b.astype(np.int64)
+    dtype = np.int64
+    if a.dtype.kind in "iu" and b.dtype.kind in "iu":
+        scale = abs(int(alpha)) * a.shape[1]
+        # The dtypes' ranges decide most calls without scanning the data.
+        if scale << 8 * (a.itemsize + b.itemsize) < 2**53 or (
+            scale * _magnitude(a) * _magnitude(b) < 2**53
+        ):
+            dtype = np.float64
+    acc = a.astype(dtype) @ b.astype(dtype)
+    if alpha != 1:
+        acc *= int(alpha)  # exact either way, so (alpha * a) @ b == this
     return requantize_shift(acc, divisor, clamp)
+
+
+def _magnitude(x: np.ndarray) -> int:
+    """The largest absolute value in an integer array (0 when empty)."""
+    return max(-int(x.min()), int(x.max())) if x.size else 0
 
 
 def _check_shapes(

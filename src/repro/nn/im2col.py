@@ -80,19 +80,12 @@ def im2col(image: np.ndarray, geometry: ConvGeometry) -> np.ndarray:
             ((0, 0), (g.padding, g.padding), (g.padding, g.padding)),
             mode="constant",
         )
-    columns = np.empty((g.gemm_k, g.gemm_n), dtype=image.dtype)
-    row = 0
-    for channel in range(c):
-        for ky in range(g.kernel):
-            for kx in range(g.kernel):
-                patch = image[
-                    channel,
-                    ky : ky + g.out_height * g.stride : g.stride,
-                    kx : kx + g.out_width * g.stride : g.stride,
-                ]
-                columns[row] = patch.reshape(-1)
-                row += 1
-    return columns
+    # (C, out_h, out_w, k, k) windows, copied once into (C, k, k) rows.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        image, (g.kernel, g.kernel), axis=(1, 2)
+    )[:, :: g.stride, :: g.stride]
+    columns = np.array(windows.transpose(0, 3, 4, 1, 2), order="C")
+    return columns.reshape(g.gemm_k, g.gemm_n)
 
 
 def col2im_output(flat_output: np.ndarray, geometry: ConvGeometry) -> np.ndarray:

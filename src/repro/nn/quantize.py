@@ -91,9 +91,13 @@ def requantize_shift(
         raise QuantizationError(f"divisor must be positive, got {shift_divisor}")
     if clamp <= 0:
         raise QuantizationError(f"clamp must be positive, got {clamp}")
-    acc = np.asarray(accumulator, dtype=np.int64)
-    quotient = np.sign(acc) * (np.abs(acc) // shift_divisor)  # trunc toward 0
-    return np.clip(quotient, -clamp, clamp).astype(np.int32)
+    acc = np.array(accumulator, dtype=np.int64)  # the one working copy
+    negative = acc < 0
+    np.abs(acc, out=acc)
+    acc //= shift_divisor
+    np.minimum(acc, clamp, out=acc)
+    np.negative(acc, out=acc, where=negative)
+    return acc.astype(np.int32)
 
 
 def quantization_error(values: np.ndarray, bits: int = 16) -> float:

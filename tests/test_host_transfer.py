@@ -194,3 +194,101 @@ class TestRowHelpers:
         dpus[1].write_symbol("data", b"22222222")
         rows = transfer.gather_rows(dpus, "data", 8)
         assert rows == [b"11111111", b"22222222"]
+
+    def test_gather_flips_like_a_batch_push(self):
+        """One corrupt draw per DPU, in set order, as XferBatch.push makes."""
+
+        def gathered(gather):
+            dpus = make_dpus(3)
+            for i, dpu in enumerate(dpus):
+                dpu.write_symbol("data", bytes([i + 1]) * 16)
+            plan = FaultPlan(seed=4, bitflip_rate=1.0)
+            draws = []
+            corrupt = plan.corrupt
+
+            def recorded(data, *, dpu_id):
+                draws.append(dpu_id)
+                return corrupt(data, dpu_id=dpu_id)
+
+            plan.corrupt = recorded
+            with faults.fault_injection(plan):
+                rows = [bytes(row) for row in gather(dpus)]
+            stored = [d.read_symbol("data", 16) for d in dpus]
+            return rows, draws, stored
+
+        def batch(dpus):
+            batch = XferBatch()
+            for dpu in dpus:
+                batch.prepare(dpu, bytearray(16))
+            return batch.push(XferDirection.FROM_DPU, "data")
+
+        got = gathered(lambda dpus: transfer.gather_rows(dpus, "data", 16))
+        assert got == gathered(batch)
+        rows, draws, stored = got
+        assert draws == [0, 1, 2]
+        # The flip hits the copy the host receives, not the DPU's MRAM.
+        assert stored == [bytes([i + 1]) * 16 for i in range(3)]
+        assert all(row != want for row, want in zip(rows, stored))
+
+
+def _mixed_image_set(k, other_layout):
+    """Four DPUs holding ``data`` at address 0; DPU ``k`` holds another image."""
+    dpus = make_dpus(4, symbol_size=16)
+    dpus[k].load(DpuImage.from_symbol_layout(
+        "other", kernel_name="test_double", layout=other_layout
+    ))
+    return dpus
+
+
+#: The set transfers, each moving 16 bytes per DPU through ``data``.
+SET_TRANSFERS = {
+    "copy_to": lambda dpus: transfer.copy_to(dpus, "data", b"\xab" * 16),
+    "scatter_rows": lambda dpus: transfer.scatter_rows(
+        dpus, "data", [bytes([i + 1]) * 16 for i in range(len(dpus))]
+    ),
+    "gather_rows": lambda dpus: transfer.gather_rows(dpus, "data", 16),
+}
+
+
+class TestMixedImageSets:
+    """Symbols resolve once per distinct image, yet per DPU in effect."""
+
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SET_TRANSFERS))
+    def test_each_dpu_uses_its_own_symbol(self, name, k):
+        dpus = _mixed_image_set(k, [("pad", 32), ("data", 16)])
+        for i, dpu in enumerate(dpus):
+            dpu.write_symbol("data", bytes([0x40 + i]) * 16)
+        rows = SET_TRANSFERS[name](dpus)
+        assert dpus[k].symbol("data").mram_addr == 32
+        assert dpus[k].read_symbol("pad", 32) == bytes(32)
+        stored = [dpu.read_symbol("data", 16) for dpu in dpus]
+        if name == "copy_to":
+            assert stored == [b"\xab" * 16] * 4
+        elif name == "scatter_rows":
+            assert stored == [bytes([i + 1]) * 16 for i in range(4)]
+        else:
+            assert rows == [bytes([0x40 + i]) * 16 for i in range(4)]
+
+    @pytest.mark.parametrize("other_layout", [
+        [("blob", 16)],            # no such symbol
+        [("pad", 8), ("data", 8)],  # too small for 16 bytes
+    ], ids=["missing", "short"])
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SET_TRANSFERS))
+    def test_a_bad_symbol_touches_nothing(self, name, k, other_layout):
+        dpus = _mixed_image_set(k, other_layout)
+        plan = FaultPlan(seed=4, bitflip_rate=1.0)
+        totals = vars(transfer.GLOBAL_TRANSFER_STATS).copy()
+        before = telemetry.GLOBAL_METRICS.snapshot()
+        with faults.fault_injection(plan), pytest.raises(SymbolError):
+            SET_TRANSFERS[name](dpus)
+        delta = telemetry.GLOBAL_METRICS.delta_since(before)
+        for dpu in dpus:
+            assert dpu.mram.read(0, 64) == bytes(64)
+        assert plan._xfer_seq == {}
+        assert vars(transfer.GLOBAL_TRANSFER_STATS) == totals
+        for counter in ("transfer.pushes", "transfer.broadcasts"):
+            assert delta[counter]["state"] == 0
+        children = delta["transfer.bytes"].get("children", {})
+        assert all(child["state"] == 0 for child in children.values())

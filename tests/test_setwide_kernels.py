@@ -25,6 +25,7 @@ from repro.core.mapping_ebnn import (
     EbnnDpuLayout,
     ebnn_dpu_cycles,
 )
+from repro.core import mapping_yolo
 from repro.core.mapping_yolo import (
     YOLO_TASKLETS,
     YoloDpuLayout,
@@ -33,7 +34,7 @@ from repro.core.mapping_yolo import (
 )
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
-from repro.errors import DpuFaultError, LaunchError
+from repro.errors import DpuFaultError, LaunchError, MappingError
 from repro.faults import FaultPlan
 from repro.host.runtime import DpuSystem
 from repro.nn.binary import pack_image, unpack_bits
@@ -235,6 +236,72 @@ def test_yolo_groups_dpus_whose_b_copies_differ():
     assert report.cycles == gemm_layer_cycles(
         shape, n_tasklets=YOLO_TASKLETS, opt_level=OPT
     )
+    system.free(dpu_set)
+
+
+def _count_groups(monkeypatch):
+    """Record the row count of every ``gemm_fast`` the YOLO kernel makes."""
+    calls = []
+    real = mapping_yolo.gemm_fast
+
+    def counted(alpha, a, b, **kwargs):
+        calls.append(a.shape[0])
+        return real(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(mapping_yolo, "gemm_fast", counted)
+    return calls
+
+
+def test_yolo_c_row_garbage_keeps_one_group(monkeypatch):
+    """c_row sits inside each DPU's read span but is not compared."""
+    system, dpu_set, layout = _yolo_set(8)
+    shape = layout.shape
+    references = [_yolo_reference(dpu, shape) for dpu in dpu_set]
+    for i in (2, 5):
+        dpu_set[i].write_symbol("c_row", bytes([0xE0 + i]) * layout.c_row_bytes)
+    calls = _count_groups(monkeypatch)
+    with faults.fault_injection(None):
+        dpu_set.launch(n_tasklets=YOLO_TASKLETS, opt_level=OPT, layout=layout)
+    assert calls == [8]
+    for dpu, want in zip(dpu_set, references):
+        assert np.array_equal(
+            dpu.read_symbol_array("c_row", np.int32, shape.n), want
+        )
+    system.free(dpu_set)
+
+
+@pytest.mark.parametrize("symbol, offset", [
+    ("b", 0), ("b", 77), ("meta", 16), ("meta", 20),
+], ids=["b-first", "b-inner", "meta-divisor", "meta-pad"])
+def test_yolo_flipped_byte_forms_its_own_group(monkeypatch, symbol, offset):
+    system, dpu_set, layout = _yolo_set(8)
+    shape = layout.shape
+    victim = dpu_set[5]
+    addr = victim.symbol(symbol).mram_addr + offset
+    victim.mram.write(addr, bytes([victim.mram.read(addr, 1)[0] ^ 0x01]))
+    references = [_yolo_reference(dpu, shape) for dpu in dpu_set]
+    calls = _count_groups(monkeypatch)
+    with faults.fault_injection(None):
+        dpu_set.launch(n_tasklets=YOLO_TASKLETS, opt_level=OPT, layout=layout)
+    assert calls == [7, 1]
+    for dpu, want in zip(dpu_set, references):
+        assert np.array_equal(
+            dpu.read_symbol_array("c_row", np.int32, shape.n), want
+        )
+    system.free(dpu_set)
+
+
+def test_yolo_launch_over_mixed_images_raises():
+    system, dpu_set, layout = _yolo_set(4)
+    dpu_set[2].load(layout.build_image("another_yolo_image"))
+    with faults.fault_injection(None), pytest.raises(
+        MappingError, match="different images"
+    ):
+        dpu_set.launch(n_tasklets=YOLO_TASKLETS, opt_level=OPT, layout=layout)
+    for dpu in dpu_set:
+        assert dpu.read_symbol("c_row", layout.c_row_bytes) == bytes(
+            layout.c_row_bytes
+        )
     system.free(dpu_set)
 
 

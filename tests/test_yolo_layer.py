@@ -197,7 +197,7 @@ def test_policies_reach_the_layer(n_dpus, m):
 
 
 def test_tail_wave_reuses_the_staged_image():
-    """B, meta and the image are staged once; only A moves per wave."""
+    """B, meta and the image are staged once; per wave A moves in, C out."""
     plan, a_q, b_q, divisor = _operands(20)
     system = DpuSystem(UPMEM_ATTRIBUTES.scaled(8))
     dpus = system.allocate(8).dpus
@@ -208,7 +208,8 @@ def test_tail_wave_reuses_the_staged_image():
     assert [r.n_dpus for r in reports] == [8, 8, 4]
     assert len(tracer.find("host.load")) == 1
     assert len(tracer.find("transfer.broadcast")) == 2
-    assert len(tracer.find("transfer.push")) == 3
+    pushes = [s.attributes["direction"] for s in tracer.find("transfer.push")]
+    assert pushes == ["to_dpu", "from_dpu"] * 3
     assert len(tracer.find("dpu.launch")) == 3
     assert len({id(d.image) for d in dpus}) == 1
 
