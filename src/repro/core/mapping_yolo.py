@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import telemetry
+from repro import faults, telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import Operation, OptLevel, Precision, mram_access_cycles
-from repro.dpu.device import DpuImage
+from repro.dpu.device import DpuImage, launch_kernel, record_kernel_results
 from repro.dpu.kernel import (
     GLOBAL_KERNELS,
     KernelContext,
@@ -42,6 +42,7 @@ from repro.dpu.kernel import (
 from repro.errors import LaunchError, MappingError
 from repro.host.alignment import align_up
 from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
+from repro.host.transfer import XferDirection, account_rows
 from repro.nn.gemm import GemmShape, gemm_fast
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.quantize import QuantParams
@@ -177,11 +178,9 @@ def yolo_gemm_row_kernel(
     2, widened by the host for layers whose quantization would otherwise
     clamp (the padded-size side-channel protocol of Section 3.2 applied
     to scaling metadata).  Each DPU's symbols, laid out in the order
-    a_row, b, c_row, meta, are read as one span.  DPUs whose metadata
-    and B are byte-identical (normally all of them; a transfer bit flip
-    makes a copy differ) form one group, whose rows are one
-    :func:`gemm_fast`.  Every DPU does the same work, so the costs are
-    charged once per launch.
+    a_row, b, c_row, meta, are read as one span, and
+    :func:`_gemm_row_groups` multiplies them.  Every DPU does the same
+    work, so the costs are charged once per launch.
     """
     shape = layout.shape
     image = dpus[0].image
@@ -191,35 +190,48 @@ def yolo_gemm_row_kernel(
     base, c_addr = symbols["a_row"].mram_addr, symbols["c_row"].mram_addr
     b_at, meta_at = symbols["b"].mram_addr - base, symbols["meta"].mram_addr - base
     spans = [dpu.mram.read(base, meta_at + 24) for dpu in dpus]
-    groups: list[tuple[bytes, bytes, list[int]]] = []
-    for index, span in enumerate(spans):
-        meta = span[meta_at : meta_at + 24]
-        b = span[b_at : b_at + 2 * shape.k * shape.n]
-        for group_meta, group_b, members in groups:
-            if group_meta == meta and group_b == b:
+    b_end = b_at + 2 * shape.k * shape.n
+    keys = [(span[meta_at : meta_at + 24], span[b_at:b_end]) for span in spans]
+    a_rows = np.frombuffer(
+        b"".join(span[: 2 * shape.k] for span in spans), np.int16
+    ).reshape(-1, shape.k)
+    for members, c in _gemm_row_groups(shape, keys, a_rows):
+        for i, row in zip(members, c):
+            dpus[i].mram.write(c_addr, memoryview(row))
+    policy = AccumulatorPolicy.for_shape(shape)
+    return [_row_cost(shape, n_tasklets, opt_level, policy)] * len(dpus)
+
+
+def _gemm_row_groups(shape: GemmShape, keys: list, a_rows: np.ndarray):
+    """Multiply GEMM rows, one :func:`gemm_fast` per group of equal keys.
+
+    ``keys[i]`` is the ``(meta, b)`` bytes row ``i`` runs against.
+    Normally every row shares them; a transfer bit flip makes a DPU's
+    copy differ, and its rows form a group of their own.  Yields each
+    group's row indices, in order of first appearance, with its int32 C
+    rows; a group whose metadata disagrees with ``shape`` raises
+    :class:`MappingError` when reached.
+    """
+    groups: list[tuple[tuple[bytes, bytes], list[int]]] = []
+    for index, key in enumerate(keys):
+        for group_key, members in groups:
+            if group_key == key:
                 members.append(index)
                 break
         else:
-            groups.append((meta, b, [index]))
-    for meta, b, members in groups:
+            groups.append((key, [index]))
+    for (meta, b), members in groups:
         n, k, alpha, divisor = np.frombuffer(meta, np.int32)[1:5].tolist()
         if (n, k) != (shape.n, shape.k):
             raise MappingError(
                 f"metadata GEMM shape ({n}, {k}) != layout "
                 f"({shape.n}, {shape.k})"
             )
-        a_rows = b"".join(spans[i][: 2 * k] for i in members)
-        c = gemm_fast(
-            alpha, np.frombuffer(a_rows, np.int16).reshape(-1, k),
-            np.frombuffer(b, np.int16).reshape(k, n), divisor=divisor or 32,
+        rows = a_rows if len(members) == len(a_rows) else a_rows[members]
+        yield members, gemm_fast(
+            alpha, rows, np.frombuffer(b, np.int16).reshape(k, n),
+            divisor=divisor or 32,
         )
-        c_view, row = memoryview(c).cast("B"), 4 * n
-        for j, i in enumerate(members):
-            dpus[i].mram.write(c_addr, c_view[j * row : (j + 1) * row])
-    result = _row_cost(
-        shape, n_tasklets, opt_level, AccumulatorPolicy.for_shape(shape)
-    )
-    return [result] * len(dpus)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -253,7 +265,7 @@ def accumulator_divisor(a_q: np.ndarray, b_q: np.ndarray, alpha: int) -> int:
         np.abs(b_q).max() or 1
     )
     divisor = 32
-    while bound * alpha // divisor > 32767:
+    while bound * abs(alpha) // divisor > 32767:
         divisor *= 2
     return divisor
 
@@ -291,6 +303,12 @@ def run_gemm_layer(
     rows of A, launches, and gathers its rows of C, while B stays
     resident, as on the hardware.
 
+    The waves are accounted one by one but executed once: each wave's
+    transfers and launch go through :func:`~repro.host.transfer.account_rows`
+    and :meth:`DpuSet.launch_with`, so flips, faults, reports, metrics and
+    spans are the per-wave ones.  Then the rows that ran are multiplied
+    at once and each DPU's MRAM is left as its last wave would leave it.
+
     Returns C as int32 rows and the report of every wave.  A wave that
     loses DPUs, degraded or with every DPU failed, raises
     :class:`LayerFailedError`; under the ``raise`` policy the DPU's own
@@ -303,33 +321,108 @@ def run_gemm_layer(
     staged.broadcast("b", b_q.reshape(-1))
     meta = [shape.m, shape.n, shape.k, alpha, divisor, 0]
     staged.broadcast("meta", np.array(meta, dtype=np.int32))
-    c_rows = np.zeros((shape.m, shape.n), dtype=np.int32)
+    size = len(staged)
+    addr = {name: sym.mram_addr for name, sym in staged.image.symbols.items()}
+    # Each DPU's metadata and B, flipped bits included, read once;
+    # without bit flips every DPU holds the first one's bytes.
+    injected = faults.current_plan()
+    flips_on = injected is not None and injected.bitflip_rate > 0
+    keys = [
+        (dpu.mram.read(addr["meta"], 24),
+         dpu.mram.read(addr["b"], 2 * shape.k * shape.n))
+        for dpu in (staged if flips_on else staged[:1])
+    ] * (1 if flips_on else size)
+    shape_bytes = np.array([shape.n, shape.k], np.int32).tobytes()
+    bad = {i for i, key in enumerate(keys) if key[0][4:12] != shape_bytes}
+    # The scattered payloads, rows of A padded to the pushed length;
+    # the scatters' bit flips land here.
+    a_bytes = np.ascontiguousarray(a_q).view(np.uint8).reshape(shape.m, -1)
+    a_block = np.zeros((shape.m, align_up(a_bytes.shape[1])), np.uint8)
+    a_block[:, : a_bytes.shape[1]] = a_bytes
+    index_of = {dpu.dpu_id: i for i, dpu in enumerate(staged)}
+    cost = _row_cost(
+        shape, n_tasklets, opt_level, AccumulatorPolicy.for_shape(shape)
+    )
+    ran: list[int] = []  # rows that ran, in order; row r runs on DPU r % size
+    flips: list[tuple[int, tuple[int, int]]] = []  # C readbacks' (row, site)
     reports: list[LaunchReport] = []
-    for start in range(0, shape.m, len(staged)):
-        stop = min(start + len(staged), shape.m)
-        count = stop - start
-        # Full waves run on the staged set; only the last may be shorter.
-        wave = staged if count == len(staged) else staged.subset(count)
-        wave.scatter("a_row", list(a_q[start:stop]))
-        try:
-            report = wave.launch(
-                n_tasklets=n_tasklets,
-                opt_level=opt_level,
-                fault_policy=fault_policy,
-                layout=layout,
+    scattered: int | None = None  # first row of the last scattered wave
+
+    def run(wave_dpus, *, n_tasklets, opt_level, kernel_params):
+        """The launch's kernel call: note the rows; settle() runs them."""
+        indices = [index_of[dpu.dpu_id] for dpu in wave_dpus]
+        if bad.intersection(indices):
+            # Later launches run only DPUs that ran before, so this is the
+            # first one: the kernel itself raises MappingError.
+            settle()
+            return launch_kernel(
+                wave_dpus, n_tasklets=n_tasklets, opt_level=opt_level,
+                kernel_params=kernel_params,
             )
-        except LaunchError:
-            raise LayerFailedError(
-                {d.dpu_id for d in wave}, reports
-            ) from None
-        reports.append(report)
-        if report.degraded:
-            raise LayerFailedError(
-                {o.dpu_id for o in report.failed}, reports
+        ran.extend(scattered + i for i in indices)
+        results = [cost] * len(wave_dpus)
+        record_kernel_results(wave_dpus, results, n_tasklets)
+        return results
+
+    def settle() -> np.ndarray:
+        """C of the rows that ran; each DPU's MRAM as its last wave left it."""
+        c = np.zeros((len(ran), shape.n), np.int32)
+        if scattered is None:
+            return c
+        # Rows run at most once and in order: all ran iff there are M.
+        a_rows = a_block if len(ran) == shape.m else a_block[ran]
+        row_keys = [keys[row % size] for row in ran]
+        for members, group_c in _gemm_row_groups(
+            shape, row_keys, a_rows[:, : 2 * shape.k].view(np.int16)
+        ):
+            c[members] = group_c
+        for i, dpu in enumerate(staged):
+            row = scattered + i if scattered + i < shape.m else scattered + i - size
+            dpu.mram.write(addr["a_row"], memoryview(a_block[row]))
+        for i, j in {row % size: j for j, row in enumerate(ran)}.items():
+            staged[i].mram.write(addr["c_row"], memoryview(c[j]))
+        return c
+
+    try:
+        for start in range(0, shape.m, size):
+            count = min(size, shape.m - start)
+            # Full waves run on the staged set; only the last may be shorter.
+            wave = staged if count == size else staged.subset(count)
+            sites = account_rows(
+                wave.dpus, "a_row", a_block.shape[1], XferDirection.TO_DPU
             )
-        raw = b"".join(wave.gather("c_row", layout.c_row_bytes))
-        c = np.frombuffer(raw, np.int32).reshape(count, -1)
-        c_rows[start:stop] = c[:, : shape.n]
+            scattered = start
+            for row, site in enumerate(sites, start):
+                if site is not None:
+                    faults.flip_bit(a_block[row], site)
+            try:
+                report = wave.launch_with(
+                    run, n_tasklets=n_tasklets, opt_level=opt_level,
+                    fault_policy=fault_policy, layout=layout,
+                )
+            except LaunchError:
+                raise LayerFailedError(
+                    {d.dpu_id for d in wave}, reports
+                ) from None
+            reports.append(report)
+            if report.degraded:
+                raise LayerFailedError(
+                    {o.dpu_id for o in report.failed}, reports
+                )
+            sites = account_rows(
+                wave.dpus, "c_row", layout.c_row_bytes, XferDirection.FROM_DPU
+            )
+            flips += [
+                (row, site) for row, site in enumerate(sites, start) if site
+            ]
+    finally:
+        c_rows = settle()
+    # Every wave ran whole, so row i of C is row i of the product.  A
+    # readback flip lands in C or in the row's padding.
+    c_bytes = c_rows.view(np.uint8)
+    for row, site in flips:
+        if site[0] < c_bytes.shape[1]:
+            faults.flip_bit(c_bytes[row], site)
     return c_rows, reports
 
 

@@ -15,6 +15,7 @@ declares its symbols and the device resolves them for the host runtime.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +112,8 @@ class DpuMemoryState:
     """
 
     mram_pages: dict[int, np.ndarray]
-    wram: np.ndarray
+    #: ``None`` for a WRAM that was never touched (all zeros).
+    wram: np.ndarray | None
 
 
 @dataclass
@@ -202,11 +204,12 @@ class Dpu:
         """Snapshot the mutable memories for shipping to a worker process.
 
         Only resident MRAM pages travel (the backing store is sparse), so
-        a mostly-empty 64 MB MRAM costs a few KB of IPC.
+        a mostly-empty 64 MB MRAM costs a few KB of IPC, and an untouched
+        WRAM travels as ``None``.
         """
         return DpuMemoryState(
             mram_pages=self.mram._pages,
-            wram=self.wram._data,
+            wram=self.wram._data if self.wram.allocated else None,
         )
 
     def apply_memory_state(self, state: DpuMemoryState) -> None:
@@ -217,6 +220,9 @@ class Dpu:
         working across a parallel launch.
         """
         self.mram._pages = state.mram_pages
+        if state.wram is None:
+            self.wram.release()
+            return
         if state.wram.size != self.wram.size:
             raise DpuError(
                 f"shipped WRAM of {state.wram.size} bytes does not match "
@@ -429,12 +435,9 @@ def launch_kernel(
 ) -> list[KernelResult]:
     """Run the kernel image loaded on ``dpus`` over all of them in one call.
 
-    The registered set-wide kernel computes every DPU's work at once;
-    each DPU then records its result as a launch of its own would
-    (``last_result``, one ``launch.cycles`` observation and, when traced,
-    one ``dpu.exec`` span), and ``dpu.execs`` / ``dpu.instructions``
-    move once by the launch's totals.  Validation and fault decisions
-    are the caller's: every DPU given here has passed
+    The registered set-wide kernel computes every DPU's work at once, and
+    :func:`record_kernel_results` records it.  Validation and fault
+    decisions are the caller's: every DPU given here has passed
     :meth:`Dpu.check_launch` and runs.
     """
     if not dpus:
@@ -443,12 +446,20 @@ def launch_kernel(
     results = kernel(
         dpus, n_tasklets=n_tasklets, opt_level=opt_level, **kernel_params
     )
+    record_kernel_results(dpus, results, n_tasklets)
+    return results
+
+
+def record_kernel_results(dpus: list[Dpu], results, n_tasklets: int) -> None:
+    """Record each DPU's result as a launch of its own would: its
+    ``last_result``, a ``launch.cycles`` observation and, when traced, a
+    ``dpu.exec`` span; ``dpu.execs`` / ``dpu.instructions`` move once."""
     tracer = telemetry.current_tracer()
     for dpu, result in zip(dpus, results, strict=True):
         dpu.last_result = result
-        _M_LAUNCH_CYCLES.observe(float(result.cycles))
         if tracer is not None:
             dpu._record_exec_span(tracer, result, n_tasklets)
+    for cycles, run in itertools.groupby([float(r.cycles) for r in results]):
+        _M_LAUNCH_CYCLES.observe(cycles, count=len(list(run)))
     _M_DPU_EXECS.inc(len(dpus))
-    _M_DPU_INSTRUCTIONS.inc(sum(result.issue_slots for result in results))
-    return results
+    _M_DPU_INSTRUCTIONS.inc(sum([result.issue_slots for result in results]))

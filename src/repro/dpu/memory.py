@@ -43,6 +43,8 @@ class Wram:
     costs more than the access itself.  A dirty span ``[lo, hi)`` records
     every region written since :meth:`reset_dirty`, which is how the
     parallel launch engine ships only the bytes a worker actually touched.
+    The buffer is allocated on first access (kernel images never touch
+    WRAM); until then the WRAM reads as zeros.
     """
 
     def __init__(self, size: int = 64 * 1024) -> None:
@@ -52,7 +54,22 @@ class Wram:
         #: Written byte span since reset_dirty(), as a mutable [lo, hi)
         #: pair ([size, 0] = clean) so hot paths can update it in place.
         self._dirty = [size, 0]
-        self._data = np.zeros(size, dtype=np.uint8)
+
+    def __getattr__(self, name: str):
+        # Only reached while _buf/_view are unset: allocate on first use.
+        if name not in ("_buf", "_view"):
+            raise AttributeError(name)
+        self._data = np.zeros(self.size, dtype=np.uint8)
+        return self.__dict__[name]
+
+    @property
+    def allocated(self) -> bool:
+        return "_buf" in self.__dict__
+
+    def release(self) -> None:
+        """Drop the buffer: all zeros again, until next touched."""
+        self.__dict__.pop("_buf", None)
+        self.__dict__.pop("_view", None)
 
     @property
     def _data(self) -> np.ndarray:

@@ -42,9 +42,10 @@ Targeted faults (``targets=``) default to a mid-program site instead.
 Bit flips are drawn per transfer, in each DPU's transfer order, so they
 depend on how many transfers a mapping makes.  The YOLO layer routine
 sends B and the metadata once per layer, not once per wave: a flipped
-B persists across the layer's waves, as it would on hardware.  Its C
-rows return through a host gather, which a flip can hit too, so each
-DPU's transfer sequence advances once more per wave.
+B persists across the layer's waves, as it would on hardware.  Its A
+rows go out and C rows come back once per wave, each drawn like a row
+push (:meth:`FaultPlan.draw_flip`) and XORed (:func:`flip_bit`) into
+the host's copy of the rows.
 """
 
 from __future__ import annotations
@@ -106,14 +107,18 @@ class ExecFault:
 
     def raise_now(self, retired: int = 0) -> None:
         """Record the injection and raise the matching DPU error."""
+        raise self.error(retired)
+
+    def error(self, retired: int = 0) -> DpuFaultError | DpuHangError:
+        """Record the injection and return the matching DPU error."""
         record_fault(self)
         if self.kind is FaultKind.HANG:
-            raise DpuHangError(
+            return DpuHangError(
                 f"injected hang: DPU {self.dpu_id} exceeded the "
                 f"{self.deadline_cycles}-cycle straggler deadline "
                 f"(attempt {self.attempt})"
             )
-        raise DpuFaultError(
+        return DpuFaultError(
             f"injected fault: DPU {self.dpu_id} trapped at instruction "
             f"{retired} (attempt {self.attempt})"
         )
@@ -221,9 +226,10 @@ class FaultPlan:
                 at_instruction=self.target_site,
                 deadline_cycles=self.hang_cycle_budget,
             )
-        if self.fault_rate > 0 and self._u("fault", dpu_id, attempt) < self.fault_rate:
+        ids = (dpu_id, attempt)
+        if self.fault_rate > 0 and _uniform(self.seed, "fault", ids) < self.fault_rate:
             return ExecFault(FaultKind.FAULT, dpu_id, attempt)
-        if self.hang_rate > 0 and self._u("hang", dpu_id, attempt) < self.hang_rate:
+        if self.hang_rate > 0 and _uniform(self.seed, "hang", ids) < self.hang_rate:
             return ExecFault(
                 FaultKind.HANG, dpu_id, attempt,
                 deadline_cycles=self.hang_cycle_budget,
@@ -240,16 +246,24 @@ class FaultPlan:
 
     def corrupt(self, data: bytes, *, dpu_id: int) -> bytes:
         """Maybe flip one bit of a transfer payload for ``dpu_id``."""
-        if self.bitflip_rate <= 0 or not data:
+        site = self.draw_flip(len(data), dpu_id=dpu_id)
+        if site is None:
             return data
+        corrupted = bytearray(data)
+        flip_bit(corrupted, site)
+        return bytes(corrupted)
+
+    def draw_flip(self, n_bytes: int, *, dpu_id: int) -> tuple[int, int] | None:
+        """Draw one ``n_bytes`` transfer's flip for ``dpu_id``: advance its
+        sequence; on a flip, count and trace it and return its site."""
+        if self.bitflip_rate <= 0 or not n_bytes:
+            return None
         seq = self._xfer_seq.get(dpu_id, 0)
         self._xfer_seq[dpu_id] = seq + 1
         if self._u("flip", dpu_id, seq) >= self.bitflip_rate:
-            return data
-        bit = int(self._u("flipbit", dpu_id, seq) * len(data) * 8)
+            return None
+        bit = int(self._u("flipbit", dpu_id, seq) * n_bytes * 8)
         byte_index, bit_index = divmod(bit, 8)
-        corrupted = bytearray(data)
-        corrupted[byte_index] ^= 1 << bit_index
         _M_FAULTS.labels(kind=FaultKind.BITFLIP.value).inc()
         tracer = telemetry.current_tracer()
         if tracer is not None:
@@ -261,7 +275,13 @@ class FaultPlan:
                 byte=byte_index,
                 bit=bit_index,
             )
-        return bytes(corrupted)
+        return byte_index, bit_index
+
+
+def flip_bit(buffer, site: tuple[int, int]) -> None:
+    """XOR the ``(byte, bit)`` site of a drawn flip into a writable buffer."""
+    byte_index, bit_index = site
+    buffer[byte_index] ^= 1 << bit_index
 
 
 # ---------------------------------------------------------------------- #

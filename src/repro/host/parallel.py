@@ -205,7 +205,7 @@ def _copy_memory_state(state: DpuMemoryState) -> DpuMemoryState:
     """Deep-copy a memory snapshot (apply/export share backing arrays)."""
     return DpuMemoryState(
         mram_pages={addr: page.copy() for addr, page in state.mram_pages.items()},
-        wram=state.wram.copy(),
+        wram=None if state.wram is None else state.wram.copy(),
     )
 
 

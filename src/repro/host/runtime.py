@@ -64,7 +64,7 @@ _M_LAUNCH_CANCELLED = telemetry.GLOBAL_METRICS.counter(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class DpuOutcome:
     """One DPU's fate within a set-wide launch."""
 
@@ -87,7 +87,10 @@ class LaunchReport:
     ``outcomes`` is populated whenever the launch ran under a fault plan
     or a tolerant ``fault_policy``; it names every DPU's status, attempt
     count, and error, so a degraded launch is never silent.  A failed
-    DPU contributes 0.0 to ``per_dpu_cycles``.
+    DPU contributes 0.0 to ``per_dpu_cycles``.  Computed once, as
+    ``outcomes`` never changes: ``failed`` (the outcomes of the DPUs that
+    did not complete), ``degraded`` (whether any did not) and
+    ``n_retried`` (extra attempts the retry policy spent).
     """
 
     cycles: float
@@ -98,28 +101,18 @@ class LaunchReport:
     fault_policy: str = "raise"
     outcomes: list[DpuOutcome] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self.failed = [o for o in self.outcomes if o.status != "ok"]
+        self.degraded = bool(self.failed)
+        self.n_retried = sum(o.attempts - 1 for o in self.outcomes)
+
     @property
     def slowest_dpu(self) -> int:
         return int(np.argmax(self.per_dpu_cycles))
 
     @property
-    def failed(self) -> list[DpuOutcome]:
-        """Outcomes of the DPUs that did not complete."""
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
     def n_failed(self) -> int:
         return len(self.failed)
-
-    @property
-    def degraded(self) -> bool:
-        """True when at least one DPU failed (its results are missing)."""
-        return any(not o.ok for o in self.outcomes)
-
-    @property
-    def n_retried(self) -> int:
-        """Extra attempts the retry policy spent across the set."""
-        return sum(o.attempts - 1 for o in self.outcomes)
 
 
 class DpuSet:
@@ -283,6 +276,21 @@ class DpuSet:
         )
         return AsyncLaunch(report, dpu_set=self, pristine=pristine)
 
+    def launch_with(
+        self, run, *, n_tasklets: int = 1, opt_level: OptLevel = OptLevel.O0,
+        fault_policy: str | None = None, **kernel_params,
+    ) -> LaunchReport:
+        """:meth:`launch` of a kernel image with ``run`` in place of
+        :func:`launch_kernel`: it gets the DPUs that run and returns their
+        results, for a caller that does the kernel's work itself.  All
+        else (checks, faults, report, metrics, spans) is the launch's."""
+        if self.image is not None and self.image.kernel_name is None:
+            raise LaunchError("launch_with needs a kernel image")
+        return self._launch(
+            n_tasklets, opt_level, kernel_params, workers=1,
+            advance_sim=True, fault_policy=fault_policy, run=run,
+        )
+
     def _launch(
         self,
         n_tasklets: int,
@@ -293,6 +301,7 @@ class DpuSet:
         advance_sim: bool,
         fault_policy: str | None = None,
         max_retries: int | None = None,
+        run=None,
     ) -> LaunchReport:
         self._require_live("launch")
         if self.image is None:
@@ -319,7 +328,7 @@ class DpuSet:
         if tracer is None:
             # Hot path: no span objects, no kwargs dicts beyond the call's own.
             report = self._launch_now(n_tasklets, opt_level, kernel_params,
-                                      n_workers, policy, retries)
+                                      n_workers, policy, retries, run)
         else:
             with tracer.span(
                 "dpu.launch",
@@ -331,7 +340,7 @@ class DpuSet:
                 asynchronous=not advance_sim,
             ) as span:
                 report = self._launch_now(n_tasklets, opt_level, kernel_params,
-                                          n_workers, policy, retries)
+                                          n_workers, policy, retries, run)
                 if advance_sim:
                     # Every DPU ran in parallel on the simulated clock; the
                     # set advances by its slowest member.  Async launches
@@ -354,13 +363,14 @@ class DpuSet:
         workers: int = 1,
         fault_policy: str = "raise",
         max_retries: int = 0,
+        run=None,
     ) -> LaunchReport:
         outcomes: list[parallel.DpuLaunchOutcome] | None = None
         dpu_outcomes: list[DpuOutcome] = []
         if self.image.kernel_name is not None:
             per_dpu, dpu_outcomes = self._launch_kernel(
                 n_tasklets, opt_level, kernel_params,
-                fault_policy, max_retries,
+                fault_policy, max_retries, run or launch_kernel,
             )
         elif workers > 1 and len(self.dpus) > 1:
             outcomes = parallel.launch_parallel(
@@ -403,13 +413,6 @@ class DpuSet:
                 )
                 for o in outcomes
             ]
-        if dpu_outcomes and not any(o.ok for o in dpu_outcomes):
-            first = dpu_outcomes[0]
-            raise LaunchError(
-                f"all {len(dpu_outcomes)} DPUs of the launch failed under "
-                f"fault_policy={fault_policy!r}; first failure: DPU "
-                f"{first.dpu_id}: {first.error_type}: {first.error}"
-            )
         cycles = max(per_dpu)
         report = LaunchReport(
             cycles=cycles,
@@ -420,6 +423,13 @@ class DpuSet:
             fault_policy=fault_policy,
             outcomes=dpu_outcomes,
         )
+        if dpu_outcomes and len(report.failed) == len(dpu_outcomes):
+            first = dpu_outcomes[0]
+            raise LaunchError(
+                f"all {len(dpu_outcomes)} DPUs of the launch failed under "
+                f"fault_policy={fault_policy!r}; first failure: DPU "
+                f"{first.dpu_id}: {first.error_type}: {first.error}"
+            )
         _M_LAUNCHES.inc()
         _M_LAUNCH_SECONDS.observe(report.seconds)
         if report.n_retried:
@@ -435,6 +445,7 @@ class DpuSet:
         kernel_params: dict,
         policy: str,
         max_retries: int,
+        run,
     ) -> tuple[list[float], list[DpuOutcome]]:
         """Run a kernel image set-wide: decide faults, then run once.
 
@@ -442,7 +453,7 @@ class DpuSet:
         injected kernel fault fires before the kernel touches any state,
         so a failed attempt leaves nothing to roll back, and the retry
         policy simply moves on to the next attempt.  The DPUs that end
-        up healthy then run in one :func:`launch_kernel` call.  Under
+        up healthy then run in one ``run`` call.  Under
         ``"raise"`` the DPUs before the first failure run, then the raw
         :class:`DpuError` propagates, as a per-DPU loop would leave it.
 
@@ -458,30 +469,25 @@ class DpuSet:
         )
         plan = faults.current_plan()
         if plan is None and policy == "raise":
-            results = launch_kernel(dpus, **params)
+            results = run(dpus, **params)
             return [float(r.cycles) for r in results], []
         outcomes = []
+        attempts = range(max_retries + 1 if policy == "retry" else 1)
+        decide = plan.exec_fault if plan is not None else lambda *ids: None
         for index, dpu in enumerate(dpus):
-            for attempt in range(max_retries + 1 if policy == "retry" else 1):
-                event = (
-                    plan.exec_fault(dpu.dpu_id, attempt)
-                    if plan is not None else None
-                )
+            for attempt in attempts:
+                event = decide(dpu.dpu_id, attempt)
                 if event is None:
-                    outcomes.append(DpuOutcome(
-                        index=index, dpu_id=dpu.dpu_id, attempts=attempt + 1,
-                    ))
+                    outcomes.append(
+                        DpuOutcome(index, dpu.dpu_id, "ok", attempt + 1)
+                    )
                     break
                 if policy == "raise":
-                    launch_kernel(dpus[:index], **params)
+                    run(dpus[:index], **params)
                     event.raise_now()
-                try:
-                    event.raise_now()
-                except DpuError as exc:
-                    # Keep strings, not the exception: its traceback would
-                    # pin this frame and every caller's locals.
-                    hung = isinstance(exc, DpuHangError)
-                    error, error_type = str(exc), type(exc).__name__
+                exc = event.error()
+                hung = isinstance(exc, DpuHangError)
+                error, error_type = str(exc), type(exc).__name__
             else:
                 dpu.last_result = None
                 outcomes.append(DpuOutcome(
@@ -492,11 +498,11 @@ class DpuSet:
                     error=error,
                     error_type=error_type,
                 ))
-        healthy = [o for o in outcomes if o.ok]
-        results = launch_kernel([dpus[o.index] for o in healthy], **params)
+        healthy = [o.index for o in outcomes if o.status == "ok"]
+        results = run([dpus[i] for i in healthy], **params)
         per_dpu = [0.0] * len(dpus)
-        for outcome, result in zip(healthy, results):
-            per_dpu[outcome.index] = float(result.cycles)
+        for i, result in zip(healthy, results):
+            per_dpu[i] = float(result.cycles)
         return per_dpu, [] if policy == "raise" else outcomes
 
     def _execute_tolerant(

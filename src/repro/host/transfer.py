@@ -278,6 +278,24 @@ def gather_rows(
     return rows
 
 
+def account_rows(
+    dpus: list[Dpu], symbol_name: str, length: int, direction: XferDirection
+) -> list[tuple[int, int] | None]:
+    """A row push's checks, bit-flip draws and accounting, without moving
+    bytes; returns each DPU's flip site (see :func:`faults.flip_bit`)."""
+    if not dpus:
+        raise TransferError("push_xfer with no prepared transfers")
+    validate_transfer(length)
+    _symbol_addrs(dpus, symbol_name, 0, length)
+    plan = faults.current_plan()
+    if plan is None or plan.bitflip_rate <= 0:  # draw_flip would draw nothing
+        sites = [None] * len(dpus)
+    else:
+        sites = [plan.draw_flip(length, dpu_id=dpu.dpu_id) for dpu in dpus]
+    _account_push(direction, length * len(dpus), len(dpus), None)
+    return sites
+
+
 def _symbol_addrs(
     dpus: list[Dpu], symbol_name: str, offset: int, n_bytes: int
 ) -> list[int]:
@@ -289,6 +307,8 @@ def _symbol_addrs(
         symbol = dpu.symbol(symbol_name)
         symbol.check_range(offset, n_bytes)
         resolved[key] = symbol.mram_addr + offset
+    if len(resolved) == 1:
+        return [*resolved.values()] * len(dpus)
     return [resolved[id(dpu.image)] for dpu in dpus]
 
 

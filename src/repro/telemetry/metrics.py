@@ -193,10 +193,15 @@ class Histogram(_Metric):
             self._children[key] = child
         return child  # type: ignore[return-value]
 
-    def observe(self, value: float) -> None:
-        self.bucket_counts[bisect_right(self.buckets, value)] += 1
-        self.count += 1
-        self.sum += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value`` ``count`` times; ``sum`` adds it ``count``
+        times, bit-identical to as many calls."""
+        self.bucket_counts[bisect_right(self.buckets, value)] += count
+        self.count += count
+        total = self.sum
+        for _ in range(count):
+            total += value
+        self.sum = total
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
 

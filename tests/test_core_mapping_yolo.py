@@ -8,6 +8,7 @@ from repro.core.mapping_yolo import (
     AccumulatorPolicy,
     YoloDpuLayout,
     YoloPimRunner,
+    accumulator_divisor,
     gemm_layer_cycles,
     yolo_network_timing,
 )
@@ -192,3 +193,21 @@ class TestLayout:
         c_row = dpu.read_symbol_array("c_row", np.int32, 8)
         expected = gemm_fast(1, a_row.reshape(1, -1), b)[0]
         assert np.array_equal(c_row, expected)
+
+
+class TestAccumulatorDivisor:
+    def test_negative_alpha_widens_like_positive(self):
+        """The worst case is |alpha| * bound whatever alpha's sign."""
+        a_q = np.full((2, 300), 127, dtype=np.int16)
+        b_q = np.full((300, 3), 127, dtype=np.int16)
+        assert accumulator_divisor(a_q, b_q, -2) == accumulator_divisor(
+            a_q, b_q, 2
+        ) == 512
+
+    def test_negative_worst_case_does_not_clamp(self):
+        a_q = np.full((2, 300), 127, dtype=np.int16)
+        b_q = np.full((300, 3), 127, dtype=np.int16)
+        divisor = accumulator_divisor(a_q, b_q, -2)
+        c = gemm_fast(-2, a_q, b_q, divisor=divisor)
+        assert c.min() > -32767
+        assert np.all(c == -(2 * 300 * 127 * 127 // divisor))

@@ -125,6 +125,26 @@ class TestMetrics:
         assert h.min == 5 and h.max == 500
         assert h.bucket_counts == [1, 1, 1]
 
+    @pytest.mark.parametrize(
+        "value,count", [(7, 5), (0.1, 3), (1234.5678, 13)]
+    )
+    def test_histogram_observe_count(self, value, count):
+        """observe(v, count=n) is n single observations, bit for bit."""
+        reg = telemetry.MetricsRegistry()
+        batched = reg.histogram("batched", buckets=(1, 10, 100))
+        single = reg.histogram("single", buckets=(1, 10, 100))
+        for h in (batched, single):
+            h.observe(0.3)  # a non-trivial running sum to add onto
+        batched.observe(value, count=count)
+        for _ in range(count):
+            single.observe(value)
+        assert batched.count == single.count
+        assert batched.sum == single.sum
+        assert (batched.min, batched.max) == (single.min, single.max)
+        assert batched.bucket_counts == single.bucket_counts
+        for q in (0.0, 0.25, 0.5, 0.9, 1.0):
+            assert batched.quantile(q) == single.quantile(q)
+
     def test_kind_mismatch_rejected(self):
         reg = telemetry.MetricsRegistry()
         reg.counter("x")

@@ -1,0 +1,374 @@
+"""The YOLO layer walk against the per-wave loop it replaced.
+
+:func:`repro.core.mapping_yolo.run_gemm_layer` accounts a layer's waves
+one by one but executes the layer once: one GEMM per B/metadata group and
+one MRAM write per DPU for ``a_row`` and ``c_row``.  These tests keep the
+per-wave loop it replaced (stage once, then scatter, launch and gather on
+every wave) as the oracle and hold the walk to it bit for bit, over group
+sizes 1, 3, 8 and 64, no fault plan and the retry, isolate and raise
+policies, with and without transfer bit flips, traced and untraced:
+
+* C, or the raised error and its DPU ids, and every wave's report;
+* every ``GLOBAL_METRICS`` value and the transfer totals;
+* the plan's per-DPU transfer sequence, so later flips draw alike;
+* every staged DPU's memory and ``last_result``, starting from stale
+  contents an earlier layer could have left;
+* when traced, every span (name, category, track, attributes, simulated
+  start and end, nesting) and the simulated cursor.
+"""
+
+from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro import faults, telemetry
+from repro.core.mapping_yolo import (
+    YOLO_TASKLETS,
+    LayerFailedError,
+    YoloDpuLayout,
+    accumulator_divisor,
+    run_gemm_layer,
+)
+from repro.dpu.attributes import UPMEM_ATTRIBUTES
+from repro.dpu.costs import OptLevel
+from repro.errors import (
+    DpuError,
+    DpuFaultError,
+    DpuHangError,
+    LaunchError,
+    MappingError,
+)
+from repro.faults import FaultPlan
+from repro.host.runtime import DpuSet, DpuSystem
+from repro.host.transfer import GLOBAL_TRANSFER_STATS
+from repro.nn.gemm import GemmShape
+
+#: (DPUs in the group, rows of A): every group but the single DPU ends
+#: in a short wave.
+GROUPS = [(1, 3), (3, 8), (8, 20), (64, 150)]
+
+#: Fault policies under test; ``None`` is a layer with no fault plan
+#: (or, with bit flips, a plan that only flips bits).
+POLICIES = [None, "retry", "isolate", "raise"]
+
+#: MRAM bytes per DPU filled with stale contents and compared afterwards.
+REGION = 16 * 1024
+
+
+def _per_wave_layer(
+    dpus, attributes, plan, a_q, b_q, divisor, alpha, *,
+    n_tasklets=YOLO_TASKLETS, opt_level=OptLevel.O3, fault_policy=None,
+):
+    """The layer routine before the walk: every wave scattered, launched
+    through :meth:`DpuSet.launch` and gathered in turn."""
+    shape = plan.gemm
+    layout = YoloDpuLayout(shape)
+    staged = DpuSet(list(dpus[: min(shape.m, len(dpus))]), attributes)
+    staged.load(layout.build_image(f"yolo_layer_{plan.layer_index}"))
+    staged.broadcast("b", b_q.reshape(-1))
+    meta = [shape.m, shape.n, shape.k, alpha, divisor, 0]
+    staged.broadcast("meta", np.array(meta, dtype=np.int32))
+    c_rows = np.zeros((shape.m, shape.n), dtype=np.int32)
+    reports = []
+    for start in range(0, shape.m, len(staged)):
+        stop = min(start + len(staged), shape.m)
+        count = stop - start
+        wave = staged if count == len(staged) else staged.subset(count)
+        wave.scatter("a_row", list(a_q[start:stop]))
+        try:
+            report = wave.launch(
+                n_tasklets=n_tasklets,
+                opt_level=opt_level,
+                fault_policy=fault_policy,
+                layout=layout,
+            )
+        except LaunchError:
+            raise LayerFailedError(
+                {d.dpu_id for d in wave}, reports
+            ) from None
+        reports.append(report)
+        if report.degraded:
+            raise LayerFailedError(
+                {o.dpu_id for o in report.failed}, reports
+            )
+        raw = b"".join(wave.gather("c_row", layout.c_row_bytes))
+        c = np.frombuffer(raw, np.int32).reshape(count, -1)
+        c_rows[start:stop] = c[:, : shape.n]
+    return c_rows, reports
+
+
+@contextmanager
+def _fresh_metrics():
+    """Run on a zeroed ``GLOBAL_METRICS`` (float sums then start alike);
+    yields a dict that receives the final snapshot, and restores the
+    registry afterwards."""
+    registry = telemetry.GLOBAL_METRICS
+    saved = registry.delta_since({})
+    registry.reset()
+    out = {}
+    try:
+        yield out
+    finally:
+        out["metrics"] = registry.snapshot()
+        registry.reset()
+        registry.merge_delta(saved)
+
+
+def _spans(tracer):
+    rows = []
+
+    def walk(span, depth):
+        rows.append((
+            depth, span.name, span.category, span.track,
+            dict(span.attributes), span.sim_start, span.sim_end,
+        ))
+        for child in span.children:
+            walk(child, depth + 1)
+
+    for root in tracer.roots:
+        walk(root, 0)
+    return rows
+
+
+def _operands(m, *, n=24, k=40, seed=5, alpha=1):
+    rng = np.random.default_rng(seed)
+    a_q = rng.integers(-127, 128, size=(m, k)).astype(np.int16)
+    b_q = rng.integers(-127, 128, size=(k, n)).astype(np.int16)
+    plan = SimpleNamespace(gemm=GemmShape(m=m, n=n, k=k), layer_index=7)
+    return plan, a_q, b_q, accumulator_divisor(a_q, b_q, alpha)
+
+
+def _observe(layer_fn, n_dpus, m, make_plan, *, traced, fault_policy, first_id):
+    """Run one layer on a fresh group of DPUs ``first_id`` onwards;
+    returns everything to compare."""
+    system = DpuSystem(UPMEM_ATTRIBUTES.scaled(max(first_id + n_dpus, 8)))
+    if first_id:
+        system.allocate(first_id)
+    dpus = system.allocate(n_dpus).dpus
+    rng = np.random.default_rng(11)
+    for dpu in dpus:
+        # What an earlier layer could have left behind.
+        dpu.mram.write(0, rng.integers(0, 256, REGION, np.uint8).tobytes())
+        dpu.last_result = "stale"
+    plan, a_q, b_q, divisor = _operands(m)
+    fault_plan = make_plan(dpus)
+    transfers = vars(GLOBAL_TRANSFER_STATS).copy()
+    tracing = telemetry.tracing() if traced else nullcontext()
+    with _fresh_metrics() as registry, faults.fault_injection(fault_plan), \
+            tracing as tracer:
+        try:
+            outcome = layer_fn(
+                dpus, system.attributes, plan, a_q, b_q, divisor, 1,
+                fault_policy=fault_policy,
+            )
+        except (DpuError, LaunchError, MappingError) as exc:
+            outcome = exc
+    if isinstance(outcome, tuple):
+        c_rows, reports = outcome
+        result = ("ok", c_rows.dtype, c_rows.tobytes())
+    else:
+        reports = getattr(outcome, "reports", [])
+        result = (
+            type(outcome), str(outcome),
+            getattr(outcome, "failed_dpu_ids", None),
+        )
+    return {
+        "result": result,
+        "reports": [vars(r) for r in reports],
+        "metrics": registry["metrics"],
+        "transfers": {
+            key: value - transfers[key]
+            for key, value in vars(GLOBAL_TRANSFER_STATS).items()
+        },
+        "xfer_seq": dict(fault_plan._xfer_seq) if fault_plan else None,
+        "memory": [dpu.mram.read(0, REGION) for dpu in dpus],
+        "last_results": [dpu.last_result for dpu in dpus],
+        "spans": _spans(tracer) if traced else None,
+        "sim_now": tracer.sim_now if traced else None,
+    }
+
+
+def _compare(
+    n_dpus, m, make_plan, *, traced=False, fault_policy=None, first_id=0
+):
+    got = _observe(
+        run_gemm_layer, n_dpus, m, make_plan,
+        traced=traced, fault_policy=fault_policy, first_id=first_id,
+    )
+    want = _observe(
+        _per_wave_layer, n_dpus, m, make_plan,
+        traced=traced, fault_policy=fault_policy, first_id=first_id,
+    )
+    for key in want:
+        assert got[key] == want[key], key
+    return got
+
+
+def _matrix_plan(policy, bitflip_rate, kind="fault"):
+    """Fail the group's middle DPU (its first attempt under retry,
+    always otherwise) and flip transfer bits at ``bitflip_rate``."""
+
+    def make(dpus):
+        if policy is None and not bitflip_rate:
+            return None
+        bad = dpus[len(dpus) // 2].dpu_id
+        return FaultPlan(
+            seed=6,
+            bitflip_rate=bitflip_rate,
+            targets={} if policy is None else {bad: kind},
+            target_attempts=1 if policy == "retry" else 10,
+            default_policy=policy or "raise",
+        )
+
+    return make
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("bitflip_rate", [0.0, 0.05])
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("n_dpus,m", GROUPS)
+def test_walk_matches_per_wave_layer(n_dpus, m, policy, bitflip_rate, traced):
+    got = _compare(
+        n_dpus, m, _matrix_plan(policy, bitflip_rate),
+        traced=traced, fault_policy=policy,
+    )
+    expected = {
+        None: "ok", "retry": "ok",
+        "isolate": LayerFailedError, "raise": DpuFaultError,
+    }[policy]
+    if not bitflip_rate:
+        assert got["result"][0] is expected or got["result"][0] == expected
+
+
+def test_matrix_flips_every_transfer_kind():
+    """The 64-DPU flip case corrupts B, A rows and C readbacks, so the
+    walk's grouping and its host-side A and C flips are all exercised."""
+    got = _compare(64, 150, _matrix_plan(None, 0.05), traced=True)
+    assert got["result"][0] == "ok"
+    kinds, pending = [], 0
+    for _, name, category, _, attributes, _, _ in got["spans"]:
+        if name == "dpu.bitflip":
+            pending += 1
+        elif category == "transfer":
+            kinds += [(name, attributes["direction"])] * pending
+            pending = 0
+    assert ("transfer.broadcast", "to_dpu") in kinds
+    assert ("transfer.push", "to_dpu") in kinds
+    assert ("transfer.push", "from_dpu") in kinds
+    # B, metadata, then one scatter and one gather per wave a DPU is in.
+    seq = got["xfer_seq"]
+    assert seq[0] == 2 + 2 * 3 and seq[63] == 2 + 2 * 2
+
+
+#: Under this seed every transfer flips a bit, and only DPU 3's flip
+#: lands in its metadata's shape (N, K).
+META_SEED, META_DPU = 16, 3
+
+
+@pytest.mark.parametrize("policy,target,expected", [
+    (None, None, MappingError),
+    ("retry", META_DPU, MappingError),       # it runs on its retry
+    ("isolate", META_DPU, LayerFailedError),  # it never runs
+    ("isolate", 5, MappingError),
+    ("raise", META_DPU, DpuFaultError),      # DPUs 0-2 run, then it fails
+    ("raise", 5, MappingError),              # it runs before DPU 5 fails
+])
+def test_flipped_metadata_raises_where_it_runs(policy, target, expected):
+    """A flipped metadata shape raises MappingError at the first launch
+    that runs its DPU, as the kernel did; a DPU that never runs is no
+    error."""
+
+    def make(dpus):
+        return FaultPlan(
+            seed=META_SEED, bitflip_rate=1.0,
+            targets={} if target is None else {target: "fault"},
+            target_attempts=1 if policy == "retry" else 10,
+            default_policy=policy or "raise",
+        )
+
+    got = _compare(8, 20, make, fault_policy=policy)
+    assert got["result"][0] is expected
+
+
+def test_metadata_seed_flips_one_shape():
+    plan = FaultPlan(seed=META_SEED, bitflip_rate=1.0)
+    shapes = []
+    for dpu_id in range(8):
+        plan.draw_flip(2 * 40 * 24, dpu_id=dpu_id)  # B
+        byte, _ = plan.draw_flip(24, dpu_id=dpu_id)  # metadata
+        if 4 <= byte < 12:
+            shapes.append(dpu_id)
+    assert shapes == [META_DPU]
+
+
+@pytest.mark.parametrize("policy", ["retry", "isolate", "raise"])
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_hung_dpu_matches_per_wave_layer(policy, traced):
+    got = _compare(
+        8, 20, _matrix_plan(policy, 0.0, kind="hang"),
+        traced=traced, fault_policy=policy,
+    )
+    expected = {
+        "retry": "ok", "isolate": LayerFailedError,
+        "raise": DpuHangError,
+    }[policy]
+    assert got["result"][0] is expected or got["result"][0] == expected
+
+
+def test_all_failed_wave_matches_per_wave_layer():
+    """A single-DPU group whose DPU always fails: no report, no launch."""
+    got = _compare(1, 3, _matrix_plan("isolate", 0.05), fault_policy="isolate")
+    assert got["result"][0] is LayerFailedError and got["reports"] == []
+
+
+def test_env_style_rate_plan_matches_per_wave_layer():
+    """Rate-drawn faults and hangs, as an environment plan injects them."""
+
+    def make(dpus):
+        return FaultPlan(
+            seed=7, fault_rate=0.2, hang_rate=0.05, default_policy="retry",
+        )
+
+    _compare(8, 150, make)
+
+
+@pytest.mark.parametrize("first_id", [0, 168])
+@pytest.mark.parametrize("n_dpus,m", GROUPS)
+def test_walk_matches_under_the_installed_plan(n_dpus, m, first_id):
+    """Under whatever plan ``REPRO_FAULT_*`` installed, or none.  Rate
+    faults are drawn per DPU id, so the groups also sit at ids 168
+    onwards, where the smoke seeds 0 and 7 fail some DPUs."""
+    installed = faults.current_plan()
+    _compare(n_dpus, m, lambda dpus: installed, first_id=first_id)
+
+
+def test_walk_counts_every_row_as_a_launch_of_its_own():
+    """Shared bookkeeping the oracle cannot vouch for: each row is one
+    execution, one ``launch.cycles`` observation and one last result,
+    and a DPU that failed keeps no result."""
+    plan, a_q, b_q, divisor = _operands(20)
+    system = DpuSystem(UPMEM_ATTRIBUTES.scaled(8))
+    dpus = system.allocate(8).dpus
+    with _fresh_metrics() as registry, faults.fault_injection(None):
+        _, reports = run_gemm_layer(
+            dpus, system.attributes, plan, a_q, b_q, divisor, 1
+        )
+    metrics = registry["metrics"]
+    cycles = reports[0].cycles
+    assert [r.n_dpus for r in reports] == [8, 8, 4]
+    assert metrics["dpu.launches"]["state"] == 3
+    assert metrics["dpu.execs"]["state"] == 20
+    observed = metrics["launch.cycles"]["state"]
+    assert observed["count"] == 20 and observed["sum"] == 20 * cycles
+    assert {d.last_result.cycles for d in dpus} == {cycles}
+
+    failing = FaultPlan(targets={dpus[5].dpu_id: "hang"}, target_attempts=10)
+    with faults.fault_injection(failing), pytest.raises(LayerFailedError):
+        run_gemm_layer(
+            dpus, system.attributes, plan, a_q, b_q, divisor, 1,
+            fault_policy="isolate",
+        )
+    failed = [d.last_result is None for d in dpus]
+    assert failed == [False] * 5 + [True] + [False] * 2
