@@ -32,7 +32,7 @@ import numpy as np
 from repro import faults, telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import Operation, OptLevel, Precision, mram_access_cycles
-from repro.dpu.device import DpuImage, launch_kernel, record_kernel_results
+from repro.dpu.device import DpuImage
 from repro.dpu.kernel import (
     GLOBAL_KERNELS,
     KernelContext,
@@ -252,18 +252,27 @@ def _row_cost(
     )
 
 
-def accumulator_divisor(a_q: np.ndarray, b_q: np.ndarray, alpha: int) -> int:
+def weight_bound(a_q: np.ndarray) -> int:
+    """The largest absolute row sum of A: :func:`accumulator_divisor`'s
+    weights-only half."""
+    return int(np.abs(a_q.astype(np.int64)).sum(axis=1).max())
+
+
+def accumulator_divisor(
+    a_q: np.ndarray, b_q: np.ndarray, alpha: int, *, a_bound: int | None = None
+) -> int:
     """The Algorithm 2 accumulator divisor for one quantized layer GEMM.
 
     Algorithm 2 divides the accumulator by 32 before the int16 clamp;
     the thesis's quantized network has calibrated scales that make 32
     sufficient.  With ad-hoc per-layer quantization the divisor widens
     (doubling) until the worst-case accumulator fits, which plays the
-    same calibration role.
+    same calibration role.  ``a_bound`` passes ``weight_bound(a_q)``
+    computed once for fixed weights.
     """
-    bound = int(np.abs(a_q.astype(np.int64)).sum(axis=1).max()) * int(
-        np.abs(b_q).max() or 1
-    )
+    if a_bound is None:
+        a_bound = weight_bound(a_q)
+    bound = a_bound * int(np.abs(b_q).max() or 1)
     divisor = 32
     while bound * abs(alpha) // divisor > 32767:
         divisor *= 2
@@ -303,11 +312,13 @@ def run_gemm_layer(
     rows of A, launches, and gathers its rows of C, while B stays
     resident, as on the hardware.
 
-    The waves are accounted one by one but executed once: each wave's
-    transfers and launch go through :func:`~repro.host.transfer.account_rows`
-    and :meth:`DpuSet.launch_with`, so flips, faults, reports, metrics and
-    spans are the per-wave ones.  Then the rows that ran are multiplied
-    at once and each DPU's MRAM is left as its last wave would leave it.
+    The launch is decided once (:meth:`DpuSet.decide`): fault decisions
+    depend only on the DPU and the attempt, so every wave gets the
+    outcomes of its DPUs.  Each wave's transfers, launch report, faults
+    and metrics are charged from that decision, all full waves in one
+    step unless traced spans or bit-flip draws need them one by one.
+    Then the rows that ran are multiplied at once and each DPU's MRAM is
+    left as its last wave would leave it.
 
     Returns C as int32 rows and the report of every wave.  A wave that
     loses DPUs, degraded or with every DPU failed, raises
@@ -333,43 +344,42 @@ def run_gemm_layer(
         for dpu in (staged if flips_on else staged[:1])
     ] * (1 if flips_on else size)
     shape_bytes = np.array([shape.n, shape.k], np.int32).tobytes()
-    bad = {i for i, key in enumerate(keys) if key[0][4:12] != shape_bytes}
+    decision = staged.decide(n_tasklets, opt_level, fault_policy)
+    ran = [o.index for o in decision.outcomes if o.ok]  # in the first wave
+    if any(keys[i][0][4:12] != shape_bytes for i in ran):
+        # A DPU whose metadata shape flipped runs in the first wave: run
+        # that wave as it is, and its kernel raises MappingError.
+        staged.scatter("a_row", list(a_q[:size]))
+        staged.launch(
+            n_tasklets=n_tasklets, opt_level=opt_level,
+            fault_policy=fault_policy, layout=layout,
+        )
     # The scattered payloads, rows of A padded to the pushed length;
     # the scatters' bit flips land here.
     a_bytes = np.ascontiguousarray(a_q).view(np.uint8).reshape(shape.m, -1)
     a_block = np.zeros((shape.m, align_up(a_bytes.shape[1])), np.uint8)
     a_block[:, : a_bytes.shape[1]] = a_bytes
-    index_of = {dpu.dpu_id: i for i, dpu in enumerate(staged)}
     cost = _row_cost(
         shape, n_tasklets, opt_level, AccumulatorPolicy.for_shape(shape)
     )
-    ran: list[int] = []  # rows that ran, in order; row r runs on DPU r % size
+    # The first wave is the whole staged set, so a DPU the decision
+    # fails ends the layer there; otherwise every wave runs whole.
+    whole = len(ran) == size
+    ran = range(shape.m) if whole else ran  # row r ran on DPU r % size
+    rows = shape.m if whole else size
+    if flips_on or telemetry.current_tracer() is not None:
+        waves = [min(size, rows - start) for start in range(0, rows, size)]
+    else:
+        waves = [rows]  # charged at once
     flips: list[tuple[int, tuple[int, int]]] = []  # C readbacks' (row, site)
     reports: list[LaunchReport] = []
     scattered: int | None = None  # first row of the last scattered wave
-
-    def run(wave_dpus, *, n_tasklets, opt_level, kernel_params):
-        """The launch's kernel call: note the rows; settle() runs them."""
-        indices = [index_of[dpu.dpu_id] for dpu in wave_dpus]
-        if bad.intersection(indices):
-            # Later launches run only DPUs that ran before, so this is the
-            # first one: the kernel itself raises MappingError.
-            settle()
-            return launch_kernel(
-                wave_dpus, n_tasklets=n_tasklets, opt_level=opt_level,
-                kernel_params=kernel_params,
-            )
-        ran.extend(scattered + i for i in indices)
-        results = [cost] * len(wave_dpus)
-        record_kernel_results(wave_dpus, results, n_tasklets)
-        return results
 
     def settle() -> np.ndarray:
         """C of the rows that ran; each DPU's MRAM as its last wave left it."""
         c = np.zeros((len(ran), shape.n), np.int32)
         if scattered is None:
             return c
-        # Rows run at most once and in order: all ran iff there are M.
         a_rows = a_block if len(ran) == shape.m else a_block[ran]
         row_keys = [keys[row % size] for row in ran]
         for members, group_c in _gemm_row_groups(
@@ -383,38 +393,37 @@ def run_gemm_layer(
             staged[i].mram.write(addr["c_row"], memoryview(c[j]))
         return c
 
+    start = 0
     try:
-        for start in range(0, shape.m, size):
-            count = min(size, shape.m - start)
-            # Full waves run on the staged set; only the last may be shorter.
-            wave = staged if count == size else staged.subset(count)
+        for wave_rows in waves:
             sites = account_rows(
-                wave.dpus, "a_row", a_block.shape[1], XferDirection.TO_DPU
+                staged.dpus, "a_row", a_block.shape[1], XferDirection.TO_DPU,
+                wave_rows,
             )
-            scattered = start
+            scattered = start + (wave_rows - 1) // size * size
             for row, site in enumerate(sites, start):
                 if site is not None:
                     faults.flip_bit(a_block[row], site)
             try:
-                report = wave.launch_with(
-                    run, n_tasklets=n_tasklets, opt_level=opt_level,
-                    fault_policy=fault_policy, layout=layout,
+                reports += staged.charge(
+                    decision, wave_rows, lambda wave: [cost] * len(wave)
                 )
             except LaunchError:
                 raise LayerFailedError(
-                    {d.dpu_id for d in wave}, reports
+                    {d.dpu_id for d in staged}, reports
                 ) from None
-            reports.append(report)
-            if report.degraded:
+            if reports[-1].degraded:
                 raise LayerFailedError(
-                    {o.dpu_id for o in report.failed}, reports
+                    {o.dpu_id for o in reports[-1].failed}, reports
                 )
             sites = account_rows(
-                wave.dpus, "c_row", layout.c_row_bytes, XferDirection.FROM_DPU
+                staged.dpus, "c_row", layout.c_row_bytes,
+                XferDirection.FROM_DPU, wave_rows,
             )
             flips += [
                 (row, site) for row, site in enumerate(sites, start) if site
             ]
+            start += wave_rows
     finally:
         c_rows = settle()
     # Every wave ran whole, so row i of C is row i of the product.  A

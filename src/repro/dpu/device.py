@@ -323,11 +323,12 @@ class Dpu:
                 # Kernel images have no instruction stream to trap inside;
                 # the fault fires before the kernel touches any state.
                 event.raise_now()
-            (result,) = launch_kernel(
+            results = launch_kernel(
                 [self], n_tasklets=n_tasklets, opt_level=opt_level,
                 kernel_params=kernel_params,
             )
-            return result
+            record_kernel_results([self], results, n_tasklets)
+            return results[0]
         interpreter = make_interpreter(
             self.image.program,
             self.wram,
@@ -435,31 +436,34 @@ def launch_kernel(
 ) -> list[KernelResult]:
     """Run the kernel image loaded on ``dpus`` over all of them in one call.
 
-    The registered set-wide kernel computes every DPU's work at once, and
-    :func:`record_kernel_results` records it.  Validation and fault
-    decisions are the caller's: every DPU given here has passed
-    :meth:`Dpu.check_launch` and runs.
+    The registered set-wide kernel computes every DPU's work at once;
+    the caller records it (:func:`record_kernel_results`).  Validation
+    and fault decisions are the caller's too: every DPU given here has
+    passed :meth:`Dpu.check_launch` and runs.
     """
     if not dpus:
         return []
     kernel = GLOBAL_KERNELS.set_kernel(dpus[0].image.kernel_name)
-    results = kernel(
+    return kernel(
         dpus, n_tasklets=n_tasklets, opt_level=opt_level, **kernel_params
     )
-    record_kernel_results(dpus, results, n_tasklets)
-    return results
 
 
-def record_kernel_results(dpus: list[Dpu], results, n_tasklets: int) -> None:
+def record_kernel_results(
+    dpus: list[Dpu], results, n_tasklets: int, times: int = 1
+) -> None:
     """Record each DPU's result as a launch of its own would: its
     ``last_result``, a ``launch.cycles`` observation and, when traced, a
-    ``dpu.exec`` span; ``dpu.execs`` / ``dpu.instructions`` move once."""
+    ``dpu.exec`` span; ``dpu.execs`` / ``dpu.instructions`` move once.
+    ``times`` charges that many alike launches at once (untraced)."""
     tracer = telemetry.current_tracer()
     for dpu, result in zip(dpus, results, strict=True):
         dpu.last_result = result
         if tracer is not None:
             dpu._record_exec_span(tracer, result, n_tasklets)
     for cycles, run in itertools.groupby([float(r.cycles) for r in results]):
-        _M_LAUNCH_CYCLES.observe(cycles, count=len(list(run)))
-    _M_DPU_EXECS.inc(len(dpus))
-    _M_DPU_INSTRUCTIONS.inc(sum([result.issue_slots for result in results]))
+        _M_LAUNCH_CYCLES.observe(cycles, count=len(list(run)) * times)
+    _M_DPU_EXECS.inc(len(dpus) * times)
+    _M_DPU_INSTRUCTIONS.inc(
+        sum([result.issue_slots for result in results]) * times
+    )

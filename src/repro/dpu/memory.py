@@ -282,6 +282,10 @@ class Mram:
             self._dirty.add(page_index)
             pos += chunk
 
+    def release(self) -> None:
+        """Drop every page: all zeros again, until next written."""
+        self._pages.clear()
+
     def read_array(self, addr: int, dtype: np.dtype | str, count: int) -> np.ndarray:
         dt = np.dtype(dtype)
         return np.frombuffer(self.read(addr, dt.itemsize * count), dtype=dt).copy()

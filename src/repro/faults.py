@@ -107,11 +107,11 @@ class ExecFault:
 
     def raise_now(self, retired: int = 0) -> None:
         """Record the injection and raise the matching DPU error."""
+        record_fault(self)
         raise self.error(retired)
 
     def error(self, retired: int = 0) -> DpuFaultError | DpuHangError:
-        """Record the injection and return the matching DPU error."""
-        record_fault(self)
+        """The matching DPU error, built without recording anything."""
         if self.kind is FaultKind.HANG:
             return DpuHangError(
                 f"injected hang: DPU {self.dpu_id} exceeded the "
@@ -124,9 +124,10 @@ class ExecFault:
         )
 
 
-def record_fault(event: ExecFault) -> None:
-    """Count (and, when tracing, span) one injected execution fault."""
-    _M_FAULTS.labels(kind=event.kind.value).inc()
+def record_fault(event: ExecFault, times: int = 1) -> None:
+    """Count (and, when tracing, span) one injected execution fault, or
+    ``times`` alike ones charged at once by an untraced caller."""
+    _M_FAULTS.labels(kind=event.kind.value).inc(times)
     tracer = telemetry.current_tracer()
     if tracer is not None:
         tracer.add_span(
@@ -216,7 +217,12 @@ class FaultPlan:
         return _uniform(self.seed, label, ids)
 
     def exec_fault(self, dpu_id: int, attempt: int = 0) -> ExecFault | None:
-        """Does launch ``attempt`` of ``dpu_id`` fail?  And how?"""
+        """Does launch ``attempt`` of ``dpu_id`` fail?  And how?
+
+        The answer depends only on the plan, the DPU id and the attempt,
+        never on earlier launches, transfers or other DPUs' decisions, so
+        a launch decided once holds for every repeat of it
+        (:meth:`repro.host.runtime.DpuSet.decide`)."""
         targeted = self.targets.get(dpu_id)
         if targeted is not None and attempt < self.target_attempts:
             return ExecFault(

@@ -30,7 +30,7 @@ import numpy as np
 from repro import faults, telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import OptLevel
-from repro.dpu.device import Dpu, DpuImage, launch_kernel
+from repro.dpu.device import Dpu, DpuImage, launch_kernel, record_kernel_results
 from repro.host import parallel
 from repro.host import transfer as xfer
 from repro.host.topology import SystemTopology
@@ -113,6 +113,19 @@ class LaunchReport:
     @property
     def n_failed(self) -> int:
         return len(self.failed)
+
+
+@dataclass
+class LaunchDecision:
+    """A kernel launch decided before any effect (:meth:`DpuSet.decide`):
+    each DPU's outcome in set order (under ``raise``, up to the first
+    failure) and each failed attempt as ``(index, event)``, in order."""
+
+    n_tasklets: int
+    opt_level: OptLevel
+    policy: str
+    outcomes: list[DpuOutcome] = field(default_factory=list)
+    events: list[tuple[int, faults.ExecFault]] = field(default_factory=list)
 
 
 class DpuSet:
@@ -276,20 +289,89 @@ class DpuSet:
         )
         return AsyncLaunch(report, dpu_set=self, pristine=pristine)
 
-    def launch_with(
-        self, run, *, n_tasklets: int = 1, opt_level: OptLevel = OptLevel.O0,
-        fault_policy: str | None = None, **kernel_params,
-    ) -> LaunchReport:
-        """:meth:`launch` of a kernel image with ``run`` in place of
-        :func:`launch_kernel`: it gets the DPUs that run and returns their
-        results, for a caller that does the kernel's work itself.  All
-        else (checks, faults, report, metrics, spans) is the launch's."""
-        if self.image is not None and self.image.kernel_name is None:
-            raise LaunchError("launch_with needs a kernel image")
-        return self._launch(
-            n_tasklets, opt_level, kernel_params, workers=1,
-            advance_sim=True, fault_policy=fault_policy, run=run,
-        )
+    def decide(
+        self, n_tasklets: int, opt_level: OptLevel,
+        fault_policy: str | None = None, max_retries: int | None = None,
+    ) -> LaunchDecision:
+        """The pure half of a kernel-image launch: check every DPU and
+        decide its attempts.  A kernel fault fires before the kernel
+        touches any state, so retrying is moving on to the next attempt.
+        Decisions depend only on (DPU, attempt): one serves every launch
+        of the same DPUs."""
+        self._require_live("launch")
+        policy, max_retries = _resolve_policy(fault_policy, max_retries)
+        for dpu in self.dpus:
+            dpu.check_launch(n_tasklets)
+        plan = faults.current_plan()
+        decision = LaunchDecision(n_tasklets, opt_level, policy)
+        attempts = range(max_retries + 1 if policy == "retry" else 1)
+        decide = plan.exec_fault if plan is not None else lambda *ids: None
+        for index, dpu in enumerate(self.dpus):
+            for attempt in attempts:
+                event = decide(dpu.dpu_id, attempt)
+                if event is None:
+                    decision.outcomes.append(
+                        DpuOutcome(index, dpu.dpu_id, "ok", attempt + 1)
+                    )
+                    break
+                decision.events.append((index, event))
+            else:
+                exc = event.error()
+                decision.outcomes.append(DpuOutcome(
+                    index, dpu.dpu_id,
+                    "hung" if isinstance(exc, DpuHangError) else "faulted",
+                    attempt + 1, str(exc), type(exc).__name__,
+                ))
+                if policy == "raise":
+                    break
+        return decision
+
+    def charge(
+        self, decision: LaunchDecision, rows: int, run, *,
+        advance_sim: bool = True,
+    ) -> list[LaunchReport]:
+        """The effects half: ``rows`` rows, one per DPU, launched over the
+        whole set, then over its first ``rows % len(self)`` DPUs, as
+        ``decision`` decided; returns each launch's report.
+
+        ``run`` computes the results of the DPUs that run.  Tolerant
+        policies record the fault events first; under ``raise`` the DPUs
+        before the first failure run, then its raw :class:`DpuError`
+        propagates.  Alike launches are charged at once, spans included,
+        so a traced caller passes at most ``len(self)`` rows.
+        """
+
+        def launch(count: int, times: int) -> LaunchReport:
+            dpus, outcomes = self.dpus[:count], decision.outcomes[:count]
+            events = [event for i, event in decision.events if i < count]
+            raising = decision.policy == "raise" and bool(events)
+            for event in [] if raising else events:
+                faults.record_fault(event, times)
+            for outcome in [] if raising else outcomes:
+                if not outcome.ok:
+                    dpus[outcome.index].last_result = None
+            ran = [o.index for o in outcomes if o.ok]
+            ran_dpus = [dpus[i] for i in ran]
+            results = run(ran_dpus)
+            record_kernel_results(ran_dpus, results, decision.n_tasklets, times)
+            if raising:
+                events[-1].raise_now()
+            per_dpu = [0.0] * count
+            for i, result in zip(ran, results):
+                per_dpu[i] = float(result.cycles)
+            return self._report(
+                per_dpu, decision.n_tasklets, decision.policy,
+                [] if decision.policy == "raise" else outcomes, times,
+            )
+
+        size, reports = len(self.dpus), []
+        for count, times in ((size, rows // size), (rows % size, 1)):
+            if count and times:
+                reports += [self._spanned(
+                    lambda: launch(count, times), count, decision.n_tasklets,
+                    decision.opt_level, 1, advance_sim,
+                )] * times
+        return reports
 
     def _launch(
         self,
@@ -301,46 +383,44 @@ class DpuSet:
         advance_sim: bool,
         fault_policy: str | None = None,
         max_retries: int | None = None,
-        run=None,
     ) -> LaunchReport:
         self._require_live("launch")
         if self.image is None:
             raise LaunchError("launch before load")
-        if self.image.kernel_name is not None:
-            n_workers = 1  # kernel images run set-wide in this process
-        else:
-            n_workers = parallel.resolve_workers(len(self.dpus), workers)
-        plan = faults.current_plan()
-        policy = fault_policy or (
-            plan.default_policy if plan is not None else "raise"
+        if self.image.kernel_name is not None:  # runs set-wide, in process
+            decision = self.decide(n_tasklets, opt_level, fault_policy, max_retries)
+            return self.charge(decision, len(self.dpus), lambda dpus: launch_kernel(
+                dpus, n_tasklets=n_tasklets, opt_level=opt_level,
+                kernel_params=kernel_params,
+            ), advance_sim=advance_sim)[0]
+        n_workers = parallel.resolve_workers(len(self.dpus), workers)
+        policy, retries = _resolve_policy(fault_policy, max_retries)
+        return self._spanned(
+            lambda: self._launch_now(
+                n_tasklets, opt_level, kernel_params, n_workers, policy, retries
+            ),
+            len(self.dpus), n_tasklets, opt_level, n_workers, advance_sim,
         )
-        if policy not in faults.POLICIES:
-            raise LaunchError(
-                f"unknown fault_policy {policy!r}; use one of {faults.POLICIES}"
-            )
-        if max_retries is None:
-            retries = plan.max_retries if plan is not None else faults.DEFAULT_MAX_RETRIES
-        elif max_retries < 0:
-            raise LaunchError(f"max_retries must be >= 0, got {max_retries}")
-        else:
-            retries = max_retries
+
+    def _spanned(
+        self, launch, n_dpus, n_tasklets, opt_level, workers, advance_sim
+    ) -> LaunchReport:
+        """``launch()``'s report, inside a ``dpu.launch`` span if traced."""
         tracer = telemetry.current_tracer()
         if tracer is None:
             # Hot path: no span objects, no kwargs dicts beyond the call's own.
-            report = self._launch_now(n_tasklets, opt_level, kernel_params,
-                                      n_workers, policy, retries, run)
+            report = launch()
         else:
             with tracer.span(
                 "dpu.launch",
-                n_dpus=len(self.dpus),
+                n_dpus=n_dpus,
                 n_tasklets=n_tasklets,
                 image=self.image.name,
                 opt_level=opt_level.name,
-                workers=n_workers,
+                workers=workers,
                 asynchronous=not advance_sim,
             ) as span:
-                report = self._launch_now(n_tasklets, opt_level, kernel_params,
-                                          n_workers, policy, retries, run)
+                report = launch()
                 if advance_sim:
                     # Every DPU ran in parallel on the simulated clock; the
                     # set advances by its slowest member.  Async launches
@@ -363,16 +443,10 @@ class DpuSet:
         workers: int = 1,
         fault_policy: str = "raise",
         max_retries: int = 0,
-        run=None,
     ) -> LaunchReport:
         outcomes: list[parallel.DpuLaunchOutcome] | None = None
         dpu_outcomes: list[DpuOutcome] = []
-        if self.image.kernel_name is not None:
-            per_dpu, dpu_outcomes = self._launch_kernel(
-                n_tasklets, opt_level, kernel_params,
-                fault_policy, max_retries, run or launch_kernel,
-            )
-        elif workers > 1 and len(self.dpus) > 1:
+        if workers > 1 and len(self.dpus) > 1:
             outcomes = parallel.launch_parallel(
                 self,
                 n_tasklets=n_tasklets,
@@ -413,97 +487,36 @@ class DpuSet:
                 )
                 for o in outcomes
             ]
+        return self._report(per_dpu, n_tasklets, fault_policy, dpu_outcomes)
+
+    def _report(
+        self, per_dpu, n_tasklets, fault_policy, outcomes, times=1
+    ) -> LaunchReport:
+        """A launch's report and metrics, or ``times`` alike launches'."""
         cycles = max(per_dpu)
         report = LaunchReport(
             cycles=cycles,
             seconds=self.attributes.cycles_to_seconds(cycles),
             per_dpu_cycles=per_dpu,
-            n_dpus=len(self.dpus),
+            n_dpus=len(per_dpu),
             n_tasklets=n_tasklets,
             fault_policy=fault_policy,
-            outcomes=dpu_outcomes,
+            outcomes=outcomes,
         )
-        if dpu_outcomes and len(report.failed) == len(dpu_outcomes):
-            first = dpu_outcomes[0]
+        if outcomes and len(report.failed) == len(outcomes):
+            first = outcomes[0]
             raise LaunchError(
-                f"all {len(dpu_outcomes)} DPUs of the launch failed under "
+                f"all {len(outcomes)} DPUs of the launch failed under "
                 f"fault_policy={fault_policy!r}; first failure: DPU "
                 f"{first.dpu_id}: {first.error_type}: {first.error}"
             )
-        _M_LAUNCHES.inc()
-        _M_LAUNCH_SECONDS.observe(report.seconds)
+        _M_LAUNCHES.inc(times)
+        _M_LAUNCH_SECONDS.observe(report.seconds, count=times)
         if report.n_retried:
-            _M_LAUNCH_RETRIES.inc(report.n_retried)
+            _M_LAUNCH_RETRIES.inc(report.n_retried * times)
         if report.degraded:
-            _M_LAUNCH_DEGRADED.inc()
+            _M_LAUNCH_DEGRADED.inc(times)
         return report
-
-    def _launch_kernel(
-        self,
-        n_tasklets: int,
-        opt_level: OptLevel,
-        kernel_params: dict,
-        policy: str,
-        max_retries: int,
-        run,
-    ) -> tuple[list[float], list[DpuOutcome]]:
-        """Run a kernel image set-wide: decide faults, then run once.
-
-        Each DPU's attempts are decided up front by the fault plan.  An
-        injected kernel fault fires before the kernel touches any state,
-        so a failed attempt leaves nothing to roll back, and the retry
-        policy simply moves on to the next attempt.  The DPUs that end
-        up healthy then run in one ``run`` call.  Under
-        ``"raise"`` the DPUs before the first failure run, then the raw
-        :class:`DpuError` propagates, as a per-DPU loop would leave it.
-
-        Returns every DPU's cycles (0.0 for a failed DPU) and, under a
-        tolerant policy, every DPU's outcome.
-        """
-        dpus = self.dpus
-        for dpu in dpus:
-            dpu.check_launch(n_tasklets)
-        params = dict(
-            n_tasklets=n_tasklets, opt_level=opt_level,
-            kernel_params=kernel_params,
-        )
-        plan = faults.current_plan()
-        if plan is None and policy == "raise":
-            results = run(dpus, **params)
-            return [float(r.cycles) for r in results], []
-        outcomes = []
-        attempts = range(max_retries + 1 if policy == "retry" else 1)
-        decide = plan.exec_fault if plan is not None else lambda *ids: None
-        for index, dpu in enumerate(dpus):
-            for attempt in attempts:
-                event = decide(dpu.dpu_id, attempt)
-                if event is None:
-                    outcomes.append(
-                        DpuOutcome(index, dpu.dpu_id, "ok", attempt + 1)
-                    )
-                    break
-                if policy == "raise":
-                    run(dpus[:index], **params)
-                    event.raise_now()
-                exc = event.error()
-                hung = isinstance(exc, DpuHangError)
-                error, error_type = str(exc), type(exc).__name__
-            else:
-                dpu.last_result = None
-                outcomes.append(DpuOutcome(
-                    index=index,
-                    dpu_id=dpu.dpu_id,
-                    status="hung" if hung else "faulted",
-                    attempts=attempt + 1,
-                    error=error,
-                    error_type=error_type,
-                ))
-        healthy = [o.index for o in outcomes if o.status == "ok"]
-        results = run([dpus[i] for i in healthy], **params)
-        per_dpu = [0.0] * len(dpus)
-        for i, result in zip(healthy, results):
-            per_dpu[i] = float(result.cycles)
-        return per_dpu, [] if policy == "raise" else outcomes
 
     def _execute_tolerant(
         self,
@@ -568,6 +581,22 @@ class DpuSet:
                 status="ok",
                 attempts=attempt + 1,
             )
+
+
+def _resolve_policy(fault_policy, max_retries) -> tuple[str, int]:
+    """A launch's fault policy and retry budget; ``None`` defers to the
+    installed plan, else to ``"raise"`` and the default budget."""
+    plan = faults.current_plan()
+    policy = fault_policy or (plan.default_policy if plan else "raise")
+    if policy not in faults.POLICIES:
+        raise LaunchError(
+            f"unknown fault_policy {policy!r}; use one of {faults.POLICIES}"
+        )
+    if max_retries is None:
+        max_retries = plan.max_retries if plan else faults.DEFAULT_MAX_RETRIES
+    elif max_retries < 0:
+        raise LaunchError(f"max_retries must be >= 0, got {max_retries}")
+    return policy, max_retries
 
 
 class AsyncLaunch:

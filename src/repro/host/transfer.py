@@ -279,20 +279,27 @@ def gather_rows(
 
 
 def account_rows(
-    dpus: list[Dpu], symbol_name: str, length: int, direction: XferDirection
+    dpus: list[Dpu], symbol_name: str, length: int, direction: XferDirection,
+    rows: int | None = None,
 ) -> list[tuple[int, int] | None]:
-    """A row push's checks, bit-flip draws and accounting, without moving
-    bytes; returns each DPU's flip site (see :func:`faults.flip_bit`)."""
+    """The checks, bit-flip draws and accounting of pushing ``rows`` rows
+    (default: one per DPU) over ``dpus`` as :meth:`DpuSet.charge` launches
+    them, without moving bytes; returns each row's flip site (see
+    :func:`faults.flip_bit`).  The pushes are accounted at once, so a
+    traced caller passes at most ``len(dpus)`` rows."""
     if not dpus:
         raise TransferError("push_xfer with no prepared transfers")
     validate_transfer(length)
     _symbol_addrs(dpus, symbol_name, 0, length)
+    rows, n = rows or len(dpus), len(dpus)
     plan = faults.current_plan()
     if plan is None or plan.bitflip_rate <= 0:  # draw_flip would draw nothing
-        sites = [None] * len(dpus)
+        sites = [None] * rows
     else:
-        sites = [plan.draw_flip(length, dpu_id=dpu.dpu_id) for dpu in dpus]
-    _account_push(direction, length * len(dpus), len(dpus), None)
+        sites = [
+            plan.draw_flip(length, dpu_id=dpus[r % n].dpu_id) for r in range(rows)
+        ]
+    _account_push(direction, length * rows, min(rows, n), None, -(-rows // n))
     return sites
 
 
@@ -317,8 +324,10 @@ def _account_push(
     total: int,
     n_dpus: int,
     stats: TransferStats | None,
+    pushes: int = 1,
 ) -> None:
-    """Account one completed push: stats and metrics move together."""
+    """Account completed pushes, ``total`` bytes in all: stats and
+    metrics move together."""
     stats = stats or GLOBAL_TRANSFER_STATS
     if direction is XferDirection.TO_DPU:
         stats.bytes_to_dpus += total
@@ -326,8 +335,8 @@ def _account_push(
     else:
         stats.bytes_from_dpus += total
         _M_BYTES_FROM_DPU.inc(total)
-    stats.pushes += 1
-    _M_PUSHES.inc()
+    stats.pushes += pushes
+    _M_PUSHES.inc(pushes)
     _record_transfer("transfer.push", direction.value, total, n_dpus)
 
 

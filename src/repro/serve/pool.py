@@ -43,6 +43,7 @@ from repro.core.mapping_yolo import (
     LayerFailedError,
     accumulator_divisor,
     run_gemm_layer,
+    weight_bound,
 )
 from repro.dpu.costs import OptLevel
 from repro.errors import AllocationError, LaunchError, ServeError
@@ -284,7 +285,8 @@ class YoloBackend(ModelBackend):
         self.n_tasklets = n_tasklets
         self.opt_level = opt_level
         self.alpha = alpha
-        self._weights: dict[int, tuple[np.ndarray, QuantParams]] = {}
+        #: Per layer: quantized weights, their parameters and weight_bound.
+        self._weights: dict[int, tuple[np.ndarray, QuantParams, int]] = {}
 
     def warm(self, dpu_set: DpuSet) -> None:
         # The warm work is host-side: quantized per-layer weights, ready
@@ -302,9 +304,8 @@ class YoloBackend(ModelBackend):
             if plan.layer_index in self._weights:
                 continue
             params = QuantParams.from_tensor(a, bits=8)
-            self._weights[plan.layer_index] = (
-                params.quantize(a).astype(np.int16), params
-            )
+            a_q = params.quantize(a).astype(np.int16)
+            self._weights[plan.layer_index] = (a_q, params, weight_bound(a_q))
 
     def run_batch(
         self,
@@ -345,10 +346,10 @@ class YoloBackend(ModelBackend):
     def _pim_gemm(
         self, plan, b, active, attributes, fault_policy, reports
     ) -> np.ndarray:
-        a_q, a_params = self._weights[plan.layer_index]
+        a_q, a_params, a_bound = self._weights[plan.layer_index]
         b_params = QuantParams.from_tensor(b, bits=8)
         b_q = b_params.quantize(b).astype(np.int16)
-        divisor = accumulator_divisor(a_q, b_q, self.alpha)
+        divisor = accumulator_divisor(a_q, b_q, self.alpha, a_bound=a_bound)
         c_rows, layer_reports = run_gemm_layer(
             active, attributes, plan, a_q, b_q, divisor, self.alpha,
             n_tasklets=self.n_tasklets, opt_level=self.opt_level,
@@ -467,12 +468,15 @@ class DpuPool:
         return len(doomed)
 
     def shutdown(self) -> None:
-        """Free every allocated set; the pool refuses further leases."""
+        """Free every allocated set, dropping the MRAM contents its warm
+        state left; the pool refuses further leases."""
         if self._closed:
             return
         self._closed = True
         for model, entry in self._entries.items():
             for dpu_set in entry.sets:
+                for dpu in dpu_set:
+                    dpu.mram.release()
                 self.system.free(dpu_set)
             entry.members = []
             _M_POOL_ACTIVE.labels(model=model).set(0)

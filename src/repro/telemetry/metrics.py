@@ -195,7 +195,12 @@ class Histogram(_Metric):
 
     def observe(self, value: float, count: int = 1) -> None:
         """Record ``value`` ``count`` times; ``sum`` adds it ``count``
-        times, bit-identical to as many calls."""
+        times, bit-identical to as many calls.  ``count=0`` records
+        nothing."""
+        if count < 0:
+            raise MetricsError(f"histogram {self.name!r} observed {count} times")
+        if not count:
+            return
         self.bucket_counts[bisect_right(self.buckets, value)] += count
         self.count += count
         total = self.sum

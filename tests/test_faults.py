@@ -100,6 +100,30 @@ class TestFaultPlan:
         assert plan.exec_fault(3, 1) is not None
         assert plan.exec_fault(3, 2) is None  # attempts exhausted
 
+    def test_decision_depends_only_on_dpu_and_attempt(self):
+        """The contract a caller that decides a launch once relies on:
+        launches, flipped transfers and other DPUs' decisions between
+        two asks do not change a (DPU, attempt)'s decision."""
+        plan = FaultPlan(
+            seed=3, fault_rate=0.3, hang_rate=0.2, bitflip_rate=1.0,
+            targets={2: "hang"}, target_attempts=2,
+        )
+        sites = [(d, t) for d in range(8) for t in range(3)]
+        before = [plan.exec_fault(d, t) for d, t in sites]
+        assert {e.kind for e in before if e is not None} == {
+            FaultKind.FAULT, FaultKind.HANG,
+        }
+        _, dpu_set = make_set(8)
+        with faults.fault_injection(plan):
+            for _ in range(2):
+                dpu_set.broadcast("seed", bytes(8))  # every transfer flips
+                dpu_set.launch(n_tasklets=1, fault_policy="isolate")
+        for d in range(8, 64):
+            plan.exec_fault(d, 0)
+        assert plan._xfer_seq and [
+            plan.exec_fault(d, t) for d, t in sites
+        ] == before
+
     def test_bitflip_is_deterministic_single_bit(self):
         payload = bytes(range(64))
 

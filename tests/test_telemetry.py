@@ -145,6 +145,22 @@ class TestMetrics:
         for q in (0.0, 0.25, 0.5, 0.9, 1.0):
             assert batched.quantile(q) == single.quantile(q)
 
+    def test_histogram_observe_zero_or_negative_count(self):
+        """count=0 observes nothing, min/max included; a negative count
+        is refused and leaves the histogram as it was."""
+        reg = telemetry.MetricsRegistry()
+        h = reg.histogram("h", buckets=(1, 10))
+        h.observe(5.0, count=0)
+        assert (h.count, h.sum, h.min, h.max) == (0, 0.0, None, None)
+        assert h.bucket_counts == [0, 0, 0] and h.quantile(0.5) is None
+        h.observe(3.0)
+        h.observe(50.0, count=0)
+        assert (h.count, h.sum, h.min, h.max) == (1, 3.0, 3.0, 3.0)
+        with pytest.raises(telemetry.MetricsError):
+            h.observe(3.0, count=-2)
+        assert (h.count, h.sum, h.min, h.max) == (1, 3.0, 3.0, 3.0)
+        assert h.bucket_counts == [0, 1, 0]
+
     def test_kind_mismatch_rejected(self):
         reg = telemetry.MetricsRegistry()
         reg.counter("x")

@@ -25,6 +25,7 @@ from repro.core.mapping_yolo import (
     YoloPimRunner,
     accumulator_divisor,
     run_gemm_layer,
+    weight_bound,
 )
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
@@ -35,7 +36,7 @@ from repro.host.transfer import scatter_rows
 from repro.nn.gemm import GemmShape
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.quantize import QuantParams
-from repro.serve import InferenceRequest, YoloBackend
+from repro.serve import InferenceRequest, YoloBackend, default_payloads
 
 OPT = OptLevel.O3
 
@@ -368,3 +369,29 @@ def test_backend_equals_runner():
     assert execution.seconds == pytest.approx(
         runner.timing().total_seconds, rel=1e-12
     )
+
+
+def test_warm_bound_keeps_every_served_divisor():
+    """The weights-only bound the backend hoists into ``warm`` gives every
+    layer of the served model, on a served payload, the divisor
+    :func:`accumulator_divisor` computes from scratch."""
+    backend = YoloBackend()
+    backend.warm(DpuSystem(UPMEM_ATTRIBUTES.scaled(8)).allocate(8))
+    divisors = []
+
+    def check(plan, a, b):
+        a_q, _, a_bound = backend._weights[plan.layer_index]
+        b_q = QuantParams.from_tensor(b, bits=8).quantize(b).astype(np.int16)
+        assert a_bound == weight_bound(a_q)
+        for alpha in (backend.alpha, -9, 250):  # the last two widen it
+            divisor = accumulator_divisor(a_q, b_q, alpha)
+            assert accumulator_divisor(
+                a_q, b_q, alpha, a_bound=a_bound
+            ) == divisor
+            divisors.append(divisor)
+        return a @ b
+
+    payload = default_payloads(ebnn_pool=1, yolo_pool=1, seed=3)["yolo"](0)
+    backend.model.forward(np.asarray(payload, np.float32), conv_fn=check)
+    assert len(divisors) == 3 * len(backend.model.plans) == 3 * 75
+    assert max(divisors) > 32

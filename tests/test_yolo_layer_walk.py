@@ -1,12 +1,14 @@
 """The YOLO layer walk against the per-wave loop it replaced.
 
-:func:`repro.core.mapping_yolo.run_gemm_layer` accounts a layer's waves
-one by one but executes the layer once: one GEMM per B/metadata group and
-one MRAM write per DPU for ``a_row`` and ``c_row``.  These tests keep the
-per-wave loop it replaced (stage once, then scatter, launch and gather on
-every wave) as the oracle and hold the walk to it bit for bit, over group
-sizes 1, 3, 8 and 64, no fault plan and the retry, isolate and raise
-policies, with and without transfer bit flips, traced and untraced:
+:func:`repro.core.mapping_yolo.run_gemm_layer` decides a layer's launch
+once, charges every wave from that decision and executes the layer once:
+one GEMM per B/metadata group and one MRAM write per DPU for ``a_row``
+and ``c_row``.  These tests keep the per-wave loop it replaced (stage
+once, then scatter, launch and gather on every wave) as the oracle and
+hold the walk to it bit for bit, over group sizes 1, 3, 8 and 64, no
+fault plan and the retry, isolate and raise policies, with and without
+transfer bit flips, traced and untraced, and over waves that replay
+several fault events each:
 
 * C, or the raised error and its DPU ids, and every wave's report;
 * every ``GLOBAL_METRICS`` value and the transfer totals;
@@ -240,6 +242,38 @@ def test_walk_matches_per_wave_layer(n_dpus, m, policy, bitflip_rate, traced):
     }[policy]
     if not bitflip_rate:
         assert got["result"][0] is expected or got["result"][0] == expected
+
+
+def _replay_plan(policy):
+    """Two targeted DPUs, one faulting and one hanging on their first
+    two attempts, over a 3% fault rate that under seed 1 also fails
+    DPUs 2-4 once."""
+
+    def make(dpus):
+        return FaultPlan(
+            seed=1, fault_rate=0.03,
+            targets={dpus[1].dpu_id: "fault", dpus[6].dpu_id: "hang"},
+            target_attempts=2, default_policy=policy,
+        )
+
+    return make
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("policy", ["retry", "isolate"])
+def test_replayed_multi_event_waves_match(policy, traced):
+    """Four full waves and a short one of 3 rows: DPU 1 is in the short
+    wave's prefix and DPU 6 is not, so every wave replays its own DPUs'
+    fault events, in order and kind."""
+    got = _compare(8, 35, _replay_plan(policy), traced=traced,
+                   fault_policy=policy)
+    retried = [report["n_retried"] for report in got["reports"]]
+    if policy == "retry":
+        assert got["result"][0] == "ok"
+        assert retried == [2 + 2 + 3] * 4 + [2 + 1]
+    else:
+        assert got["result"][0] is LayerFailedError
+        assert got["result"][2] == {1, 2, 3, 4, 6} and retried == [0]
 
 
 def test_matrix_flips_every_transfer_kind():
