@@ -8,15 +8,10 @@ timed pair is also an equivalence check: the fast interpreter must
 produce the same :class:`ExecutionResult` and the same WRAM image as the
 reference, bit for bit.
 
-With ``--workers N`` it additionally measures a set-wide launch of the
-eBNN image across worker processes, where successful DPUs ship back only
-dirty memory (:class:`~repro.dpu.device.DpuMemoryDelta`), and checks the
-parallel run's per-DPU cycles against ``workers=1``.
-
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_interpreter.py \
-        --image-size 16 --workers 4 --out BENCH_interpreter.json
+        --image-size 16 --out BENCH_interpreter.json
 
 ``--smoke`` shrinks the workload for CI and exits non-zero unless the
 fast interpreter is at least ``--min-speedup`` (default 2.0) times the
@@ -32,11 +27,8 @@ import time
 
 from repro.dpu import samples
 from repro.dpu.assembler import assemble
-from repro.dpu.attributes import UPMEM_ATTRIBUTES
-from repro.dpu.device import DpuImage
 from repro.dpu.interpreter import make_interpreter
 from repro.dpu.memory import DmaEngine, Mram, Wram
-from repro.host.runtime import DpuSystem
 
 TASKLET_COUNTS = (1, 11, 16)
 
@@ -97,45 +89,6 @@ def measure_serial(
     return rows, identical
 
 
-def _conv_image(image_size: int, n_tasklets: int) -> DpuImage:
-    """The eBNN program as a loadable image for set-wide launches."""
-    conv = samples.binary_conv_program(
-        image_size=image_size, n_filters=min(n_tasklets, 24)
-    )
-    return DpuImage.from_symbol_layout("bench_interp_conv", program=conv.program)
-
-
-def measure_parallel(
-    image_size: int, n_tasklets: int, n_dpus: int, workers: int
-) -> dict:
-    """Aggregate launch MIPS at workers=1 vs workers=N (dirty-delta shipping)."""
-    image = _conv_image(image_size, n_tasklets)
-    walls = {}
-    cycles = {}
-    for label, n_workers in (("serial", 1), ("parallel", workers)):
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(n_dpus))
-        dpu_set = system.allocate(n_dpus)
-        try:
-            dpu_set.load(image)
-            start = time.perf_counter()
-            report = dpu_set.launch(n_tasklets=n_tasklets, workers=n_workers)
-            walls[label] = time.perf_counter() - start
-            cycles[label] = list(report.per_dpu_cycles)
-        finally:
-            system.free(dpu_set)
-    _, result, _ = _run_once(image.program, "fast", n_tasklets)
-    total_instructions = result.instructions_retired * n_dpus
-    return {
-        "n_dpus": n_dpus,
-        "workers": workers,
-        "total_instructions": total_instructions,
-        "serial_mips": total_instructions / walls["serial"] / 1e6,
-        "parallel_mips": total_instructions / walls["parallel"] / 1e6,
-        "speedup": walls["serial"] / walls["parallel"],
-        "cycles_match": cycles["serial"] == cycles["parallel"],
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--image-size", type=int, default=16,
@@ -144,10 +97,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="square GEMM dimension (default: 16)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repeats per configuration; best-of wins")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="also measure a set-wide launch over N workers")
-    parser.add_argument("--n-dpus", type=int, default=32,
-                        help="DPU count for the --workers section")
     parser.add_argument("--min-speedup", type=float, default=2.0,
                         help="required fast/reference ratio (default: 2.0)")
     parser.add_argument("--smoke", action="store_true",
@@ -161,14 +110,6 @@ def main(argv: list[str] | None = None) -> int:
     repeats = 1 if args.smoke else args.repeats
 
     rows, identical = measure_serial(image_size, gemm_dim, repeats)
-    parallel = None
-    if args.workers > 1:
-        parallel = measure_parallel(
-            image_size,
-            n_tasklets=11,
-            n_dpus=8 if args.smoke else args.n_dpus,
-            workers=args.workers,
-        )
 
     payload = {
         "benchmark": "interpreter",
@@ -178,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
         "smoke": args.smoke,
         "cpu_count": os.cpu_count(),
         "results": rows,
-        "parallel": parallel,
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
@@ -192,20 +132,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['instructions']:>9}  {row['fast_mips']:>10.2f}  "
               f"{row['reference_mips']:>9.2f}  {row['speedup']:>7.1f}x  "
               f"{row['identical']}")
-    if parallel is not None:
-        print(f"set launch: {parallel['n_dpus']} DPUs x 11 tasklets, "
-              f"{parallel['workers']} workers: "
-              f"{parallel['serial_mips']:.2f} -> "
-              f"{parallel['parallel_mips']:.2f} aggregate MIPS "
-              f"({parallel['speedup']:.2f}x), "
-              f"cycles_match={parallel['cycles_match']}")
     print(f"wrote {args.out}")
 
     if not identical:
         print("ERROR: fast interpreter diverged from the reference")
-        return 1
-    if parallel is not None and not parallel["cycles_match"]:
-        print("ERROR: parallel launch diverged from serial execution")
         return 1
     worst = min(row["speedup"] for row in rows)
     if args.smoke and worst < args.min_speedup:

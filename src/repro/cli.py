@@ -29,12 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="host worker processes for set-wide DPU launches "
-        "(default: REPRO_WORKERS env or the CPU count; 1 = serial "
-        "in-process execution; results are identical either way)",
-    )
-    parser.add_argument(
         "--fault-rate", type=float, default=None, metavar="P",
         help="per-DPU probability of an injected execution fault "
         "(deterministic per seed; see repro.faults)",
@@ -186,10 +180,6 @@ def _add_load_arguments(parser) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers is not None:
-        from repro.host import parallel
-
-        parallel.set_default_workers(args.workers)
     if (
         args.fault_rate is not None
         or args.fault_seed is not None

@@ -17,7 +17,7 @@ from repro.dpu.costs import (
     cost_model,
     mram_access_cycles,
 )
-from repro.dpu.device import Dpu, DpuImage, DpuMemoryDelta, DpuMemoryState, Symbol
+from repro.dpu.device import Dpu, DpuImage, Symbol
 from repro.dpu.encoding import (
     EncodedProgram,
     decode_program,
@@ -63,8 +63,6 @@ __all__ = [
     "mram_access_cycles",
     "Dpu",
     "DpuImage",
-    "DpuMemoryDelta",
-    "DpuMemoryState",
     "Symbol",
     "EncodedProgram",
     "decode_program",

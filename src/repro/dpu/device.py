@@ -100,37 +100,15 @@ class DpuImage:
         )
 
 
-@dataclass
-class DpuMemoryState:
-    """Picklable snapshot of a DPU's mutable memory: MRAM pages + WRAM.
-
-    This is the unit the parallel launch engine ships across process
-    boundaries: the parent exports each DPU's state into the worker, and
-    the worker exports the mutated state back.  The arrays are shared with
-    the owning DPU (pickling copies them anyway); callers that need an
-    in-process copy must copy explicitly.
-    """
+@dataclass(frozen=True)
+class DpuCheckpoint:
+    """A copy of a DPU's mutable state (:meth:`Dpu.checkpoint`): its
+    resident MRAM pages, its WRAM (``None`` while unallocated) and its
+    DMA counters ``(total_cycles, total_bytes, transfer_count)``."""
 
     mram_pages: dict[int, np.ndarray]
-    #: ``None`` for a WRAM that was never touched (all zeros).
     wram: np.ndarray | None
-
-
-@dataclass
-class DpuMemoryDelta:
-    """Picklable *delta* of a DPU's memory: only what an execution wrote.
-
-    The cheap sibling of :class:`DpuMemoryState`: instead of every
-    resident MRAM page and the whole WRAM, it carries the pages and the
-    WRAM byte span dirtied since :meth:`Dpu.reset_memory_dirty` —
-    O(touched), not O(memory).  This is what parallel-launch workers ship
-    back after a successful run.  As with the full snapshot, the arrays
-    may share storage with the producing DPU; pickling copies them.
-    """
-
-    mram_pages: dict[int, np.ndarray]
-    wram_lo: int
-    wram_data: np.ndarray | None
+    dma: tuple[int, int, int]
 
 
 class Dpu:
@@ -197,97 +175,36 @@ class Dpu:
         return np.frombuffer(raw, dtype=dt).copy()
 
     # ------------------------------------------------------------------ #
-    # state shipping (parallel launch engine)
+    # checkpoint / rollback
     # ------------------------------------------------------------------ #
 
-    def export_memory_state(self) -> DpuMemoryState:
-        """Snapshot the mutable memories for shipping to a worker process.
+    def checkpoint(self) -> DpuCheckpoint:
+        """Copy the memories and DMA counters a launch may change.
 
-        Only resident MRAM pages travel (the backing store is sparse), so
-        a mostly-empty 64 MB MRAM costs a few KB of IPC, and an untouched
-        WRAM travels as ``None``.
+        Only resident MRAM pages are copied (the store is sparse), and an
+        unallocated WRAM stays unallocated.  ``last_result`` is the
+        caller's to handle.
         """
-        return DpuMemoryState(
-            mram_pages=self.mram._pages,
-            wram=self.wram._data if self.wram.allocated else None,
+        dma = self.dma
+        return DpuCheckpoint(
+            mram_pages={i: page.copy() for i, page in self.mram._pages.items()},
+            wram=self.wram._data.copy() if self.wram.allocated else None,
+            dma=(dma.total_cycles, dma.total_bytes, dma.transfer_count),
         )
 
-    def apply_memory_state(self, state: DpuMemoryState) -> None:
-        """Adopt a shipped memory state (the mirror of export).
-
-        The Mram/Wram *objects* are preserved — only their backing buffers
-        are swapped — so the DMA engine and any host-side handles keep
-        working across a parallel launch.
-        """
-        self.mram._pages = state.mram_pages
-        if state.wram is None:
+    def restore(self, checkpoint: DpuCheckpoint) -> None:
+        """Roll back to ``checkpoint``, copying again so that it can be
+        restored more than once.  The Mram/Wram objects are kept, so the
+        DMA engine and host-side handles stay valid."""
+        self.mram._pages = {
+            i: page.copy() for i, page in checkpoint.mram_pages.items()
+        }
+        if checkpoint.wram is None:
             self.wram.release()
-            return
-        if state.wram.size != self.wram.size:
-            raise DpuError(
-                f"shipped WRAM of {state.wram.size} bytes does not match "
-                f"this DPU's {self.wram.size}"
-            )
-        self.wram._data = state.wram
-
-    def reset_memory_dirty(self) -> None:
-        """Start tracking writes for :meth:`export_memory_delta`."""
-        self.mram.reset_dirty()
-        self.wram.reset_dirty()
-
-    def export_memory_delta(self) -> DpuMemoryDelta:
-        """Snapshot only the memory written since :meth:`reset_memory_dirty`.
-
-        The WRAM span is a numpy *view* into the live buffer and the MRAM
-        entries are the live page arrays; pickling (the normal transport)
-        copies exactly the dirty bytes.  A page that was written and then
-        dropped from the sparse store would have no data to ship, hence
-        the residency guard.
-        """
-        pages = self.mram._pages
-        span = self.wram.dirty_span()
-        return DpuMemoryDelta(
-            mram_pages={
-                index: pages[index]
-                for index in self.mram.dirty_pages()
-                if index in pages
-            },
-            wram_lo=span[0] if span else 0,
-            wram_data=(
-                self.wram._data[span[0] : span[1]] if span else None
-            ),
-        )
-
-    def apply_memory_delta(self, delta: DpuMemoryDelta) -> None:
-        """Merge a shipped delta into this DPU's memories.
-
-        Unlike :meth:`apply_memory_state` this *copies into* the existing
-        buffers rather than adopting new ones, so repeated application
-        (e.g. after an in-parent rerun whose delta aliases the live
-        buffers) is an idempotent overwrite.
-        """
-        for index, page in delta.mram_pages.items():
-            live = self.mram._pages.get(index)
-            if live is None:
-                self.mram._pages[index] = np.array(page, dtype=np.uint8)
-            elif live is not page:
-                live[:] = page
-        if delta.wram_data is not None:
-            lo = delta.wram_lo
-            hi = lo + delta.wram_data.size
-            if hi > self.wram.size:
-                raise DpuError(
-                    f"shipped WRAM delta [{lo}, {hi}) does not fit this "
-                    f"DPU's {self.wram.size}-byte WRAM"
-                )
-            target = self.wram._data[lo:hi]
-            source = delta.wram_data
-            if (
-                target.__array_interface__["data"]
-                != source.__array_interface__["data"]
-            ):
-                target[:] = source
-            self.wram._mark_dirty(lo, source.size)
+        else:
+            self.wram._data = checkpoint.wram.copy()
+        dma = self.dma
+        dma.total_cycles, dma.total_bytes, dma.transfer_count = checkpoint.dma
 
     # ------------------------------------------------------------------ #
     # launch
@@ -303,9 +220,10 @@ class Dpu:
     ) -> ExecutionResult | KernelResult:
         """Run the loaded image to completion and return its result.
 
-        Program images run through the instruction interpreter; kernel
-        images run the cycle-accounted Python kernel as a one-DPU
-        :func:`launch_kernel`, which receives ``kernel_params``.
+        Program images run through the instruction interpreter and take
+        no ``kernel_params`` (:class:`LaunchError`); kernel images run the
+        cycle-accounted Python kernel as a one-DPU :func:`launch_kernel`,
+        which receives them.
 
         ``fault_attempt`` is the injection gate: set-level launches pass
         the attempt number so an installed :class:`repro.faults.FaultPlan`
@@ -313,6 +231,11 @@ class Dpu:
         and are never injected.
         """
         self.check_launch(n_tasklets)
+        if self.image.program is not None and kernel_params:
+            raise LaunchError(
+                f"program image {self.image.name!r} takes no kernel params, "
+                f"got {sorted(kernel_params)}"
+            )
         event = None
         if fault_attempt is not None:
             plan = faults.current_plan()

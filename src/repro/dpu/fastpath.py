@@ -90,8 +90,8 @@ class _BindEnv:
 
     Decoding is per *program* (cached); binding is per *run*, because the
     WRAM backing buffer, DMA engine, profile, and opt level belong to one
-    interpreter instance (and ``apply_memory_state`` may swap buffers
-    between launches).
+    interpreter instance (and :meth:`~repro.dpu.device.Dpu.restore` may
+    swap buffers between launches).
     """
 
     __slots__ = (
@@ -738,10 +738,9 @@ def decode(instructions) -> tuple[list[int], list[int], list]:
 #: Decoded-program cache, keyed by Program identity and validated by the
 #: identity of its instruction objects (a mutated instruction list
 #: re-decodes instead of going stale).  The cache lives *outside* the
-#: Program — its makers are closures, and Program instances must stay
-#: picklable for the parallel launch engine — and each entry holds a
-#: weakref whose callback evicts it, so a freed Program neither leaks its
-#: decode nor lets a recycled ``id()`` serve stale handlers.
+#: Program, whose makers are closures, and each entry holds a weakref
+#: whose callback evicts it, so a freed Program neither leaks its decode
+#: nor lets a recycled ``id()`` serve stale handlers.
 _DECODE_CACHE: dict[int, tuple] = {}
 
 

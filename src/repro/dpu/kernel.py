@@ -22,8 +22,6 @@ image on its own data.  A mapping kernel registered with
 ``set_wide=True`` computes the whole set at once (one GEMM for a layer's
 rows, one charge per distinct cost); a plain per-DPU kernel
 ``kernel(ctx, **params)`` is looped over the set by :func:`per_dpu`.
-Kernels always run in the host process; only interpreted programs fan out
-to :mod:`repro.host.parallel` workers.
 """
 
 from __future__ import annotations

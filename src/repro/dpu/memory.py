@@ -41,8 +41,7 @@ class Wram:
     interpreter's loads/stores, the DMA engine) goes through a cached
     ``memoryview`` — creating a numpy slice object per 1/2/4-byte access
     costs more than the access itself.  A dirty span ``[lo, hi)`` records
-    every region written since :meth:`reset_dirty`, which is how the
-    parallel launch engine ships only the bytes a worker actually touched.
+    every region written since :meth:`reset_dirty`.
     The buffer is allocated on first access (kernel images never touch
     WRAM); until then the WRAM reads as zeros.
     """
@@ -77,8 +76,8 @@ class Wram:
 
     @_data.setter
     def _data(self, array: np.ndarray) -> None:
-        # Assigned directly by Dpu.apply_memory_state; keep the cached
-        # memoryview pointing at the adopted buffer.
+        # Assigned directly by Dpu.restore; keep the cached memoryview
+        # pointing at the adopted buffer.
         self._buf = np.ascontiguousarray(array)
         self._view = memoryview(self._buf)
 
@@ -200,7 +199,7 @@ class Mram:
             raise DpuMemoryError(f"MRAM size must be positive, got {size}")
         self.size = size
         self._pages: dict[int, np.ndarray] = {}
-        #: Indices of pages written since reset_dirty() (delta shipping).
+        #: Indices of pages written since reset_dirty().
         self._dirty: set[int] = set()
 
     def _check(self, addr: int, n_bytes: int) -> None:

@@ -89,26 +89,15 @@ def register(experiment_id: str):
     return decorator
 
 
-def run(experiment_id: str, *, workers: int | None = None) -> ExperimentResult:
-    """Run one registered experiment.
-
-    ``workers`` overrides the launch-engine worker count for the duration
-    of this experiment (see :mod:`repro.host.parallel`); ``None`` keeps
-    the process-wide default (CLI ``--workers`` / ``REPRO_WORKERS`` /
-    cpu count).  Results are bit-identical at any worker count.
-    """
+def run(experiment_id: str) -> ExperimentResult:
+    """Run one registered experiment."""
     try:
         driver = REGISTRY[experiment_id]
     except KeyError:
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; known: {sorted(REGISTRY)}"
         ) from None
-    if workers is None:
-        return driver()
-    from repro.host.parallel import worker_scope
-
-    with worker_scope(workers):
-        return driver()
+    return driver()
 
 
 def available() -> list[str]:

@@ -6,8 +6,8 @@ At rack scale individual DPUs fault, straggle, and return corrupted data
 models a 2560-DPU server needs a way to *produce* those failures on
 demand.  This module is that knob: a :class:`FaultPlan` decides — purely
 from its seed and the identity of the victim — whether a given DPU
-launch attempt faults or hangs, whether a host<->DPU transfer flips a
-bit, and whether a parallel worker process dies.
+launch attempt faults or hangs, and whether a host<->DPU transfer flips
+a bit.
 
 Design rules:
 
@@ -17,9 +17,7 @@ Design rules:
 * **Deterministic and epoch-free.**  Every decision is a pure function
   of ``(seed, kind, victim ids)`` via SHA-256 — not of wall time, launch
   count, or process identity — so the same seed reproduces the same
-  fault sites, and a serial run injects exactly the faults a parallel
-  run does (the determinism contract of :mod:`repro.host.parallel`
-  holds *under injection* too).
+  fault sites.
 * **Only set-level launches are injectable.**  ``DpuSet.launch``
   consults the plan for each (DPU, attempt) — for a program image by
   passing a ``fault_attempt`` to :meth:`Dpu.launch`; direct single-DPU
@@ -30,7 +28,6 @@ Environment knobs (read once at import, for CI smoke injection)::
 
     REPRO_FAULT_RATE=0.02      # per-(DPU, attempt) execution-fault rate
     REPRO_FAULT_HANG_RATE=0.0  # straggler-deadline rate
-    REPRO_FAULT_KILL_RATE=0.0  # parallel-worker death rate
     REPRO_FAULT_SEED=7         # decision seed
     REPRO_FAULT_POLICY=retry   # default launch fault policy
 
@@ -81,7 +78,6 @@ class FaultKind(str, Enum):
     FAULT = "fault"            # the DPU traps mid-program
     HANG = "hang"              # the DPU exceeds its cycle budget
     BITFLIP = "bitflip"        # a transfer corrupts one MRAM bit
-    WORKER_KILL = "worker_kill"  # a parallel worker process dies
 
 
 @dataclass(frozen=True)
@@ -141,19 +137,6 @@ def record_fault(event: ExecFault, times: int = 1) -> None:
         )
 
 
-def record_worker_failure(chunk_index: int, error: BaseException) -> None:
-    """Count (and span) one dead/failed parallel worker chunk."""
-    _M_FAULTS.labels(kind=FaultKind.WORKER_KILL.value).inc()
-    tracer = telemetry.current_tracer()
-    if tracer is not None:
-        tracer.add_span(
-            "worker.fault",
-            category="fault",
-            chunk=chunk_index,
-            error=type(error).__name__,
-        )
-
-
 @functools.lru_cache(maxsize=1 << 16, typed=True)
 def _uniform(seed: int, label: str, ids: tuple[int, ...]) -> float:
     """The draw behind :meth:`FaultPlan._u`, memoized: it is pure."""
@@ -172,18 +155,15 @@ class FaultPlan:
     and experiments use; ``target_attempts`` bounds how many attempts of
     a targeted DPU fail (1 = transient, recovered by one retry; a large
     value = a permanently bad DPU that only ``isolate`` survives).
-    ``kill_chunks`` pins parallel chunk indices whose worker dies.
     """
 
     seed: int = 0
     fault_rate: float = 0.0
     hang_rate: float = 0.0
     bitflip_rate: float = 0.0
-    kill_rate: float = 0.0
     targets: dict[int, FaultKind] = field(default_factory=dict)
     target_site: int = 1
     target_attempts: int = 1
-    kill_chunks: set[int] = field(default_factory=set)
     default_policy: str = "retry"
     max_retries: int = DEFAULT_MAX_RETRIES
     hang_cycle_budget: int = DEFAULT_HANG_BUDGET
@@ -197,7 +177,7 @@ class FaultPlan:
                 f"unknown default_policy {self.default_policy!r}; "
                 f"use one of {POLICIES}"
             )
-        for name in ("fault_rate", "hang_rate", "bitflip_rate", "kill_rate"):
+        for name in ("fault_rate", "hang_rate", "bitflip_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise LaunchError(f"{name} must be in [0, 1], got {rate}")
@@ -206,7 +186,6 @@ class FaultPlan:
         self.targets = {
             int(dpu_id): FaultKind(kind) for dpu_id, kind in self.targets.items()
         }
-        self.kill_chunks = {int(c) for c in self.kill_chunks}
 
     # ------------------------------------------------------------------ #
     # decisions
@@ -241,14 +220,6 @@ class FaultPlan:
                 deadline_cycles=self.hang_cycle_budget,
             )
         return None
-
-    def kill_worker(self, chunk_index: int, first_dpu_id: int = 0) -> bool:
-        """Does the worker process executing this chunk die at start?"""
-        if chunk_index in self.kill_chunks:
-            return True
-        if self.kill_rate <= 0:
-            return False
-        return self._u("kill", chunk_index, first_dpu_id) < self.kill_rate
 
     def corrupt(self, data: bytes, *, dpu_id: int) -> bytes:
         """Maybe flip one bit of a transfer payload for ``dpu_id``."""
@@ -344,8 +315,7 @@ def plan_from_env() -> FaultPlan | None:
 
     fault_rate = _rate("REPRO_FAULT_RATE")
     hang_rate = _rate("REPRO_FAULT_HANG_RATE")
-    kill_rate = _rate("REPRO_FAULT_KILL_RATE")
-    if fault_rate == hang_rate == kill_rate == 0.0:
+    if fault_rate == hang_rate == 0.0:
         return None
     seed_raw = os.environ.get("REPRO_FAULT_SEED", "0").strip() or "0"
     try:
@@ -359,7 +329,6 @@ def plan_from_env() -> FaultPlan | None:
         seed=seed,
         fault_rate=fault_rate,
         hang_rate=hang_rate,
-        kill_rate=kill_rate,
         default_policy=policy,
     )
 

@@ -8,12 +8,9 @@ API, launch, synchronize, and read results back.
 Launches across a set are *parallel in simulated time*: every DPU runs the
 same image on its own data (the SIMD-across-DIMMs model of Section 3.1),
 so the set's elapsed time is the maximum over its members.  A kernel
-image runs as one set-wide computation in this process
-(:func:`repro.dpu.device.launch_kernel`); an interpreted program can also
-run across worker processes (see :mod:`repro.host.parallel` and the
-``workers=`` launch argument) with results bit-identical to serial
-execution.  All reported latencies come from the simulated clocks either
-way.
+image runs as one set-wide computation
+(:func:`repro.dpu.device.launch_kernel`); an interpreted program runs
+DPU by DPU.  All reported latencies come from the simulated clocks.
 
 Asynchronous launches (``launch_async``) do **not** advance the simulated
 cursor when issued: the first ``wait()`` on a handle advances it by that
@@ -31,7 +28,7 @@ from repro import faults, telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import OptLevel
 from repro.dpu.device import Dpu, DpuImage, launch_kernel, record_kernel_results
-from repro.host import parallel
+from repro.dpu.interpreter import ExecutionResult
 from repro.host import transfer as xfer
 from repro.host.topology import SystemTopology
 from repro.errors import AllocationError, DpuError, DpuHangError, LaunchError
@@ -216,26 +213,17 @@ class DpuSet:
         *,
         n_tasklets: int = 1,
         opt_level: OptLevel = OptLevel.O0,
-        workers: int | None = None,
         fault_policy: str | None = None,
         max_retries: int | None = None,
         **kernel_params,
     ) -> LaunchReport:
         """``dpu_launch`` + sync: run every DPU, report the set's timing.
 
-        ``workers`` selects how many host processes execute the per-DPU
-        runs of an interpreted program: 1 is the in-process serial path,
-        >1 fans out through :mod:`repro.host.parallel` with bit-identical
-        results.  ``None`` resolves the configured default (``repro
-        --workers`` / ``REPRO_WORKERS`` / cpu count), which only engages
-        the pool for sets of at least ``parallel.PARALLEL_MIN_DPUS`` DPUs.
-        Kernel images ignore it: they run set-wide in this process.
+        ``kernel_params`` go to a kernel image's kernel; a program image
+        takes none (:class:`LaunchError`).  ``fault_policy`` decides what
+        happens when a DPU faults or hangs (see :mod:`repro.faults`):
 
-        ``fault_policy`` decides what happens when a DPU faults or hangs
-        (see :mod:`repro.faults`):
-
-        * ``"raise"`` — propagate the failure (parallel launches wrap it
-          in a :class:`LaunchError` with chunk/DPU context),
+        * ``"raise"`` — propagate the failure,
         * ``"isolate"`` — keep every healthy DPU's results, memory, and
           metrics; report failed DPUs in ``LaunchReport.outcomes``,
         * ``"retry"`` — re-run each failed DPU from its pre-launch state
@@ -245,8 +233,7 @@ class DpuSet:
         (``"raise"`` when injection is off).
         """
         return self._launch(
-            n_tasklets, opt_level, kernel_params,
-            workers=workers, advance_sim=True,
+            n_tasklets, opt_level, kernel_params, advance_sim=True,
             fault_policy=fault_policy, max_retries=max_retries,
         )
 
@@ -255,7 +242,6 @@ class DpuSet:
         *,
         n_tasklets: int = 1,
         opt_level: OptLevel = OptLevel.O0,
-        workers: int | None = None,
         fault_policy: str | None = None,
         max_retries: int | None = None,
         **kernel_params,
@@ -270,24 +256,16 @@ class DpuSet:
 
         The handle supports :meth:`AsyncLaunch.cancel`, which abandons the
         launch and rolls every DPU back to its pre-launch memory and DMA
-        counters, so each DPU's pristine state is snapshotted here before
-        anything executes.
+        counters, so each DPU is checkpointed here before anything
+        executes.
         """
         self._require_live("launch_async")
-        pristine = [
-            (
-                parallel._copy_memory_state(dpu.export_memory_state()),
-                (dpu.dma.total_cycles, dpu.dma.total_bytes,
-                 dpu.dma.transfer_count),
-            )
-            for dpu in self.dpus
-        ]
+        checkpoints = [dpu.checkpoint() for dpu in self.dpus]
         report = self._launch(
-            n_tasklets, opt_level, kernel_params,
-            workers=workers, advance_sim=False,
+            n_tasklets, opt_level, kernel_params, advance_sim=False,
             fault_policy=fault_policy, max_retries=max_retries,
         )
-        return AsyncLaunch(report, dpu_set=self, pristine=pristine)
+        return AsyncLaunch(report, dpu_set=self, checkpoints=checkpoints)
 
     def decide(
         self, n_tasklets: int, opt_level: OptLevel,
@@ -369,7 +347,7 @@ class DpuSet:
             if count and times:
                 reports += [self._spanned(
                     lambda: launch(count, times), count, decision.n_tasklets,
-                    decision.opt_level, 1, advance_sim,
+                    decision.opt_level, advance_sim,
                 )] * times
         return reports
 
@@ -379,7 +357,6 @@ class DpuSet:
         opt_level: OptLevel,
         kernel_params: dict,
         *,
-        workers: int | None,
         advance_sim: bool,
         fault_policy: str | None = None,
         max_retries: int | None = None,
@@ -393,17 +370,16 @@ class DpuSet:
                 dpus, n_tasklets=n_tasklets, opt_level=opt_level,
                 kernel_params=kernel_params,
             ), advance_sim=advance_sim)[0]
-        n_workers = parallel.resolve_workers(len(self.dpus), workers)
         policy, retries = _resolve_policy(fault_policy, max_retries)
         return self._spanned(
             lambda: self._launch_now(
-                n_tasklets, opt_level, kernel_params, n_workers, policy, retries
+                n_tasklets, opt_level, kernel_params, policy, retries
             ),
-            len(self.dpus), n_tasklets, opt_level, n_workers, advance_sim,
+            len(self.dpus), n_tasklets, opt_level, advance_sim,
         )
 
     def _spanned(
-        self, launch, n_dpus, n_tasklets, opt_level, workers, advance_sim
+        self, launch, n_dpus, n_tasklets, opt_level, advance_sim
     ) -> LaunchReport:
         """``launch()``'s report, inside a ``dpu.launch`` span if traced."""
         tracer = telemetry.current_tracer()
@@ -417,7 +393,6 @@ class DpuSet:
                 n_tasklets=n_tasklets,
                 image=self.image.name,
                 opt_level=opt_level.name,
-                workers=workers,
                 asynchronous=not advance_sim,
             ) as span:
                 report = launch()
@@ -440,54 +415,29 @@ class DpuSet:
         n_tasklets: int,
         opt_level: OptLevel,
         kernel_params: dict,
-        workers: int = 1,
-        fault_policy: str = "raise",
-        max_retries: int = 0,
+        fault_policy: str,
+        max_retries: int,
     ) -> LaunchReport:
-        outcomes: list[parallel.DpuLaunchOutcome] | None = None
-        dpu_outcomes: list[DpuOutcome] = []
-        if workers > 1 and len(self.dpus) > 1:
-            outcomes = parallel.launch_parallel(
-                self,
-                n_tasklets=n_tasklets,
-                opt_level=opt_level,
-                kernel_params=kernel_params,
-                workers=workers,
-                fault_policy=fault_policy,
-                max_retries=max_retries,
-            )
-        elif fault_policy == "raise":
-            # Serial hot path; exceptions propagate raw, as they always have.
-            per_dpu = []
-            for dpu in self.dpus:
-                result = dpu.launch(
+        if fault_policy == "raise":
+            # Hot path; exceptions propagate raw, as they always have.
+            per_dpu = [
+                float(dpu.launch(
                     n_tasklets=n_tasklets, opt_level=opt_level,
                     fault_attempt=0, **kernel_params,
-                )
-                per_dpu.append(float(result.cycles))
-        else:
-            outcomes = [
-                self._execute_tolerant(
-                    index, dpu,
-                    n_tasklets=n_tasklets, opt_level=opt_level,
-                    kernel_params=kernel_params,
-                    policy=fault_policy, max_retries=max_retries,
-                )
-                for index, dpu in enumerate(self.dpus)
+                ).cycles)
+                for dpu in self.dpus
             ]
-        if outcomes is not None:
-            per_dpu = [
-                float(o.result.cycles) if o.ok else 0.0 for o in outcomes
-            ]
-            dpu_outcomes = [
-                DpuOutcome(
-                    index=o.index, dpu_id=o.dpu_id, status=o.status,
-                    attempts=o.attempts, error=o.error,
-                    error_type=o.error_type,
-                )
-                for o in outcomes
-            ]
-        return self._report(per_dpu, n_tasklets, fault_policy, dpu_outcomes)
+            return self._report(per_dpu, n_tasklets, fault_policy, [])
+        runs = [
+            self._execute_tolerant(
+                index, dpu, n_tasklets, opt_level, kernel_params,
+                fault_policy, max_retries,
+            )
+            for index, dpu in enumerate(self.dpus)
+        ]
+        per_dpu = [0.0 if r is None else float(r.cycles) for _, r in runs]
+        outcomes = [outcome for outcome, _ in runs]
+        return self._report(per_dpu, n_tasklets, fault_policy, outcomes)
 
     def _report(
         self, per_dpu, n_tasklets, fault_policy, outcomes, times=1
@@ -519,68 +469,33 @@ class DpuSet:
         return report
 
     def _execute_tolerant(
-        self,
-        index: int,
-        dpu: Dpu,
-        *,
-        n_tasklets: int,
-        opt_level: OptLevel,
-        kernel_params: dict,
-        policy: str,
-        max_retries: int,
-    ) -> parallel.DpuLaunchOutcome:
-        """Serial counterpart of the worker's per-DPU retry loop.
+        self, index, dpu, n_tasklets, opt_level, kernel_params, policy,
+        max_retries,
+    ) -> tuple[DpuOutcome, ExecutionResult | None]:
+        """Run one DPU under a tolerant policy: its outcome and result.
 
-        Mirrors :func:`repro.host.parallel._run_order` on the live DPU:
-        a failed attempt rolls memory and DMA counters back to the
-        pre-launch snapshot, so a retried launch — and the final state
-        after an isolated failure — is bit-identical to what the
-        parallel engine produces.
+        A failed attempt restores the DPU's pre-launch checkpoint, so a
+        retry, and the state an isolated failure leaves, start from the
+        memory and DMA counters the launch found.
         """
-        pristine = parallel._copy_memory_state(dpu.export_memory_state())
-        dma_before = (
-            dpu.dma.total_cycles, dpu.dma.total_bytes, dpu.dma.transfer_count
-        )
-        attempt = 0
-        while True:
+        pristine = dpu.checkpoint()
+        for attempt in range(max_retries + 1 if policy == "retry" else 1):
             try:
                 result = dpu.launch(
                     n_tasklets=n_tasklets, opt_level=opt_level,
                     fault_attempt=attempt, **kernel_params,
                 )
             except DpuError as exc:
-                dpu.apply_memory_state(
-                    parallel._copy_memory_state(pristine)
-                )
-                (
-                    dpu.dma.total_cycles,
-                    dpu.dma.total_bytes,
-                    dpu.dma.transfer_count,
-                ) = dma_before
-                if policy == "retry" and attempt < max_retries:
-                    attempt += 1
-                    continue
-                dpu.last_result = None
-                return parallel.DpuLaunchOutcome(
-                    index=index,
-                    memory=None,
-                    result=None,
-                    dpu_id=dpu.dpu_id,
-                    status=(
-                        "hung" if isinstance(exc, DpuHangError) else "faulted"
-                    ),
-                    attempts=attempt + 1,
-                    error=str(exc),
-                    error_type=type(exc).__name__,
-                )
-            return parallel.DpuLaunchOutcome(
-                index=index,
-                memory=None,
-                result=result,
-                dpu_id=dpu.dpu_id,
-                status="ok",
-                attempts=attempt + 1,
-            )
+                dpu.restore(pristine)
+                error = exc
+                continue
+            return DpuOutcome(index, dpu.dpu_id, "ok", attempt + 1), result
+        dpu.last_result = None
+        return DpuOutcome(
+            index, dpu.dpu_id,
+            "hung" if isinstance(error, DpuHangError) else "faulted",
+            attempt + 1, str(error), type(error).__name__,
+        ), None
 
 
 def _resolve_policy(fault_policy, max_retries) -> tuple[str, int]:
@@ -620,11 +535,11 @@ class AsyncLaunch:
         report: LaunchReport,
         *,
         dpu_set: "DpuSet | None" = None,
-        pristine: list | None = None,
+        checkpoints: list | None = None,
     ) -> None:
         self._report = report
         self._dpu_set = dpu_set
-        self._pristine = pristine
+        self._checkpoints = checkpoints
         self.done = False
         self.cancelled = False
 
@@ -641,9 +556,9 @@ class AsyncLaunch:
     def cancel(self) -> None:
         """Abandon the in-flight launch and roll its effects back.
 
-        Every DPU of the set is restored to the pristine pre-launch
-        memory and DMA counters snapshotted at issue time (the same
-        restore path a tolerant fault policy uses for a failed attempt),
+        Every DPU of the set is restored to the checkpoint taken at issue
+        time (the rollback a tolerant fault policy uses for a failed
+        attempt),
         ``last_result`` is cleared, and the simulated cursor is never
         advanced — as far as simulated time is concerned, the launch
         never ran.  Cancelling twice is a no-op; cancelling after
@@ -656,13 +571,8 @@ class AsyncLaunch:
             )
         if self.cancelled:
             return
-        for dpu, (memory, dma) in zip(self._dpu_set.dpus, self._pristine):
-            dpu.apply_memory_state(parallel._copy_memory_state(memory))
-            (
-                dpu.dma.total_cycles,
-                dpu.dma.total_bytes,
-                dpu.dma.transfer_count,
-            ) = dma
+        for dpu, checkpoint in zip(self._dpu_set.dpus, self._checkpoints):
+            dpu.restore(checkpoint)
             dpu.last_result = None
         self._dpu_set.last_report = None
         self.cancelled = True

@@ -14,12 +14,9 @@ nothing after the first.  ``render_text()`` gives a plain-text dump (the
 ``repro metrics`` CLI output) and ``as_dict()`` / ``dump_json()`` the
 machine-readable form.
 
-The registry also supports a snapshot/delta/merge protocol for the
-parallel launch engine: a worker process takes ``snapshot()`` before
-running its chunk, computes ``delta_since(snapshot)`` after, and ships the
-(picklable) delta back; the parent calls ``merge_delta(delta)`` so worker
-observations land in the parent registry exactly as if they had happened
-in-process.
+``snapshot()`` / ``delta_since(snapshot)`` measure what a block of work
+added to every metric, and ``merge_delta(delta)`` adds such a delta back
+(saving and restoring the registry around a replayed computation).
 """
 
 from __future__ import annotations
@@ -391,7 +388,7 @@ class MetricsRegistry:
                 node._reset()
 
     # ------------------------------------------------------------------ #
-    # snapshot / delta / merge (the parallel-launch worker protocol)
+    # snapshot / delta / merge
     # ------------------------------------------------------------------ #
 
     @staticmethod
@@ -450,11 +447,11 @@ class MetricsRegistry:
         }
 
     def merge_delta(self, delta: dict) -> None:
-        """Fold a worker's :meth:`delta_since` result into this registry.
+        """Fold a :meth:`delta_since` result into this registry.
 
         Counters and gauges add; histograms add counts/sums per bucket and
         widen min/max.  Metrics unknown to this registry are registered
-        first, so nothing a worker observed is silently dropped.
+        first, so nothing the delta observed is silently dropped.
         """
         for name, node in delta.items():
             metric = self._metrics.get(name)

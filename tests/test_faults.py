@@ -1,10 +1,9 @@
 """Tests for repro.faults and the fault-tolerant launch path.
 
-Covers the ISSUE-3 contract: deterministic seeded injection, the three
-launch fault policies (serial and parallel), worker-kill recovery,
+Covers deterministic seeded injection, the three launch fault policies,
 all-or-nothing transfer accounting, and the acceptance criterion — one
-faulted DPU in a 64-DPU parallel launch leaves the other 63 bit-identical
-to a fault-free run.
+faulted DPU in a 64-DPU launch leaves the other 63 bit-identical to a
+fault-free run.
 """
 
 import hashlib
@@ -24,7 +23,6 @@ from repro.errors import (
     TransferError,
 )
 from repro.faults import FaultKind, FaultPlan
-from repro.host import parallel
 from repro.host import transfer as xfer
 from repro.host.runtime import DpuSystem
 
@@ -183,9 +181,7 @@ class TestFaultPlan:
         assert plan.bitflip_rate == 0.0  # never env-enabled
 
     def test_plan_from_env_disabled_without_rates(self, monkeypatch):
-        for name in (
-            "REPRO_FAULT_RATE", "REPRO_FAULT_HANG_RATE", "REPRO_FAULT_KILL_RATE"
-        ):
+        for name in ("REPRO_FAULT_RATE", "REPRO_FAULT_HANG_RATE"):
             monkeypatch.delenv(name, raising=False)
         assert faults.plan_from_env() is None
 
@@ -211,13 +207,13 @@ class TestInjectionGate:
         system, dpu_set = make_set(2)
         with faults.fault_injection(FaultPlan(seed=0, fault_rate=1.0)):
             with pytest.raises(DpuFaultError, match="injected fault"):
-                dpu_set.launch(workers=1, fault_policy="raise")
+                dpu_set.launch(fault_policy="raise")
         system.free(dpu_set)
 
     def test_retry_policy_recovers_transient_faults(self):
         """A rate-1.0-at-attempt-0 plan still completes via retries."""
         clean_system, clean_set = make_set(4)
-        clean_set.launch(workers=1)
+        clean_set.launch()
         clean_state = set_state(clean_set)
         clean_system.free(clean_set)
 
@@ -227,7 +223,7 @@ class TestInjectionGate:
             target_attempts=1, default_policy="retry",
         )
         with faults.fault_injection(plan):
-            report = dpu_set.launch(workers=1)
+            report = dpu_set.launch()
         assert report.n_retried == 4
         assert not report.degraded
         assert all(o.attempts == 2 for o in report.outcomes)
@@ -238,7 +234,7 @@ class TestInjectionGate:
 class TestSerialPolicies:
     def fault_free_state(self, n_dpus=4):
         system, dpu_set = make_set(n_dpus)
-        report = dpu_set.launch(workers=1)
+        report = dpu_set.launch()
         state = set_state(dpu_set)
         system.free(dpu_set)
         return report, state
@@ -248,7 +244,7 @@ class TestSerialPolicies:
         plan = FaultPlan(seed=0, targets={2: "fault"})
         with faults.fault_injection(plan):
             with pytest.raises(DpuFaultError, match="DPU 2"):
-                dpu_set.launch(workers=1, fault_policy="raise")
+                dpu_set.launch(fault_policy="raise")
         system.free(dpu_set)
 
     def test_isolate_keeps_healthy_dpus(self):
@@ -257,7 +253,7 @@ class TestSerialPolicies:
         plan = FaultPlan(seed=0, targets={2: "fault"}, target_site=0,
                          target_attempts=10)
         with faults.fault_injection(plan):
-            report = dpu_set.launch(workers=1, fault_policy="isolate")
+            report = dpu_set.launch(fault_policy="isolate")
         assert report.degraded and report.n_failed == 1
         failed = report.failed[0]
         assert failed.dpu_id == 2 and failed.status == "faulted"
@@ -280,7 +276,7 @@ class TestSerialPolicies:
         plan = FaultPlan(seed=0, targets={1: "hang"}, target_attempts=10,
                          hang_cycle_budget=5000)
         with faults.fault_injection(plan):
-            report = dpu_set.launch(workers=1, fault_policy="isolate")
+            report = dpu_set.launch(fault_policy="isolate")
         hung = report.failed[0]
         assert hung.status == "hung"
         assert hung.error_type == "DpuHangError"
@@ -292,7 +288,7 @@ class TestSerialPolicies:
         plan = FaultPlan(seed=0, targets={1: "fault"}, target_site=0,
                          target_attempts=10)
         with faults.fault_injection(plan):
-            report = dpu_set.launch(workers=1, fault_policy="retry", max_retries=2)
+            report = dpu_set.launch(fault_policy="retry", max_retries=2)
         assert report.failed[0].attempts == 3  # 1 try + 2 retries
         assert report.failed[0].dpu_id == 1
         system.free(dpu_set)
@@ -304,43 +300,34 @@ class TestSerialPolicies:
         )
         with faults.fault_injection(plan):
             with pytest.raises(LaunchError, match="all 2 DPUs"):
-                dpu_set.launch(workers=1, fault_policy="isolate")
+                dpu_set.launch(fault_policy="isolate")
         system.free(dpu_set)
 
     def test_unknown_policy_rejected(self):
         system, dpu_set = make_set(2)
         with pytest.raises(LaunchError, match="fault_policy"):
-            dpu_set.launch(workers=1, fault_policy="shrug")
+            dpu_set.launch(fault_policy="shrug")
         system.free(dpu_set)
 
 
 class TestParallelPolicies:
-    """One faulting DPU per chunk, all three policies, workers=2."""
+    """A fault and a hang on one 8-DPU set, tolerant policies."""
 
     PLAN_KW = dict(seed=0, targets={1: "fault", 5: "hang"}, target_site=0)
 
     def fault_free_state(self):
         system, dpu_set = make_set(8)
-        dpu_set.launch(workers=2)
+        dpu_set.launch()
         state = set_state(dpu_set)
         system.free(dpu_set)
         return state
-
-    def test_raise_policy_wraps_in_launch_error(self):
-        system, dpu_set = make_set(8)
-        plan = FaultPlan(**self.PLAN_KW, target_attempts=10)
-        with faults.fault_injection(plan):
-            with pytest.raises(LaunchError, match="chunk") as excinfo:
-                dpu_set.launch(workers=2, fault_policy="raise")
-        assert "DPU" in str(excinfo.value)
-        system.free(dpu_set)
 
     def test_isolate_keeps_healthy_dpus_across_chunks(self):
         clean_digests, clean_dma, clean_instrs = self.fault_free_state()
         system, dpu_set = make_set(8)
         plan = FaultPlan(**self.PLAN_KW, target_attempts=10)
         with faults.fault_injection(plan):
-            report = dpu_set.launch(workers=2, fault_policy="isolate")
+            report = dpu_set.launch(fault_policy="isolate")
         assert {o.dpu_id for o in report.failed} == {1, 5}
         assert {o.status for o in report.failed} == {"faulted", "hung"}
         digests, dma, instrs = set_state(dpu_set)
@@ -359,7 +346,7 @@ class TestParallelPolicies:
         system, dpu_set = make_set(8)
         plan = FaultPlan(**self.PLAN_KW, target_attempts=1)
         with faults.fault_injection(plan):
-            report = dpu_set.launch(workers=2, fault_policy="retry")
+            report = dpu_set.launch(fault_policy="retry")
         assert not report.degraded
         assert report.n_retried == 2
         retried = {o.dpu_id for o in report.outcomes if o.attempts > 1}
@@ -368,43 +355,8 @@ class TestParallelPolicies:
         system.free(dpu_set)
 
 
-class TestWorkerKill:
-    def test_kill_raises_launch_error_with_context(self):
-        system, dpu_set = make_set(8)
-        plan = FaultPlan(seed=0, kill_chunks={0})
-        with faults.fault_injection(plan):
-            with pytest.raises(LaunchError, match="worker process died"):
-                dpu_set.launch(workers=2, fault_policy="raise")
-        system.free(dpu_set)
-        # The broken pool was discarded: the next launch gets a fresh one.
-        system, dpu_set = make_set(8)
-        report = dpu_set.launch(workers=2)
-        assert report.cycles > 0
-        system.free(dpu_set)
-
-    def test_kill_recovered_in_parent_under_tolerant_policy(self):
-        clean_system, clean_set = make_set(8)
-        clean_set.launch(workers=2)
-        clean_state = set_state(clean_set)
-        clean_system.free(clean_set)
-
-        system, dpu_set = make_set(8)
-        plan = FaultPlan(seed=0, kill_chunks={0})
-        before = telemetry.GLOBAL_METRICS.snapshot()
-        with faults.fault_injection(plan):
-            report = dpu_set.launch(workers=2, fault_policy="isolate")
-        delta = telemetry.GLOBAL_METRICS.delta_since(before)
-        assert not report.degraded  # every DPU completed, via the parent
-        assert set_state(dpu_set) == clean_state
-        kinds = delta["dpu.faults"]["children"]
-        # At least the killed chunk is recorded; the broken pool may also
-        # take the sibling chunk's in-flight future down with it.
-        assert 1 <= kinds[(("kind", "worker_kill"),)]["state"] <= 2
-        system.free(dpu_set)
-
-
 class TestAcceptanceCriterion:
-    """ISSUE 3: single fault in a 64-DPU parallel launch, isolate policy."""
+    """A single fault in a 64-DPU launch, isolate policy."""
 
     N = 64
     BAD = 17
@@ -413,10 +365,10 @@ class TestAcceptanceCriterion:
         system, dpu_set = make_set(self.N)
         before = telemetry.GLOBAL_METRICS.snapshot()
         if plan is None:
-            report = dpu_set.launch(workers=4)
+            report = dpu_set.launch()
         else:
             with faults.fault_injection(plan):
-                report = dpu_set.launch(workers=4, fault_policy="isolate")
+                report = dpu_set.launch(fault_policy="isolate")
         delta = telemetry.GLOBAL_METRICS.delta_since(before)
         state = set_state(dpu_set)
         system.free(dpu_set)
@@ -482,10 +434,10 @@ class TestAcceptanceCriterion:
         failed_b = [(o.dpu_id, o.status) for o in report_b.failed]
         assert failed_a and failed_a == failed_b
         assert state_a == state_b
-        # And serial execution injects the same faults as parallel.
+        # An explicit policy injects the same faults as the plan default.
         system, dpu_set = make_set(self.N)
         with faults.fault_injection(FaultPlan(**plan_kw)):
-            serial_report = dpu_set.launch(workers=1, fault_policy="isolate")
+            serial_report = dpu_set.launch(fault_policy="isolate")
         serial_state = set_state(dpu_set)
         system.free(dpu_set)
         assert [
@@ -631,7 +583,7 @@ class TestFaultTelemetry:
         before = telemetry.GLOBAL_METRICS.snapshot()
         with faults.fault_injection(plan):
             with telemetry.tracing() as tracer:
-                dpu_set.launch(workers=1, fault_policy="isolate")
+                dpu_set.launch(fault_policy="isolate")
         delta = telemetry.GLOBAL_METRICS.delta_since(before)
         kinds = delta["dpu.faults"]["children"]
         assert kinds[(("kind", "fault"),)]["state"] == 1
@@ -647,7 +599,7 @@ class TestFaultTelemetry:
                          target_attempts=1)
         before = telemetry.GLOBAL_METRICS.snapshot()
         with faults.fault_injection(plan):
-            report = dpu_set.launch(workers=1, fault_policy="retry")
+            report = dpu_set.launch(fault_policy="retry")
         delta = telemetry.GLOBAL_METRICS.delta_since(before)
         assert report.n_retried == 1
         assert delta["launch.retries"]["state"] == 1

@@ -89,6 +89,21 @@ class TestSetOperations:
         with pytest.raises(LaunchError):
             system.allocate(1).launch()
 
+    @pytest.mark.parametrize("policy", ["raise", "isolate"])
+    @pytest.mark.parametrize("params", [{"count": 4}, {"workers": 1}])
+    def test_program_launch_rejects_kernel_params(self, policy, params):
+        """Only a kernel image takes kernel params; a program image
+        refuses them before any DPU runs instead of dropping them."""
+        system = DpuSystem(SMALL)
+        dpu_set = system.allocate(2)
+        dpu_set.load(program_image())
+        for launch in (dpu_set.launch, dpu_set.launch_async):
+            with pytest.raises(LaunchError, match="takes no kernel params"):
+                launch(fault_policy=policy, **params)
+        for dpu in dpu_set:
+            assert dpu.last_result is None
+            assert dpu.wram.read_u32(0) == 0
+
     def test_set_time_is_max_over_dpus(self):
         system = DpuSystem(SMALL)
         dpu_set = system.allocate(4)

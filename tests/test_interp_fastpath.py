@@ -1,4 +1,4 @@
-"""Fast-interpreter equivalence, dirty-memory tracking, delta shipping.
+"""Fast-interpreter equivalence and dirty-memory tracking.
 
 The fast interpreter (``repro.dpu.fastpath``) must be observationally
 indistinguishable from the reference: identical :class:`ExecutionResult`
@@ -16,7 +16,6 @@ from repro import faults
 from repro.dpu import interpreter as interp
 from repro.dpu import samples
 from repro.dpu.assembler import assemble
-from repro.dpu.device import Dpu, DpuImage, DpuMemoryDelta
 from repro.dpu.fastpath import FastInterpreter
 from repro.dpu.interpreter import Interpreter, make_interpreter
 from repro.dpu.memory import DmaEngine, Mram, Wram
@@ -443,122 +442,3 @@ class TestDirtyTracking:
         make_interpreter(program, wram, dma, mode="fast").run()
         assert wram.dirty_span() == (64, 80)
         assert mram.dirty_pages() == [2]
-
-
-class TestDeltaShipping:
-    def _loaded_dpu(self):
-        dpu = Dpu(0)
-        dpu.mram.write(0, bytes(range(64)))
-        dpu.wram.write(0, b"\xaa" * 32)
-        return dpu
-
-    def test_export_only_dirty(self):
-        dpu = self._loaded_dpu()
-        dpu.reset_memory_dirty()
-        dpu.mram.write(5 * MRAM_PAGE + 8, b"\x11" * 8)
-        dpu.wram.write(1000, b"\x22" * 4)
-        delta = dpu.export_memory_delta()
-        assert sorted(delta.mram_pages) == [5]
-        assert delta.wram_lo == 1000
-        assert delta.wram_data.tobytes() == b"\x22" * 4
-
-    def test_clean_export_is_empty(self):
-        dpu = self._loaded_dpu()
-        dpu.reset_memory_dirty()
-        delta = dpu.export_memory_delta()
-        assert delta.mram_pages == {}
-        assert delta.wram_data is None
-
-    def test_round_trip_applies(self):
-        source = self._loaded_dpu()
-        source.reset_memory_dirty()
-        source.mram.write(MRAM_PAGE, b"\x55" * 16)
-        source.wram.write(12, b"\x66" * 8)
-        delta = source.export_memory_delta()
-
-        target = self._loaded_dpu()
-        target.apply_memory_delta(delta)
-        assert target.mram.read(MRAM_PAGE, 16) == b"\x55" * 16
-        assert target.wram.read(12, 8) == b"\x66" * 8
-        # Untouched regions keep the target's own contents.
-        assert target.mram.read(0, 64) == bytes(range(64))
-
-    def test_reapply_of_aliased_delta_is_noop(self):
-        dpu = self._loaded_dpu()
-        dpu.reset_memory_dirty()
-        dpu.wram.write(4, b"\x01\x02\x03\x04")
-        delta = dpu.export_memory_delta()
-        dpu.apply_memory_delta(delta)  # in-parent rerun path: same arrays
-        assert dpu.wram.read(4, 4) == b"\x01\x02\x03\x04"
-
-    def test_oversized_wram_delta_rejected(self):
-        dpu = self._loaded_dpu()
-        bad = DpuMemoryDelta(
-            mram_pages={},
-            wram_lo=dpu.wram.size - 2,
-            wram_data=np.zeros(8, dtype=np.uint8),
-        )
-        with pytest.raises(DpuError, match="does not fit"):
-            dpu.apply_memory_delta(bad)
-
-
-class TestParallelDeltaLaunch:
-    def _image(self):
-        program = samples.mram_copy_program(
-            4, src_addr=0, dst_addr=2 * MRAM_PAGE, chunk_bytes=512
-        )
-        return DpuImage.from_symbol_layout(
-            "delta_test", program=program, layout=[("src", 2048)]
-        )
-
-    def _run(self, workers):
-        from repro.dpu.attributes import UPMEM_ATTRIBUTES
-        from repro.host.runtime import DpuSystem
-
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(8))
-        dpu_set = system.allocate(8)
-        try:
-            dpu_set.load(self._image())
-            payloads = [bytes([i] * 2048) for i in range(8)]
-            dpu_set.scatter("src", payloads)
-            report = dpu_set.launch(workers=workers)
-            state = [
-                (
-                    dpu.mram.read(2 * MRAM_PAGE, 2048),
-                    dpu.wram.read(0, dpu.wram.size),
-                )
-                for dpu in dpu_set.dpus
-            ]
-            return list(report.per_dpu_cycles), state
-        finally:
-            system.free(dpu_set)
-
-    def test_parallel_matches_serial_bit_for_bit(self):
-        serial = self._run(workers=1)
-        parallel = self._run(workers=2)
-        assert serial == parallel
-        # And the copy actually happened (payload landed at the target).
-        assert serial[1][3][0] == bytes([3] * 2048)
-
-    def test_worker_outcome_ships_delta_not_state(self):
-        from repro.dpu.costs import OptLevel
-        from repro.host import parallel as par
-
-        dpu = Dpu(0)
-        dpu.mram.write(0, bytes([9] * 2048))
-        task = par.ChunkTask(
-            image=self._image(),
-            attributes=dpu.attributes,
-            n_tasklets=1,
-            opt_level=OptLevel.O0,
-            kernel_params={},
-            orders=[par.DpuWorkOrder(
-                index=0, dpu_id=0, memory=dpu.export_memory_state()
-            )],
-        )
-        outcome = par._run_order(task, task.orders[0])
-        assert outcome.ok
-        assert outcome.memory is None
-        assert outcome.delta is not None
-        assert sorted(outcome.delta.mram_pages) == [2]  # only the dst page
-        assert outcome.delta.wram_data is not None  # staging buffer span

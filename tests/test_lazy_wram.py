@@ -6,8 +6,6 @@ not allocate or copy it either.  An interpreted program allocates it and
 reads zeros, and rolling a DPU back restores an unallocated WRAM.
 """
 
-import pickle
-
 import numpy as np
 
 from repro import faults
@@ -19,7 +17,6 @@ from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.device import Dpu, DpuImage
 from repro.dpu.memory import Wram
 from repro.faults import FaultPlan
-from repro.host import parallel
 from repro.host.runtime import DpuSystem
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.models.ebnn import EbnnModel
@@ -79,7 +76,7 @@ def test_program_allocates_wram_and_reads_zeros():
     dpu_set.load(read_image())
     dpu_set.broadcast("out", b"\xff" * 8)
     with faults.fault_injection(None):
-        dpu_set.launch(workers=1)
+        dpu_set.launch()
     assert all(dpu.wram.allocated for dpu in dpu_set)
     assert dpu_set.gather("out", 8) == [bytes(8)] * 2
 
@@ -94,7 +91,7 @@ def test_rollback_restores_an_unallocated_wram():
         default_policy="retry",
     )
     with faults.fault_injection(plan):
-        report = dpu_set.launch(workers=1)
+        report = dpu_set.launch()
     assert [o.ok for o in report.outcomes] == [True, False]
     assert [dpu.wram.allocated for dpu in dpu_set] == [True, False]
 
@@ -104,7 +101,7 @@ def test_cancel_restores_an_unallocated_wram():
     dpu_set = system.allocate(2)
     dpu_set.load(read_image())
     with faults.fault_injection(None):
-        handle = dpu_set.launch_async(workers=1)
+        handle = dpu_set.launch_async()
     assert all(dpu.wram.allocated for dpu in dpu_set)
     handle.cancel()
     assert not any(dpu.wram.allocated for dpu in dpu_set)
@@ -122,32 +119,14 @@ def test_kernel_cancel_never_allocates_wram():
     assert not any(dpu.wram.allocated for dpu in dpu_set)
 
 
-def test_unallocated_wram_ships_as_none():
+def test_unallocated_wram_checkpoints_as_none():
+    """An unallocated WRAM checkpoints as None and restores unallocated,
+    as often as it is restored."""
     dpu = Dpu()
-    state = dpu.export_memory_state()
-    assert state.wram is None
-    shipped = pickle.loads(pickle.dumps(parallel._copy_memory_state(state)))
-    assert shipped.wram is None
-    other = Dpu(1)
-    other.wram.write(0, b"\x01" * 8)
-    other.apply_memory_state(shipped)
-    assert not other.wram.allocated
-    assert other.wram.read(0, 8) == bytes(8)
-
-
-def test_parallel_launch_ships_unallocated_wram():
-    """Fresh DPUs ship None to the workers and get their WRAM back."""
-
-    def run(workers):
-        system = DpuSystem(SMALL)
-        dpu_set = system.allocate(4)
-        dpu_set.load(read_image())
-        dpu_set.broadcast("out", b"\xff" * 8)
-        with faults.fault_injection(None):
-            dpu_set.launch(workers=workers)
-        return (
-            dpu_set.gather("out", 8),
-            [dpu.wram.read(0, 64) for dpu in dpu_set],
-        )
-
-    assert run(2) == run(1)
+    checkpoint = dpu.checkpoint()
+    assert checkpoint.wram is None
+    for _ in range(2):
+        dpu.wram.write(0, b"\x01" * 8)
+        dpu.restore(checkpoint)
+        assert not dpu.wram.allocated
+        assert dpu.wram.read(0, 8) == bytes(8)

@@ -8,7 +8,6 @@ import pytest
 from repro import faults
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.errors import ServeError
-from repro.host.parallel import worker_scope
 from repro.host.runtime import DpuSystem
 from repro.serve import (
     BatchPolicy,
@@ -266,18 +265,6 @@ class TestBatchingEquivalence:
             assert outputs_equal(
                 response.output, reference[response.request_id]
             ), f"request {response.request_id} diverged under batching"
-
-    def test_deterministic_across_worker_counts(self):
-        policy = BatchPolicy(max_batch=8, max_delay_s=1e-3)
-        requests, serial = self._serve(policy)
-        with worker_scope(2):
-            _, parallel_run = self._serve(policy)
-        assert [r.completed_s for r in serial.responses] == [
-            r.completed_s for r in parallel_run.responses
-        ]
-        for a, b in zip(serial.responses, parallel_run.responses):
-            assert a.request_id == b.request_id
-            assert outputs_equal(a.output, b.output)
 
     def test_latencies_deterministic_across_runs(self):
         policy = BatchPolicy(max_batch=8, max_delay_s=1e-3)

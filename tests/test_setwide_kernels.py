@@ -149,13 +149,10 @@ def _check_bookkeeping(dpu_set, policy, outcome, delta, tracer, bad, cycles):
     assert n_faults == (0 if policy is None else 1)
     retries = delta["launch.retries"]["state"]
     assert retries == (1 if policy == "retry" else 0)
-    assert delta["parallel.launches"]["state"] == 0
     spans = tracer.find("dpu.exec")
     tracks = [("dpu", dpu_set[i].dpu_id) for i in ran]
     assert [s.track for s in spans] == tracks
     assert [s.attributes["cycles"] for s in spans] == [cycles[i] for i in ran]
-    for launch_span in tracer.find("dpu.launch"):
-        assert launch_span.attributes["workers"] == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -302,20 +299,6 @@ def test_yolo_launch_over_mixed_images_raises():
         assert dpu.read_symbol("c_row", layout.c_row_bytes) == bytes(
             layout.c_row_bytes
         )
-    system.free(dpu_set)
-
-
-def test_kernel_images_never_use_the_worker_pool():
-    system, dpu_set, layout = _yolo_set(16)
-    before = telemetry.GLOBAL_METRICS.snapshot()
-    with telemetry.tracing() as tracer:
-        dpu_set.launch(
-            n_tasklets=YOLO_TASKLETS, opt_level=OPT, workers=4, layout=layout
-        )
-    delta = telemetry.GLOBAL_METRICS.delta_since(before)
-    assert delta["parallel.launches"]["state"] == 0
-    (span,) = tracer.find("dpu.launch")
-    assert span.attributes["workers"] == 1
     system.free(dpu_set)
 
 

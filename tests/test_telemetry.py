@@ -248,6 +248,63 @@ class TestHistogramQuantiles:
         assert set(value) >= {"p50", "p95", "p99"}
 
 
+class TestMetricsDeltaProtocol:
+    """snapshot/delta/merge must roundtrip every metric kind."""
+
+    def test_counter_roundtrip(self):
+        registry = telemetry.GLOBAL_METRICS
+        counter = registry.counter("test.parallel.roundtrip", "test")
+        before = registry.snapshot()
+        counter.inc(5)
+        counter.labels(kind="a").inc(2)
+        delta = registry.delta_since(before)
+        assert delta["test.parallel.roundtrip"]["state"] == 5
+        counter.inc(1)  # parent-side activity after the snapshot
+        value = counter.value
+        registry.merge_delta(delta)
+        assert counter.value == value + 5
+        assert counter.labels(kind="a").value == 4
+
+    def test_histogram_roundtrip(self):
+        registry = telemetry.GLOBAL_METRICS
+        histogram = registry.histogram(
+            "test.parallel.hist", "test", buckets=(1.0, 10.0)
+        )
+        histogram.observe(0.5)
+        before = registry.snapshot()
+        histogram.observe(20.0)
+        histogram.observe(0.1)
+        delta = registry.delta_since(before)
+        state = delta["test.parallel.hist"]["state"]
+        assert state["count"] == 2
+        registry.merge_delta(delta)
+        assert histogram.count == 5
+        assert histogram.min == 0.1
+        assert histogram.max == 20.0
+
+    def test_empty_delta_merge_keeps_min_max(self):
+        registry = telemetry.GLOBAL_METRICS
+        histogram = registry.histogram("test.parallel.hist2", "test")
+        histogram.observe(3.0)
+        before = registry.snapshot()
+        delta = registry.delta_since(before)
+        registry.merge_delta(delta)
+        assert histogram.count == 1
+        assert histogram.min == 3.0
+        assert histogram.max == 3.0
+
+    def test_merge_registers_unknown_metrics(self):
+        registry = telemetry.GLOBAL_METRICS
+        name = "test.parallel.fresh"
+        counter = registry.counter(name, "test")
+        before = registry.snapshot()
+        counter.inc(3)
+        delta = registry.delta_since(before)
+        # A worker may observe metrics the parent has never created.
+        registry.merge_delta({name: delta[name]})
+        assert counter.value == 6
+
+
 class TestInstrumentedRun:
     def _traced_run(self):
         with telemetry.tracing() as tracer:
