@@ -41,7 +41,7 @@ from repro.dpu.device import DpuImage
 from repro.dpu.profiler import SubroutineProfile
 from repro.errors import MappingError
 from repro.host.alignment import align_up
-from repro.host.runtime import DpuSystem, LaunchReport  # noqa: F401 (waves)
+from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
 from repro.nn.binary import (
     MNIST_PACKED_PADDED_BYTES,
     pack_image,
@@ -246,9 +246,87 @@ def ebnn_conv_pool_kernel(
     return [charged[n_images] for n_images in counts]
 
 
+#: Host-side FC+softmax time per image (a Xeon-class constant; the host
+#: overlaps this with nothing in the thesis's serial read-out).
+HOST_SECONDS_PER_IMAGE = 2.0e-6
+
+
+def stage_lut(dpu_set: DpuSet, model: EbnnModel, layout: EbnnDpuLayout) -> None:
+    """Build the Algorithm 1 LUT and broadcast it to a loaded set."""
+    lut = create_lut(model.bn, *model.config.conv_range)
+    raw = lut.to_bytes().ljust(layout.lut_bytes, b"\0")
+    dpu_set.broadcast("lut", np.frombuffer(raw, dtype=np.uint8))
+
+
+def stage_wave(
+    dpus, attributes: UpmemAttributes, image: DpuImage,
+    layout: EbnnDpuLayout, images,
+) -> tuple[DpuSet, list[int]]:
+    """Load ``image`` onto the DPUs one wave of ``images`` needs and
+    scatter their packed images and per-DPU counts.
+
+    The wave's first ``images_per_dpu`` images go to the first DPU, and so
+    on; only DPUs that get at least one image join the returned set.
+    Returns that set and each of its DPUs' image count.
+    """
+    per_dpu = layout.images_per_dpu
+    n_active = min(len(dpus), -(-len(images) // per_dpu))
+    view = DpuSet(list(dpus[:n_active]), attributes)
+    view.load(image)
+    chunks = [images[d * per_dpu : (d + 1) * per_dpu] for d in range(n_active)]
+    view.scatter("images", [
+        np.frombuffer(b"".join(
+            pack_image(img).ljust(layout.image_bytes, b"\0") for img in chunk
+        ).ljust(layout.images_bytes, b"\0"), dtype=np.uint8)
+        for chunk in chunks
+    ])
+    view.scatter("meta", [np.array([len(c), 0], dtype=np.uint32) for c in chunks])
+    return view, [len(c) for c in chunks]
+
+
+def read_wave(
+    view: DpuSet, counts: list[int], report: LaunchReport,
+    model: EbnnModel, layout: EbnnDpuLayout,
+) -> tuple[np.ndarray, float]:
+    """Gather a launched wave's binary features and classify them on the
+    host (Section 4.1.3's read-out).
+
+    One gather reads every DPU's ``results``; each image of a DPU that
+    completed is classified, and an image on a DPU that failed gets
+    label ``-1``.  Returns the labels and the host seconds charged.
+    """
+    done = (
+        [o.index for o in report.outcomes if o.ok]
+        if report.outcomes else range(len(view))
+    )
+    size = layout.result_bytes_per_image
+    rows = view.gather("results", max(counts) * size)
+    labels = np.full(sum(counts), -1, dtype=np.int64)
+    n_classified = sum(counts[d] for d in done)
+    host_seconds = HOST_SECONDS_PER_IMAGE * n_classified
+    cfg = model.config
+    with telemetry.span(
+        "ebnn.host_classify", n_images=n_classified, host_seconds=host_seconds,
+    ):
+        for d in done:
+            for i in range(counts[d]):
+                bits = unpack_bits(
+                    rows[d][i * size : (i + 1) * size], cfg.feature_count
+                )
+                features = bits.reshape(cfg.filters, cfg.pooled_out, cfg.pooled_out)
+                label, _ = model.classify_features(features)
+                labels[d * layout.images_per_dpu + i] = label
+        telemetry.advance_sim(host_seconds)
+    return labels, host_seconds
+
+
 @dataclass
 class EbnnRunResult:
-    """Outcome of one batched eBNN inference on the PIM system."""
+    """Outcome of one batched eBNN inference on the PIM system.
+
+    ``predictions`` holds ``-1`` for an image whose DPU failed under a
+    tolerant fault policy: that image has no prediction.
+    """
 
     predictions: np.ndarray
     dpu_report: LaunchReport
@@ -272,10 +350,6 @@ class EbnnRunResult:
 
 class EbnnPimRunner:
     """Host orchestration of the multi-image-per-DPU eBNN scheme."""
-
-    #: Host-side FC+softmax time per image (a Xeon-class constant; the
-    #: host overlaps this with nothing in the thesis's serial read-out).
-    HOST_SECONDS_PER_IMAGE = 2.0e-6
 
     def __init__(
         self,
@@ -303,9 +377,7 @@ class EbnnPimRunner:
                 f"{images_per_dpu} images need {staged} bytes of staging; "
                 f"the DMA transfer cap is 2048 (Section 4.1.3)"
             )
-        self.lut = (
-            create_lut(model.bn, *model.config.conv_range) if use_lut else None
-        )
+        self.image = self.layout.build_image()
 
     def run(self, images: np.ndarray) -> EbnnRunResult:
         """Classify a (n, H, W) batch through the PIM system.
@@ -313,6 +385,7 @@ class EbnnPimRunner:
         Batches larger than the system's capacity execute in waves: every
         available DPU processes its image block, results are gathered,
         and the next wave launches — total time is the sum of the waves.
+        The image and the LUT are staged once per run.
         """
         n_images = images.shape[0]
         if n_images < 1:
@@ -330,8 +403,11 @@ class EbnnPimRunner:
         ):
             dpu_set = self.system.allocate(n_dpus)
             try:
+                dpu_set.load(self.image)
+                if self.use_lut:
+                    stage_lut(dpu_set, self.model, self.layout)
                 waves = [
-                    self._run_on(dpu_set, images[start : start + wave_capacity])
+                    self._run_wave(dpu_set, images[start : start + wave_capacity])
                     for start in range(0, n_images, wave_capacity)
                 ]
             finally:
@@ -365,76 +441,33 @@ class EbnnPimRunner:
             host_seconds=sum(w.host_seconds for w in waves),
         )
 
-    def _run_on(self, dpu_set, images: np.ndarray) -> EbnnRunResult:
+    def _run_wave(self, dpu_set: DpuSet, images: np.ndarray) -> EbnnRunResult:
         with telemetry.span("ebnn.wave", category="pipeline",
                             n_images=images.shape[0]):
-            return self._run_wave(dpu_set, images)
-
-    def _run_wave(self, dpu_set, images: np.ndarray) -> EbnnRunResult:
-        layout = self.layout
-        n_images = images.shape[0]
-        per_dpu = layout.images_per_dpu
-        dpu_set.load(layout.build_image())
-
-        # Distribute packed image blocks and per-DPU counts.
-        blocks: list[bytes] = []
-        counts: list[int] = []
-        for d in range(len(dpu_set)):
-            chunk = images[d * per_dpu : (d + 1) * per_dpu]
-            packed = b"".join(
-                pack_image(img).ljust(layout.image_bytes, b"\0") for img in chunk
+            view, counts = stage_wave(
+                dpu_set.dpus, self.system.attributes, self.image, self.layout,
+                images,
             )
-            blocks.append(packed.ljust(layout.images_bytes, b"\0"))
-            counts.append(len(chunk))
-        dpu_set.scatter("images", [np.frombuffer(b, dtype=np.uint8) for b in blocks])
-        dpu_set.scatter(
-            "meta",
-            [np.array([c, 0], dtype=np.uint32) for c in counts],
-        )
-        if self.use_lut:
-            lut_raw = self.lut.to_bytes().ljust(layout.lut_bytes, b"\0")
-            dpu_set.broadcast("lut", np.frombuffer(lut_raw, dtype=np.uint8))
-
-        report = dpu_set.launch(
-            n_tasklets=self.n_tasklets,
-            opt_level=self.opt_level,
-            model=self.model,
-            layout=layout,
-            use_lut=self.use_lut,
-        )
-
-        # Serial host read-out and classification (Section 4.1.3's flow).
-        host_seconds = self.HOST_SECONDS_PER_IMAGE * n_images
-        with telemetry.span(
-            "ebnn.host_classify", n_images=n_images,
-            host_seconds=host_seconds,
-        ):
-            predictions = np.zeros(n_images, dtype=np.int64)
-            profile = SubroutineProfile()
-            for d, dpu in enumerate(dpu_set):
-                # A DPU isolated by the fault policy has no result for
-                # this launch; its (restored, pre-launch) results symbol
-                # still classifies, just from zeroed features.
-                if dpu.last_result is not None:
-                    profile = profile.merged_with(dpu.last_result.profile)
-                for i in range(counts[d]):
-                    raw = dpu.read_symbol(
-                        "results",
-                        layout.result_bytes_per_image,
-                        offset=i * layout.result_bytes_per_image,
-                    )
-                    bits = unpack_bits(raw, self.model.config.feature_count)
-                    cfg = self.model.config
-                    features = bits.reshape(cfg.filters, cfg.pooled_out, cfg.pooled_out)
-                    label, _ = self.model.classify_features(features)
-                    predictions[d * per_dpu + i] = label
-            telemetry.advance_sim(host_seconds)
-
+            report = view.launch(
+                n_tasklets=self.n_tasklets,
+                opt_level=self.opt_level,
+                model=self.model,
+                layout=self.layout,
+                use_lut=self.use_lut,
+            )
+            predictions, host_seconds = read_wave(
+                view, counts, report, self.model, self.layout
+            )
+        profile = SubroutineProfile()
+        for dpu in view:
+            # A DPU isolated by the fault policy has no result.
+            if dpu.last_result is not None:
+                profile = profile.merged_with(dpu.last_result.profile)
         return EbnnRunResult(
             predictions=predictions,
             dpu_report=report,
-            n_dpus=len(dpu_set),
-            n_images=n_images,
+            n_dpus=len(view),
+            n_images=images.shape[0],
             profile=profile,
             host_seconds=host_seconds,
         )

@@ -95,7 +95,7 @@ class _BindEnv:
     """
 
     __slots__ = (
-        "view", "wram", "wsize", "wdirty", "dma", "profile", "opt_level",
+        "view", "wram", "wsize", "dma", "profile", "opt_level",
         "interval", "mutexes", "halted", "perf_origin", "perf_values",
     )
 
@@ -402,17 +402,13 @@ def _d_sw(ins, index):
 
     def maker(env):
         view, check, limit = env.view, env.wram._check, env.wsize - 4
-        pack, dirty = _U32_PACK, env.wdirty
+        pack = _U32_PACK
 
         def h(regs, tid):
             addr = (regs[rs] + imm) & _M
             if addr > limit:
                 check(addr, 4)
             pack(view, addr, regs[rt])
-            if addr < dirty[0]:
-                dirty[0] = addr
-            if addr + 4 > dirty[1]:
-                dirty[1] = addr + 4
         return h
     return K_SIMPLE, maker
 
@@ -422,17 +418,13 @@ def _d_sh(ins, index):
 
     def maker(env):
         view, check, limit = env.view, env.wram._check, env.wsize - 2
-        pack, dirty = _U16_PACK, env.wdirty
+        pack = _U16_PACK
 
         def h(regs, tid):
             addr = (regs[rs] + imm) & _M
             if addr > limit:
                 check(addr, 2)
             pack(view, addr, regs[rt] & 0xFFFF)
-            if addr < dirty[0]:
-                dirty[0] = addr
-            if addr + 2 > dirty[1]:
-                dirty[1] = addr + 2
         return h
     return K_SIMPLE, maker
 
@@ -442,17 +434,12 @@ def _d_sb(ins, index):
 
     def maker(env):
         view, check, limit = env.view, env.wram._check, env.wsize - 1
-        dirty = env.wdirty
 
         def h(regs, tid):
             addr = (regs[rs] + imm) & _M
             if addr > limit:
                 check(addr, 1)
             view[addr] = regs[rt] & 0xFF
-            if addr < dirty[0]:
-                dirty[0] = addr
-            if addr + 1 > dirty[1]:
-                dirty[1] = addr + 1
         return h
     return K_SIMPLE, maker
 
@@ -783,7 +770,6 @@ class FastInterpreter(Interpreter):
         env.wram = self.wram
         env.view = self.wram._view
         env.wsize = self.wram.size
-        env.wdirty = self.wram._dirty
         env.dma = self.dma
         env.profile = self.profile
         env.opt_level = self.opt_level

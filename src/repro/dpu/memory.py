@@ -40,8 +40,7 @@ class Wram:
     The backing buffer is a numpy uint8 array, but byte-level traffic (the
     interpreter's loads/stores, the DMA engine) goes through a cached
     ``memoryview`` — creating a numpy slice object per 1/2/4-byte access
-    costs more than the access itself.  A dirty span ``[lo, hi)`` records
-    every region written since :meth:`reset_dirty`.
+    costs more than the access itself.
     The buffer is allocated on first access (kernel images never touch
     WRAM); until then the WRAM reads as zeros.
     """
@@ -50,9 +49,6 @@ class Wram:
         if size <= 0:
             raise DpuMemoryError(f"WRAM size must be positive, got {size}")
         self.size = size
-        #: Written byte span since reset_dirty(), as a mutable [lo, hi)
-        #: pair ([size, 0] = clean) so hot paths can update it in place.
-        self._dirty = [size, 0]
 
     def __getattr__(self, name: str):
         # Only reached while _buf/_view are unset: allocate on first use.
@@ -87,13 +83,6 @@ class Wram:
                 f"WRAM access [{addr}, {addr + n_bytes}) outside [0, {self.size})"
             )
 
-    def _mark_dirty(self, addr: int, n_bytes: int) -> None:
-        dirty = self._dirty
-        if addr < dirty[0]:
-            dirty[0] = addr
-        if addr + n_bytes > dirty[1]:
-            dirty[1] = addr + n_bytes
-
     def read(self, addr: int, n_bytes: int) -> bytes:
         """Read ``n_bytes`` starting at ``addr``."""
         self._check(addr, n_bytes)
@@ -111,7 +100,6 @@ class Wram:
         n_bytes = len(data)
         self._check(addr, n_bytes)
         self._view[addr : addr + n_bytes] = data
-        self._mark_dirty(addr, n_bytes)
 
     def read_array(self, addr: int, dtype: np.dtype | str, count: int) -> np.ndarray:
         """Read ``count`` little-endian items of ``dtype`` starting at ``addr``."""
@@ -128,7 +116,6 @@ class Wram:
         raw = np.ascontiguousarray(values).view(np.uint8).reshape(-1)
         self._check(addr, raw.size)
         self._buf[addr : addr + raw.size] = raw
-        self._mark_dirty(addr, raw.size)
 
     def read_u32(self, addr: int) -> int:
         return int(self.read_array(addr, np.uint32, 1)[0])
@@ -139,17 +126,6 @@ class Wram:
     def clear(self) -> None:
         """Zero the whole WRAM (used between launches in tests)."""
         self._buf[:] = 0
-        self._mark_dirty(0, self.size)
-
-    def reset_dirty(self) -> None:
-        """Forget the write history (start of a tracked execution)."""
-        self._dirty[0] = self.size
-        self._dirty[1] = 0
-
-    def dirty_span(self) -> tuple[int, int] | None:
-        """``(lo, hi)`` byte span written since reset, or None if clean."""
-        lo, hi = self._dirty
-        return (lo, hi) if lo < hi else None
 
 
 class Iram:
@@ -199,8 +175,6 @@ class Mram:
             raise DpuMemoryError(f"MRAM size must be positive, got {size}")
         self.size = size
         self._pages: dict[int, np.ndarray] = {}
-        #: Indices of pages written since reset_dirty().
-        self._dirty: set[int] = set()
 
     def _check(self, addr: int, n_bytes: int) -> None:
         if addr < 0 or n_bytes < 0 or addr + n_bytes > self.size:
@@ -269,7 +243,6 @@ class Mram:
         if offset + n_bytes <= _MRAM_PAGE_BYTES:
             # Within one page (every DMA beat, most host rows): one copy.
             memoryview(self._page(page_index))[offset : offset + n_bytes] = data
-            self._dirty.add(page_index)
             return
         src = np.frombuffer(data, dtype=np.uint8)
         pos = 0
@@ -278,7 +251,6 @@ class Mram:
             page_index, offset = divmod(a, _MRAM_PAGE_BYTES)
             chunk = min(n_bytes - pos, _MRAM_PAGE_BYTES - offset)
             self._page(page_index)[offset : offset + chunk] = src[pos : pos + chunk]
-            self._dirty.add(page_index)
             pos += chunk
 
     def release(self) -> None:
@@ -296,14 +268,6 @@ class Mram:
     def resident_bytes(self) -> int:
         """Bytes of host memory actually backing this MRAM (sparse pages)."""
         return len(self._pages) * _MRAM_PAGE_BYTES
-
-    def reset_dirty(self) -> None:
-        """Forget the write history (start of a tracked execution)."""
-        self._dirty.clear()
-
-    def dirty_pages(self) -> list[int]:
-        """Sorted indices of pages written since :meth:`reset_dirty`."""
-        return sorted(self._dirty)
 
 
 class DmaEngine:

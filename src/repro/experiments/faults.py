@@ -34,8 +34,8 @@ def ebnn_fault_sweep() -> ExperimentResult:
     per injected fault rate under ``fault_policy="isolate"``.  Agreement
     is the fraction of predictions matching the fault-free run: images
     on healthy DPUs always agree (the isolation path preserves their
-    results bit for bit), so agreement degrades by exactly the image
-    share of the faulted DPUs.
+    results bit for bit) and images on faulted DPUs get no label, so
+    agreement degrades by exactly the image share of the faulted DPUs.
     """
     from repro.core.mapping_ebnn import EbnnPimRunner
     from repro.datasets import generate_batch
@@ -79,8 +79,9 @@ def ebnn_fault_sweep() -> ExperimentResult:
         )
     result.notes.append(
         f"seed {SWEEP_SEED}: same seed => same faulted DPUs; healthy DPUs' "
-        "predictions are bit-identical to the fault-free run, so agreement "
-        "drops only by the faulted DPUs' image share"
+        "predictions are bit-identical to the fault-free run and a faulted "
+        "DPU's images get no label (-1), so agreement drops by exactly the "
+        "faulted DPUs' image share"
     )
     result.notes.append(
         "reproduce via: repro --fault-rate R --fault-seed "

@@ -166,25 +166,6 @@ class DpuSet:
         self.image = image
         _M_LOADS.inc()
 
-    def subset(self, count: int) -> "DpuSet":
-        """A set over this set's first ``count`` DPUs, with its image loaded.
-
-        The DPUs were loaded through this set, so the subset needs no
-        reload; it is refused if any of them has since been loaded with
-        another image.  The DPUs stay owned by the allocating set.
-        """
-        self._require_live("subset")
-        if not 1 <= count <= len(self.dpus):
-            raise AllocationError(
-                f"subset of {count} DPUs from a set of {len(self.dpus)}"
-            )
-        dpus = self.dpus[:count]
-        if self.image is None or any(d.image is not self.image for d in dpus):
-            raise LaunchError("subset of DPUs not loaded with this set's image")
-        view = DpuSet(dpus, self.attributes)
-        view.image = self.image
-        return view
-
     # ------------------------------------------------------------------ #
     # transfers (thin wrappers over repro.host.transfer)
     # ------------------------------------------------------------------ #

@@ -34,9 +34,12 @@ import numpy as np
 from repro import telemetry
 from repro.core.mapping_ebnn import (
     EBNN_TASKLETS,
-    EbnnDpuLayout,
-    EbnnPimRunner,
+    HOST_SECONDS_PER_IMAGE,
     IMAGES_PER_DPU,
+    EbnnDpuLayout,
+    read_wave,
+    stage_lut,
+    stage_wave,
 )
 from repro.core.mapping_yolo import (
     YOLO_TASKLETS,
@@ -48,7 +51,6 @@ from repro.core.mapping_yolo import (
 from repro.dpu.costs import OptLevel
 from repro.errors import AllocationError, LaunchError, ServeError
 from repro.host.runtime import DpuSet, DpuSystem
-from repro.nn.binary import pack_image, unpack_bits
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.models.ebnn import EbnnModel
 from repro.nn.quantize import QuantParams
@@ -110,10 +112,11 @@ class EbnnBackend(ModelBackend):
     """Multi-image-per-DPU eBNN serving (Section 4.1.3's scheme, online).
 
     Warm-up loads the conv-pool kernel image and broadcasts the
-    Algorithm 1 LUT once; each batch then only scatters packed images and
-    per-DPU counts, launches set-wide, and classifies the returned binary
-    features on the host — identical math to the offline
-    :class:`~repro.core.mapping_ebnn.EbnnPimRunner`, so outputs are
+    Algorithm 1 LUT once; each wave of a batch is then staged, launched
+    set-wide and read out by the offline
+    :class:`~repro.core.mapping_ebnn.EbnnPimRunner`'s own routines
+    (:func:`~repro.core.mapping_ebnn.stage_wave`,
+    :func:`~repro.core.mapping_ebnn.read_wave`), so outputs are
     bit-identical however the batcher grouped the requests.
     """
 
@@ -128,24 +131,17 @@ class EbnnBackend(ModelBackend):
         n_tasklets: int = EBNN_TASKLETS,
         opt_level: OptLevel = OptLevel.O3,
     ) -> None:
-        from repro.core.lut import create_lut
-
         self.model = model if model is not None else EbnnModel()
         self.use_lut = use_lut
         self.n_tasklets = n_tasklets
         self.opt_level = opt_level
         self.layout = EbnnDpuLayout(self.model.config, images_per_dpu)
         self.image = self.layout.build_image("serve_ebnn")
-        self.lut = (
-            create_lut(self.model.bn, *self.model.config.conv_range)
-            if use_lut else None
-        )
 
     def warm(self, dpu_set: DpuSet) -> None:
         dpu_set.load(self.image)
         if self.use_lut:
-            lut_raw = self.lut.to_bytes().ljust(self.layout.lut_bytes, b"\0")
-            dpu_set.broadcast("lut", np.frombuffer(lut_raw, dtype=np.uint8))
+            stage_lut(dpu_set, self.model, self.layout)
 
     def run_batch(
         self,
@@ -155,105 +151,56 @@ class EbnnBackend(ModelBackend):
         now: float,
         fault_policy: str | None,
     ) -> BatchExecution:
-        layout = self.layout
-        per_dpu = layout.images_per_dpu
-        capacity = len(members) * per_dpu
+        capacity = len(members) * self.layout.images_per_dpu
         execution = BatchExecution()
         for start in range(0, len(requests), capacity):
             wave = requests[start : start + capacity]
-            self._run_wave(
-                members, attributes, wave, now + execution.seconds,
-                fault_policy, execution,
+            view, counts = stage_wave(
+                members, attributes, self.image, self.layout,
+                [np.asarray(r.payload) for r in wave],
             )
-        return execution
-
-    def _run_wave(
-        self, members, attributes, wave, now, fault_policy, execution
-    ) -> None:
-        layout = self.layout
-        per_dpu = layout.images_per_dpu
-        # Only as many DPUs as the wave needs, each with >= 1 image.
-        n_active = min(len(members), -(-len(wave) // per_dpu))
-        view = DpuSet(list(members[:n_active]), attributes)
-        view.image = self.image  # loaded at warm time; no reload needed
-
-        chunks = [wave[d * per_dpu : (d + 1) * per_dpu] for d in range(n_active)]
-        blocks = []
-        for chunk in chunks:
-            packed = b"".join(
-                pack_image(np.asarray(r.payload)).ljust(
-                    layout.image_bytes, b"\0"
+            try:
+                handle = view.launch_async(
+                    n_tasklets=self.n_tasklets,
+                    opt_level=self.opt_level,
+                    fault_policy=fault_policy,
+                    model=self.model,
+                    layout=self.layout,
+                    use_lut=self.use_lut,
                 )
-                for r in chunk
-            )
-            blocks.append(
-                np.frombuffer(
-                    packed.ljust(layout.images_bytes, b"\0"), dtype=np.uint8
-                )
-            )
-        view.scatter("images", blocks)
-        view.scatter(
-            "meta",
-            [np.array([len(c), 0], dtype=np.uint32) for c in chunks],
-        )
-
-        try:
-            handle = view.launch_async(
-                n_tasklets=self.n_tasklets,
-                opt_level=self.opt_level,
-                fault_policy=fault_policy,
-                model=self.model,
-                layout=layout,
-                use_lut=self.use_lut,
-            )
-        except LaunchError:
-            # Under a tolerant policy this is the all-DPUs-failed case:
-            # nothing survived, so the whole wave goes to the retry path.
-            execution.failed.extend(wave)
-            execution.failed_dpu_ids.update(d.dpu_id for d in view)
-            return
-
-        # Deadline shedding: when every request of the wave would finish
-        # past its deadline, the work is worthless — abandon the launch
-        # and roll the DPUs back instead of charging simulated time.
-        host_seconds = EbnnPimRunner.HOST_SECONDS_PER_IMAGE * len(wave)
-        completion = now + handle.pending_seconds + host_seconds
-        if wave and all(
-            r.deadline_s is not None and completion > r.deadline_s
-            for r in wave
-        ):
-            handle.cancel()
-            execution.shed.extend(wave)
-            return
-
-        report = handle.wait()
-        ok_indices = (
-            {o.index for o in report.outcomes if o.ok}
-            if report.outcomes else set(range(n_active))
-        )
-        n_classified = 0
-        for d, dpu in enumerate(view):
-            if d not in ok_indices:
-                execution.failed.extend(chunks[d])
-                execution.failed_dpu_ids.add(dpu.dpu_id)
+            except LaunchError:
+                # Under a tolerant policy this is the all-DPUs-failed
+                # case: nothing survived, so the wave goes to the retry path.
+                execution.failed.extend(wave)
+                execution.failed_dpu_ids.update(d.dpu_id for d in view)
                 continue
-            for i, request in enumerate(chunks[d]):
-                raw = dpu.read_symbol(
-                    "results",
-                    layout.result_bytes_per_image,
-                    offset=i * layout.result_bytes_per_image,
-                )
-                bits = unpack_bits(raw, self.model.config.feature_count)
-                cfg = self.model.config
-                features = bits.reshape(
-                    cfg.filters, cfg.pooled_out, cfg.pooled_out
-                )
-                label, _ = self.model.classify_features(features)
-                execution.outputs[request.request_id] = int(label)
-                n_classified += 1
-        host_seconds = EbnnPimRunner.HOST_SECONDS_PER_IMAGE * n_classified
-        telemetry.advance_sim(host_seconds)
-        execution.seconds += report.seconds + host_seconds
+            # Deadline shedding: when every request of the wave would
+            # finish past its deadline, the work is worthless — abandon
+            # the launch and roll the DPUs back instead of charging
+            # simulated time.
+            completion = (
+                now + execution.seconds + handle.pending_seconds
+                + HOST_SECONDS_PER_IMAGE * len(wave)
+            )
+            if all(
+                r.deadline_s is not None and completion > r.deadline_s
+                for r in wave
+            ):
+                handle.cancel()
+                execution.shed.extend(wave)
+                continue
+            report = handle.wait()
+            labels, host_seconds = read_wave(
+                view, counts, report, self.model, self.layout
+            )
+            for request, label in zip(wave, labels):
+                if label < 0:  # its DPU failed
+                    execution.failed.append(request)
+                else:
+                    execution.outputs[request.request_id] = int(label)
+            execution.failed_dpu_ids.update(o.dpu_id for o in report.failed)
+            execution.seconds += report.seconds + host_seconds
+        return execution
 
 
 class YoloBackend(ModelBackend):

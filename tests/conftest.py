@@ -5,7 +5,9 @@ every test file independently runnable.
 """
 
 import numpy as np
+import pytest
 
+from repro.core.mapping_ebnn import IMAGES_PER_DPU
 from repro.dpu.kernel import GLOBAL_KERNELS
 
 # Importing repro.core registers the production kernels (ebnn_conv_pool,
@@ -22,3 +24,20 @@ if "test_double" not in GLOBAL_KERNELS.names():
             values = ctx.read_symbol_array("data", np.int32, count)
             ctx.write_symbol_array("data", values * 2)
         ctx.charge_instructions(4 * count)
+
+
+@pytest.fixture
+def ebnn_reference():
+    """The labels an eBNN run must return: the model's own, except
+    ``-1`` on every image of a DPU its launch isolated (a fault plan
+    set through ``REPRO_FAULT_*`` may fail some)."""
+
+    def expected(model, images, result):
+        labels = model.predict_batch(images)
+        # Outcome k, across waves, is the DPU that held image block k.
+        for k, outcome in enumerate(result.dpu_report.outcomes):
+            if not outcome.ok:
+                labels[k * IMAGES_PER_DPU : (k + 1) * IMAGES_PER_DPU] = -1
+        return labels
+
+    return expected

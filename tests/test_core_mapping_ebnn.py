@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.mapping_ebnn import (
     EBNN_TASKLETS,
+    HOST_SECONDS_PER_IMAGE,
     IMAGES_PER_DPU,
     EbnnDpuLayout,
     EbnnPimRunner,
@@ -56,29 +58,29 @@ class TestLayout:
 class TestEndToEndEquivalence:
     """The PIM pipeline must classify exactly like the reference model."""
 
-    def test_lut_path_matches_reference(self, system, model):
-        batch = generate_batch(16, seed=11)
+    def test_lut_path_matches_reference(self, system, model, ebnn_reference):
+        batch = generate_batch(16, seed=11).normalized()
         runner = EbnnPimRunner(system, model, use_lut=True)
-        result = runner.run(batch.normalized())
+        result = runner.run(batch)
         assert np.array_equal(
-            result.predictions, model.predict_batch(batch.normalized())
+            result.predictions, ebnn_reference(model, batch, result)
         )
 
-    def test_float_path_matches_reference(self, system, model):
-        batch = generate_batch(8, seed=12)
+    def test_float_path_matches_reference(self, system, model, ebnn_reference):
+        batch = generate_batch(8, seed=12).normalized()
         runner = EbnnPimRunner(system, model, use_lut=False)
-        result = runner.run(batch.normalized())
+        result = runner.run(batch)
         assert np.array_equal(
-            result.predictions, model.predict_batch(batch.normalized())
+            result.predictions, ebnn_reference(model, batch, result)
         )
 
-    def test_batch_spills_across_dpus(self, system, model):
-        batch = generate_batch(40, seed=13)
+    def test_batch_spills_across_dpus(self, system, model, ebnn_reference):
+        batch = generate_batch(40, seed=13).normalized()
         runner = EbnnPimRunner(system, model)
-        result = runner.run(batch.normalized())
+        result = runner.run(batch)
         assert result.n_dpus == 3  # ceil(40 / 16)
         assert np.array_equal(
-            result.predictions, model.predict_batch(batch.normalized())
+            result.predictions, ebnn_reference(model, batch, result)
         )
 
     def test_empty_batch_rejected(self, system, model):
@@ -166,6 +168,32 @@ class TestTimingModel:
             run.dpu_seconds + run.host_seconds
         )
         assert run.seconds_per_image == pytest.approx(run.total_seconds / 4)
+
+
+class TestFaultIsolation:
+    def test_images_on_an_isolated_dpu_get_no_label(self, model):
+        """A DPU the isolate policy removed has no results: its images
+        read -1, and every other label is the clean run's."""
+        batch = generate_batch(64, seed=17).normalized()
+
+        def run(plan):
+            system = DpuSystem(UPMEM_ATTRIBUTES.scaled(4))
+            with faults.fault_injection(plan):
+                return EbnnPimRunner(system, model).run(batch)
+
+        clean = run(None)
+        dead = 2
+        faulted = run(faults.FaultPlan(
+            targets={dead: "fault"}, target_attempts=10,
+            default_policy="isolate",
+        ))
+        assert [o.dpu_id for o in faulted.dpu_report.failed] == [dead]
+        on_dead = slice(dead * IMAGES_PER_DPU, (dead + 1) * IMAGES_PER_DPU)
+        assert (faulted.predictions[on_dead] == -1).all()
+        expected = clean.predictions.copy()
+        expected[on_dead] = -1
+        assert np.array_equal(faulted.predictions, expected)
+        assert faulted.host_seconds == 48 * HOST_SECONDS_PER_IMAGE
 
 
 class TestValidation:

@@ -156,7 +156,7 @@ class TestMramWrite:
         )
         end = addr + len(raw)
         pages = range(addr // self.PAGE, -(-end // self.PAGE)) if raw else []
-        assert mram.dirty_pages() == list(pages)
+        assert sorted(mram._pages) == list(pages)
 
     def test_views_write_bytes_not_items(self):
         values = np.arange(6, dtype=np.int32).reshape(2, 3)

@@ -124,27 +124,36 @@ class TestHostErrors:
 
 
 class TestMappingErrors:
-    def test_ebnn_oversized_batch_runs_in_waves(self):
+    @pytest.mark.parametrize(
+        "n_dpus,n_images", [(1, 40), (4, 100)],
+        ids=["1dpu-40img", "4dpu-100img"],
+    )
+    def test_ebnn_oversized_batch_runs_in_waves(
+        self, n_dpus, n_images, ebnn_reference
+    ):
         """A batch beyond system capacity executes in sequential waves
-        (and classifies every image — this test caught a silent
-        truncation bug in an earlier revision)."""
+        and classifies every image: this test caught a silent truncation
+        bug, and a last wave that left a DPU without images."""
         from repro.core.mapping_ebnn import EbnnPimRunner
         from repro.datasets import generate_batch
         from repro.nn.models.ebnn import EbnnModel
 
         model = EbnnModel()
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(1))
+        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(n_dpus))
         runner = EbnnPimRunner(system, model)
-        batch = generate_batch(40, seed=1).normalized()
+        batch = generate_batch(n_images, seed=1).normalized()
 
-        one_wave = runner.run(batch[:16])
-        assert one_wave.n_dpus == 1
+        one_wave = runner.run(batch[: 16 * n_dpus])
+        assert one_wave.n_dpus == n_dpus
 
-        waves = runner.run(batch)  # 40 images on a 16-image system
-        assert waves.n_images == 40
-        assert np.array_equal(waves.predictions, model.predict_batch(batch))
-        # three waves of the single DPU: time accumulates
-        assert waves.dpu_report.cycles > 2.5 * one_wave.dpu_report.cycles
+        waves = runner.run(batch)  # beyond the system's 16 images per DPU
+        assert waves.n_images == n_images
+        assert np.array_equal(
+            waves.predictions, ebnn_reference(model, batch, waves)
+        )
+        # every wave runs after the last: time accumulates
+        n_waves = -(-n_images // (16 * n_dpus))
+        assert waves.dpu_report.cycles > (n_waves - 0.5) * one_wave.dpu_report.cycles
 
     def test_planner_rejects_unknown_workload(self):
         from repro.core.planner import MappingPlanner

@@ -146,7 +146,7 @@ class TestRowHelpers:
         delta = telemetry.GLOBAL_METRICS.delta_since(before)
         for dpu in dpus[:2]:
             assert dpu.read_symbol("data", 64) == bytes(64)
-            assert dpu.mram.dirty_pages() == []
+            assert dpu.mram._pages == {}
         assert vars(transfer.GLOBAL_TRANSFER_STATS) == totals
         assert delta["transfer.pushes"]["state"] == 0
         children = delta["transfer.bytes"].get("children", {})

@@ -1,4 +1,4 @@
-"""Fast-interpreter equivalence and dirty-memory tracking.
+"""Fast-interpreter equivalence.
 
 The fast interpreter (``repro.dpu.fastpath``) must be observationally
 indistinguishable from the reference: identical :class:`ExecutionResult`
@@ -21,8 +21,6 @@ from repro.dpu.interpreter import Interpreter, make_interpreter
 from repro.dpu.memory import DmaEngine, Mram, Wram
 from repro.dpu.pipeline import TaskletClock
 from repro.errors import DpuError, DpuFaultError, DpuLimitError
-
-MRAM_PAGE = 64 * 1024
 
 
 def _fresh(mram_size=64 * 1024 * 1024):
@@ -400,45 +398,3 @@ class TestDispatchRun:
     def test_negative_run_rejected(self):
         with pytest.raises(DpuLimitError, match="negative dispatch run"):
             TaskletClock(2).dispatch_run(0, -1)
-
-
-class TestDirtyTracking:
-    def test_wram_dirty_span(self):
-        wram = Wram()
-        assert wram.dirty_span() is None
-        wram.write(100, b"\x01\x02")
-        wram.write(40, b"\x03")
-        assert wram.dirty_span() == (40, 102)
-        wram.reset_dirty()
-        assert wram.dirty_span() is None
-        wram.write_array(8, np.array([7], dtype=np.uint32))
-        assert wram.dirty_span() == (8, 12)
-
-    def test_mram_dirty_pages(self):
-        mram = Mram()
-        assert mram.dirty_pages() == []
-        mram.write(0, b"\x01")
-        mram.write(3 * MRAM_PAGE - 1, b"\x02\x03")  # crosses a boundary
-        assert mram.dirty_pages() == [0, 2, 3]
-        mram.reset_dirty()
-        assert mram.dirty_pages() == []
-
-    def test_interpreter_stores_mark_wram_dirty(self):
-        wram, mram, dma = _fresh()
-        wram.reset_dirty()
-        program = assemble("li r1, 9\nsw r1, r0, 256\nsb r1, r0, 300\nhalt")
-        make_interpreter(program, wram, dma, mode="fast").run()
-        assert wram.dirty_span() == (256, 301)
-
-    def test_dma_marks_both_sides(self):
-        wram, mram, dma = _fresh()
-        mram.write(0, bytes(16))
-        wram.reset_dirty()
-        mram.reset_dirty()
-        program = assemble(
-            "li r1, 64\nli r2, 0\nldma r1, r2, 16\n"
-            "li r2, 131072\nsdma r1, r2, 8\nhalt"
-        )
-        make_interpreter(program, wram, dma, mode="fast").run()
-        assert wram.dirty_span() == (64, 80)
-        assert mram.dirty_pages() == [2]

@@ -77,7 +77,13 @@ def _per_wave_layer(
     for start in range(0, shape.m, len(staged)):
         stop = min(start + len(staged), shape.m)
         count = stop - start
-        wave = staged if count == len(staged) else staged.subset(count)
+        if count == len(staged):
+            wave = staged
+        else:
+            # Loaded through ``staged`` already: a reload would count a
+            # load the walk does not make.
+            wave = DpuSet(list(staged.dpus[:count]), attributes)
+            wave.image = staged.image
         wave.scatter("a_row", list(a_q[start:stop]))
         try:
             report = wave.launch(
