@@ -293,7 +293,8 @@ def read_wave(
 
     One gather reads every DPU's ``results``; each image of a DPU that
     completed is classified, and an image on a DPU that failed gets
-    label ``-1``.  Returns the labels and the host seconds charged.
+    label ``-1``.  The clock advances by the host seconds, which are
+    returned with the labels.
     """
     done = (
         [o.index for o in report.outcomes if o.ok]
@@ -316,7 +317,7 @@ def read_wave(
                 features = bits.reshape(cfg.filters, cfg.pooled_out, cfg.pooled_out)
                 label, _ = model.classify_features(features)
                 labels[d * layout.images_per_dpu + i] = label
-        telemetry.advance_sim(host_seconds)
+        view.clock.advance(host_seconds)
     return labels, host_seconds
 
 

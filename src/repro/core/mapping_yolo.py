@@ -281,14 +281,11 @@ def accumulator_divisor(
 
 class LayerFailedError(LaunchError):
     """A layer GEMM lost the DPUs ``failed_dpu_ids`` and has no output;
-    ``reports`` holds its launches that ran, a degraded one included."""
+    the clock has charged its launches that ran, a degraded one included."""
 
-    def __init__(
-        self, failed_dpu_ids: set[int], reports: list[LaunchReport]
-    ) -> None:
+    def __init__(self, failed_dpu_ids: set[int]) -> None:
         super().__init__(f"layer GEMM lost DPUs {sorted(failed_dpu_ids)}")
         self.failed_dpu_ids = failed_dpu_ids
-        self.reports = reports
 
 
 def run_gemm_layer(
@@ -316,9 +313,10 @@ def run_gemm_layer(
     depend only on the DPU and the attempt, so every wave gets the
     outcomes of its DPUs.  Each wave's transfers, launch report, faults
     and metrics are charged from that decision, all full waves in one
-    step unless traced spans or bit-flip draws need them one by one.
-    Then the rows that ran are multiplied at once and each DPU's MRAM is
-    left as its last wave would leave it.
+    step unless traced spans or bit-flip draws need them one by one (the
+    clock reads the same either way).  Then the rows that ran are
+    multiplied at once and each DPU's MRAM is left as its last wave
+    would leave it.
 
     Returns C as int32 rows and the report of every wave.  A wave that
     loses DPUs, degraded or with every DPU failed, raises
@@ -409,13 +407,9 @@ def run_gemm_layer(
                     decision, wave_rows, lambda wave: [cost] * len(wave)
                 )
             except LaunchError:
-                raise LayerFailedError(
-                    {d.dpu_id for d in staged}, reports
-                ) from None
+                raise LayerFailedError({d.dpu_id for d in staged}) from None
             if reports[-1].degraded:
-                raise LayerFailedError(
-                    {o.dpu_id for o in reports[-1].failed}, reports
-                )
+                raise LayerFailedError({o.dpu_id for o in reports[-1].failed})
             sites = account_rows(
                 staged.dpus, "c_row", layout.c_row_bytes,
                 XferDirection.FROM_DPU, wave_rows,

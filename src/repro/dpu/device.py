@@ -22,6 +22,7 @@ import numpy as np
 
 from repro import faults, telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
+from repro.dpu.clock import SimClock
 from repro.dpu.costs import OptLevel
 from repro.dpu.interpreter import ExecutionResult, make_interpreter
 from repro.dpu.isa import Program
@@ -118,9 +119,12 @@ class Dpu:
         self,
         dpu_id: int = 0,
         attributes: UpmemAttributes = UPMEM_ATTRIBUTES,
+        clock: SimClock | None = None,
     ) -> None:
         self.dpu_id = dpu_id
         self.attributes = attributes
+        #: The clock of the system this DPU belongs to (see SimClock).
+        self.clock = clock if clock is not None else SimClock()
         self.mram = Mram(attributes.mram_bytes)
         self.wram = Wram(attributes.wram_bytes)
         self.dma = DmaEngine(self.mram, self.wram)
@@ -296,9 +300,9 @@ class Dpu:
     ) -> None:
         """Emit this launch as parallel spans on the DPU's own track.
 
-        The span sits at the tracer's current simulated cursor without
-        advancing it — all DPUs of a set run concurrently, and the
-        enclosing ``DpuSet.launch`` span advances by the slowest member.
+        The span sits at the tracer's current simulated instant without
+        moving it — all DPUs of a set run concurrently, and the system's
+        clock advances by the slowest member.
         """
         seconds = self.attributes.cycles_to_seconds(float(result.cycles))
         if isinstance(result, ExecutionResult):

@@ -19,8 +19,6 @@ from repro.host.runtime import (
 )
 from repro.host.topology import DpuAddress, SystemTopology
 from repro.host.transfer import (
-    GLOBAL_TRANSFER_STATS,
-    TransferStats,
     XferBatch,
     XferDirection,
     copy_from,
@@ -45,8 +43,6 @@ __all__ = [
     "wait_all",
     "DpuAddress",
     "SystemTopology",
-    "GLOBAL_TRANSFER_STATS",
-    "TransferStats",
     "XferBatch",
     "XferDirection",
     "copy_from",

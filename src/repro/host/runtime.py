@@ -12,10 +12,12 @@ image runs as one set-wide computation
 (:func:`repro.dpu.device.launch_kernel`); an interpreted program runs
 DPU by DPU.  All reported latencies come from the simulated clocks.
 
-Asynchronous launches (``launch_async``) do **not** advance the simulated
-cursor when issued: the first ``wait()`` on a handle advances it by that
-launch's seconds, and ``wait_all`` advances it once by the *slowest*
-handle's seconds — N overlapping launches cost max, not sum.
+Each :class:`DpuSystem` owns one :class:`~repro.dpu.clock.SimClock`,
+held by every DPU it creates.  A synchronous launch advances it by the
+launch's seconds.  An asynchronous launch (``launch_async``) does not: its
+handle records the instant it completes, ``now + seconds`` at issue, and
+``wait()`` and ``wait_all`` advance the clock to the latest such instant —
+N overlapping launches cost max, not sum, however they are waited on.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from repro import faults, telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
+from repro.dpu.clock import SimClock
 from repro.dpu.costs import OptLevel
 from repro.dpu.device import Dpu, DpuImage, launch_kernel, record_kernel_results
 from repro.dpu.interpreter import ExecutionResult
@@ -133,6 +136,7 @@ class DpuSet:
             raise AllocationError("empty DPU set")
         self.dpus = dpus
         self.attributes = attributes
+        self.clock = dpus[0].clock
         self.image: DpuImage | None = None
         self.last_report: LaunchReport | None = None
         self._freed = False
@@ -211,12 +215,14 @@ class DpuSet:
           up to ``max_retries`` extra attempts, then isolate.
 
         ``None`` defers to the installed fault plan's ``default_policy``
-        (``"raise"`` when injection is off).
+        (``"raise"`` when injection is off).  The clock advances by the
+        launch's seconds.
         """
-        return self._launch(
-            n_tasklets, opt_level, kernel_params, advance_sim=True,
-            fault_policy=fault_policy, max_retries=max_retries,
+        report = self._launch(
+            n_tasklets, opt_level, kernel_params, fault_policy, max_retries
         )
+        self.clock.advance(report.seconds)
+        return report
 
     def launch_async(
         self,
@@ -229,10 +235,10 @@ class DpuSet:
     ) -> "AsyncLaunch":
         """``dpu_launch(..., DPU_ASYNCHRONOUS)``: returns a wait handle.
 
-        The simulated cursor is *not* advanced at issue time — overlapping
-        async launches must not serialize simulated time.  The first
-        ``wait()`` on the handle advances it (or ``wait_all`` advances once
-        by the slowest handle).  ``fault_policy`` works as in
+        The clock does *not* advance at issue time — overlapping async
+        launches must not serialize simulated time.  The handle records
+        the instant the launch completes, and waiting on it advances the
+        clock to that instant.  ``fault_policy`` works as in
         :meth:`launch`.
 
         The handle supports :meth:`AsyncLaunch.cancel`, which abandons the
@@ -243,10 +249,9 @@ class DpuSet:
         self._require_live("launch_async")
         checkpoints = [dpu.checkpoint() for dpu in self.dpus]
         report = self._launch(
-            n_tasklets, opt_level, kernel_params, advance_sim=False,
-            fault_policy=fault_policy, max_retries=max_retries,
+            n_tasklets, opt_level, kernel_params, fault_policy, max_retries
         )
-        return AsyncLaunch(report, dpu_set=self, checkpoints=checkpoints)
+        return AsyncLaunch(report, self, checkpoints)
 
     def decide(
         self, n_tasklets: int, opt_level: OptLevel,
@@ -286,21 +291,33 @@ class DpuSet:
         return decision
 
     def charge(
-        self, decision: LaunchDecision, rows: int, run, *,
-        advance_sim: bool = True,
+        self, decision: LaunchDecision, rows: int, run
     ) -> list[LaunchReport]:
         """The effects half: ``rows`` rows, one per DPU, launched over the
         whole set, then over its first ``rows % len(self)`` DPUs, as
-        ``decision`` decided; returns each launch's report.
+        ``decision`` decided and one after another on the clock; returns
+        each launch's report.
 
         ``run`` computes the results of the DPUs that run.  Tolerant
         policies record the fault events first; under ``raise`` the DPUs
         before the first failure run, then its raw :class:`DpuError`
-        propagates.  Alike launches are charged at once, spans included,
-        so a traced caller passes at most ``len(self)`` rows.
+        propagates.  Alike launches are charged at once, spans included.
         """
+        size, reports = len(self.dpus), []
+        for count, times in ((size, rows // size), (rows % size, 1)):
+            if count and times:
+                report = self._charged(decision, count, times, run)
+                self.clock.advance(report.seconds, times)
+                reports += [report] * times
+        return reports
 
-        def launch(count: int, times: int) -> LaunchReport:
+    def _charged(
+        self, decision: LaunchDecision, count: int, times: int, run
+    ) -> LaunchReport:
+        """``times`` alike launches of the first ``count`` DPUs, as
+        ``decision`` decided, inside one ``dpu.launch`` span if traced."""
+
+        def launch() -> LaunchReport:
             dpus, outcomes = self.dpus[:count], decision.outcomes[:count]
             events = [event for i, event in decision.events if i < count]
             raising = decision.policy == "raise" and bool(events)
@@ -323,46 +340,46 @@ class DpuSet:
                 [] if decision.policy == "raise" else outcomes, times,
             )
 
-        size, reports = len(self.dpus), []
-        for count, times in ((size, rows // size), (rows % size, 1)):
-            if count and times:
-                reports += [self._spanned(
-                    lambda: launch(count, times), count, decision.n_tasklets,
-                    decision.opt_level, advance_sim,
-                )] * times
-        return reports
+        return self._spanned(
+            launch, count, decision.n_tasklets, decision.opt_level, times
+        )
 
     def _launch(
         self,
         n_tasklets: int,
         opt_level: OptLevel,
         kernel_params: dict,
-        *,
-        advance_sim: bool,
-        fault_policy: str | None = None,
-        max_retries: int | None = None,
+        fault_policy: str | None,
+        max_retries: int | None,
     ) -> LaunchReport:
+        """One launch over the whole set; the caller moves the clock."""
         self._require_live("launch")
         if self.image is None:
             raise LaunchError("launch before load")
         if self.image.kernel_name is not None:  # runs set-wide, in process
             decision = self.decide(n_tasklets, opt_level, fault_policy, max_retries)
-            return self.charge(decision, len(self.dpus), lambda dpus: launch_kernel(
-                dpus, n_tasklets=n_tasklets, opt_level=opt_level,
-                kernel_params=kernel_params,
-            ), advance_sim=advance_sim)[0]
+            return self._charged(
+                decision, len(self.dpus), 1, lambda dpus: launch_kernel(
+                    dpus, n_tasklets=n_tasklets, opt_level=opt_level,
+                    kernel_params=kernel_params,
+                ),
+            )
         policy, retries = _resolve_policy(fault_policy, max_retries)
         return self._spanned(
             lambda: self._launch_now(
                 n_tasklets, opt_level, kernel_params, policy, retries
             ),
-            len(self.dpus), n_tasklets, opt_level, advance_sim,
+            len(self.dpus), n_tasklets, opt_level,
         )
 
     def _spanned(
-        self, launch, n_dpus, n_tasklets, opt_level, advance_sim
+        self, launch, n_dpus, n_tasklets, opt_level, times=1
     ) -> LaunchReport:
-        """``launch()``'s report, inside a ``dpu.launch`` span if traced."""
+        """``launch()``'s report, inside a ``dpu.launch`` span if traced.
+
+        Every DPU ran in parallel, so the span lasts the slowest member's
+        seconds (``times`` over), from the instant the launch was issued.
+        """
         tracer = telemetry.current_tracer()
         if tracer is None:
             # Hot path: no span objects, no kwargs dicts beyond the call's own.
@@ -374,14 +391,9 @@ class DpuSet:
                 n_tasklets=n_tasklets,
                 image=self.image.name,
                 opt_level=opt_level.name,
-                asynchronous=not advance_sim,
             ) as span:
                 report = launch()
-                if advance_sim:
-                    # Every DPU ran in parallel on the simulated clock; the
-                    # set advances by its slowest member.  Async launches
-                    # advance at wait time instead.
-                    tracer.advance_sim(report.seconds)
+                span.sim_end = span.sim_start + report.seconds * times
                 span.set(
                     cycles=report.cycles,
                     seconds=report.seconds,
@@ -505,22 +517,19 @@ class AsyncLaunch:
     time is the slowest set — the rank-level overlap a host exploits.
 
     Simulated-time discipline: issuing the launch did **not** move the
-    tracer's cursor; the first :meth:`wait` advances it by this launch's
-    seconds.  :func:`wait_all` bypasses the per-handle advance and moves
-    the cursor once by the slowest handle, so N overlapping launches cost
-    ``max`` rather than ``sum`` of their durations.
+    clock; the handle records the instant the launch completes, and
+    :meth:`wait` and :func:`wait_all` advance the clock to it (an instant
+    already passed costs nothing), so N overlapping launches cost ``max``
+    rather than ``sum`` of their durations, in any order of waits.
     """
 
     def __init__(
-        self,
-        report: LaunchReport,
-        *,
-        dpu_set: "DpuSet | None" = None,
-        checkpoints: list | None = None,
+        self, report: LaunchReport, dpu_set: DpuSet, checkpoints: list
     ) -> None:
         self._report = report
         self._dpu_set = dpu_set
         self._checkpoints = checkpoints
+        self._completes = dpu_set.clock.after(report.seconds)
         self.done = False
         self.cancelled = False
 
@@ -528,7 +537,7 @@ class AsyncLaunch:
     def pending_seconds(self) -> float:
         """Simulated duration of the launch, observable before sync.
 
-        Deadline-aware hosts (the serving batcher) use this to decide
+        Deadline-aware hosts (the serving backends) use this to decide
         whether waiting is worth it or the launch should be cancelled;
         reading it does not synchronize the handle or advance the clock.
         """
@@ -539,8 +548,7 @@ class AsyncLaunch:
 
         Every DPU of the set is restored to the checkpoint taken at issue
         time (the rollback a tolerant fault policy uses for a failed
-        attempt),
-        ``last_result`` is cleared, and the simulated cursor is never
+        attempt), ``last_result`` is cleared, and the clock is never
         advanced — as far as simulated time is concerned, the launch
         never ran.  Cancelling twice is a no-op; cancelling after
         :meth:`wait` raises, because the results were already observed.
@@ -567,27 +575,24 @@ class AsyncLaunch:
             )
 
     def _collect(self) -> LaunchReport:
-        """Mark the handle synchronized without touching the sim clock."""
+        """Mark the handle synchronized and advance the clock to the
+        instant the launch completes."""
         if self.cancelled:
             raise LaunchError(
                 "wait on a cancelled launch; its results were discarded "
                 "and the DPUs rolled back to pre-launch state"
             )
         self.done = True
+        self._dpu_set.clock.advance_to(self._completes)
         return self._report
 
     def wait(self) -> LaunchReport:
         """``dpu_sync``: block until the launch completes.
 
-        The first wait advances the simulated cursor by the launch's
-        seconds; repeated waits return the same report without advancing
-        again.
+        Repeated waits return the same report; the clock is already past
+        the launch, so they cost nothing.
         """
-        first = not self.done
-        report = self._collect()
-        if first:
-            telemetry.advance_sim(report.seconds)
-        return report
+        return self._collect()
 
 
 def wait_all(handles: list[AsyncLaunch]) -> LaunchReport:
@@ -597,13 +602,17 @@ def wait_all(handles: list[AsyncLaunch]) -> LaunchReport:
     combined report cannot honestly carry a single tasklet count
     otherwise, so a mismatch raises instead of silently mislabeling.
 
-    The simulated cursor advances exactly once, by the slowest handle's
-    seconds: the sets overlapped, so the combined launch time is the max
-    over the handles, never their sum.
+    The clock advances to the latest instant any handle completes: the
+    sets overlapped, so the combined launch time is the max over the
+    handles, never their sum.
     """
     if not handles:
         raise LaunchError("wait_all on an empty handle list")
-    reports = [handle._collect() for handle in handles]
+    with telemetry.span(
+        "dpu.wait_all", n_handles=len(handles),
+        n_dpus=sum(len(h._dpu_set) for h in handles),
+    ):
+        reports = [handle._collect() for handle in handles]
     tasklet_counts = {r.n_tasklets for r in reports}
     if len(tasklet_counts) > 1:
         raise LaunchError(
@@ -621,17 +630,6 @@ def wait_all(handles: list[AsyncLaunch]) -> LaunchReport:
         fault_policy=slowest.fault_policy,
         outcomes=[o for r in reports for o in r.outcomes],
     )
-    tracer = telemetry.current_tracer()
-    if tracer is not None:
-        tracer.add_span(
-            "dpu.wait_all",
-            category="host",
-            sim_duration=combined.seconds,
-            n_handles=len(handles),
-            n_dpus=combined.n_dpus,
-            cycles=combined.cycles,
-        )
-        tracer.advance_sim(combined.seconds)
     return combined
 
 
@@ -639,11 +637,14 @@ class DpuSystem:
     """The whole PIM server: topology plus lazily instantiated DPUs.
 
     DPUs are created on first allocation so that experiments touching a
-    handful of DPUs do not pay for 2560 simulated devices.
+    handful of DPUs do not pay for 2560 simulated devices.  Every DPU
+    holds the system's :attr:`clock`, so any set built from them, and
+    every transfer through them, advances that one clock.
     """
 
     def __init__(self, attributes: UpmemAttributes = UPMEM_ATTRIBUTES) -> None:
         self.attributes = attributes
+        self.clock = SimClock()
         self.topology = SystemTopology(attributes)
         self._dpus: dict[int, Dpu] = {}
         self._allocated: set[int] = set()
@@ -659,7 +660,7 @@ class DpuSystem:
     def _dpu(self, dpu_id: int) -> Dpu:
         dpu = self._dpus.get(dpu_id)
         if dpu is None:
-            dpu = Dpu(dpu_id, self.attributes)
+            dpu = Dpu(dpu_id, self.attributes, self.clock)
             self._dpus[dpu_id] = dpu
         return dpu
 

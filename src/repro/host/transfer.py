@@ -12,8 +12,8 @@ orchestration on:
 All transfers enforce the 8-byte size/offset rule of
 :mod:`repro.host.alignment`; callers move unaligned payloads by padding
 them and shipping the actual size separately, exactly as the paper
-describes.  The module keeps byte counters so experiments can report
-host-link traffic.
+describes.  Every transfer counts its bytes in ``GLOBAL_METRICS`` and
+advances the DPUs' simulated clock by its time on the host link.
 """
 
 from __future__ import annotations
@@ -41,54 +41,11 @@ _M_PUSHES = telemetry.GLOBAL_METRICS.counter(
 )
 
 
-def _record_transfer(name: str, direction: str, total_bytes: int, n_dpus: int) -> None:
-    """Span + sim-clock advance for one serial host-link transfer.
-
-    Host transfers are serial on the link, so the simulated cursor moves
-    by the modeled transfer time (``repro.core.timing.transfer_seconds``,
-    imported lazily — ``repro.core`` imports this module at package init).
-    """
-    tracer = telemetry.current_tracer()
-    if tracer is None:
-        return
-    from repro.core.timing import transfer_seconds
-
-    seconds = transfer_seconds(total_bytes)
-    with tracer.span(
-        name,
-        category="transfer",
-        direction=direction,
-        bytes=total_bytes,
-        n_dpus=n_dpus,
-    ):
-        tracer.advance_sim(seconds)
-
-
 class XferDirection(enum.Enum):
     """Direction of a batched transfer (``dpu_xfer_t``)."""
 
     TO_DPU = "to_dpu"
     FROM_DPU = "from_dpu"
-
-
-@dataclass
-class TransferStats:
-    """Running totals of host-link traffic."""
-
-    bytes_to_dpus: int = 0
-    bytes_from_dpus: int = 0
-    broadcasts: int = 0
-    pushes: int = 0
-
-    def reset(self) -> None:
-        self.bytes_to_dpus = 0
-        self.bytes_from_dpus = 0
-        self.broadcasts = 0
-        self.pushes = 0
-
-
-#: Shared stats instance transfers account into by default.
-GLOBAL_TRANSFER_STATS = TransferStats()
 
 
 def copy_to(
@@ -97,7 +54,6 @@ def copy_to(
     data: bytes | np.ndarray,
     *,
     symbol_offset: int = 0,
-    stats: TransferStats | None = None,
 ) -> None:
     """``dpu_copy_to``: broadcast one buffer to a symbol on every DPU."""
     raw = _as_bytes(data)
@@ -107,13 +63,7 @@ def copy_to(
     for dpu, addr in zip(dpus, addrs):
         payload = raw if plan is None else plan.corrupt(raw, dpu_id=dpu.dpu_id)
         dpu.mram.write(addr, payload)
-    stats = stats or GLOBAL_TRANSFER_STATS
-    total = len(raw) * len(dpus)
-    stats.bytes_to_dpus += total
-    stats.broadcasts += 1
-    _M_BYTES_TO_DPU.inc(total)
-    _M_BROADCASTS.inc()
-    _record_transfer("transfer.broadcast", "to_dpu", total, len(dpus))
+    _account(dpus, "broadcast", XferDirection.TO_DPU, len(raw))
 
 
 def copy_from(
@@ -122,7 +72,6 @@ def copy_from(
     n_bytes: int,
     *,
     symbol_offset: int = 0,
-    stats: TransferStats | None = None,
 ) -> bytes:
     """``dpu_copy_from``: read a symbol from one DPU."""
     validate_transfer(n_bytes, symbol_offset)
@@ -130,10 +79,7 @@ def copy_from(
     plan = faults.current_plan()
     if plan is not None:
         raw = plan.corrupt(raw, dpu_id=dpu.dpu_id)
-    stats = stats or GLOBAL_TRANSFER_STATS
-    stats.bytes_from_dpus += n_bytes
-    _M_BYTES_FROM_DPU.inc(n_bytes)
-    _record_transfer("transfer.read", "from_dpu", n_bytes, 1)
+    _account([dpu], "read", XferDirection.FROM_DPU, n_bytes)
     return raw
 
 
@@ -170,7 +116,6 @@ class XferBatch:
         *,
         symbol_offset: int = 0,
         length: int | None = None,
-        stats: TransferStats | None = None,
     ) -> list[bytes] | None:
         """``dpu_push_xfer``: execute all prepared transfers.
 
@@ -201,7 +146,6 @@ class XferBatch:
             dpu.symbol(symbol_name).check_range(symbol_offset, length)
         plan = faults.current_plan()
         results: list[bytes] = []
-        n_dpus = len(self._prepared)
         for dpu, buffer in self._prepared:
             if direction is XferDirection.TO_DPU:
                 payload = bytes(buffer[:length])
@@ -215,7 +159,7 @@ class XferBatch:
                 if isinstance(buffer, bytearray):
                     buffer[:length] = data
                 results.append(data)
-        _account_push(direction, length * n_dpus, n_dpus, stats)
+        _account([dpu for dpu, _ in self._prepared], "push", direction, length)
         self._prepared.clear()
         return results if direction is XferDirection.FROM_DPU else None
 
@@ -224,8 +168,6 @@ def scatter_rows(
     dpus: list[Dpu],
     symbol_name: str,
     rows: list[np.ndarray] | list[bytes],
-    *,
-    stats: TransferStats | None = None,
 ) -> int:
     """Send a different (padded) row to each DPU; returns the pushed length.
 
@@ -249,7 +191,7 @@ def scatter_rows(
         if plan is not None:
             payload = plan.corrupt(payload, dpu_id=dpu.dpu_id)
         dpu.mram.write(addr, payload)
-    _account_push(XferDirection.TO_DPU, length * len(dpus), len(dpus), stats)
+    _account(dpus, "push", XferDirection.TO_DPU, length)
     return length
 
 
@@ -257,8 +199,6 @@ def gather_rows(
     dpus: list[Dpu],
     symbol_name: str,
     length: int,
-    *,
-    stats: TransferStats | None = None,
 ) -> list[bytes]:
     """Read the same symbol back from every DPU (one row each).
 
@@ -274,7 +214,7 @@ def gather_rows(
     for dpu, addr in zip(dpus, addrs):
         row = dpu.mram.read(addr, length)
         rows.append(row if plan is None else plan.corrupt(row, dpu_id=dpu.dpu_id))
-    _account_push(XferDirection.FROM_DPU, length * len(dpus), len(dpus), stats)
+    _account(dpus, "push", XferDirection.FROM_DPU, length)
     return rows
 
 
@@ -285,8 +225,8 @@ def account_rows(
     """The checks, bit-flip draws and accounting of pushing ``rows`` rows
     (default: one per DPU) over ``dpus`` as :meth:`DpuSet.charge` launches
     them, without moving bytes; returns each row's flip site (see
-    :func:`faults.flip_bit`).  The pushes are accounted at once, so a
-    traced caller passes at most ``len(dpus)`` rows."""
+    :func:`faults.flip_bit`).  The pushes are accounted at once, in one
+    span."""
     if not dpus:
         raise TransferError("push_xfer with no prepared transfers")
     validate_transfer(length)
@@ -299,7 +239,7 @@ def account_rows(
         sites = [
             plan.draw_flip(length, dpu_id=dpus[r % n].dpu_id) for r in range(rows)
         ]
-    _account_push(direction, length * rows, min(rows, n), None, -(-rows // n))
+    _account(dpus, "push", direction, length, rows)
     return sites
 
 
@@ -319,25 +259,37 @@ def _symbol_addrs(
     return [resolved[id(dpu.image)] for dpu in dpus]
 
 
-def _account_push(
-    direction: XferDirection,
-    total: int,
-    n_dpus: int,
-    stats: TransferStats | None,
-    pushes: int = 1,
+def _account(
+    dpus: list[Dpu], kind: str, direction: XferDirection, length: int,
+    rows: int | None = None,
 ) -> None:
-    """Account completed pushes, ``total`` bytes in all: stats and
-    metrics move together."""
-    stats = stats or GLOBAL_TRANSFER_STATS
-    if direction is XferDirection.TO_DPU:
-        stats.bytes_to_dpus += total
-        _M_BYTES_TO_DPU.inc(total)
-    else:
-        stats.bytes_from_dpus += total
-        _M_BYTES_FROM_DPU.inc(total)
-    stats.pushes += pushes
-    _M_PUSHES.inc(pushes)
-    _record_transfer("transfer.push", direction.value, total, n_dpus)
+    """Account a completed transfer of ``length`` bytes to or from each
+    of ``dpus``, or of ``rows`` rows dealt over them in pushes of one row
+    per DPU: the counters, the DPUs' clock and the span move together.
+
+    The host link is serial, so the clock advances by every push's
+    :func:`repro.core.timing.transfer_seconds` (imported lazily:
+    ``repro.core`` imports this module at package init).
+    """
+    from repro.core.timing import transfer_seconds
+
+    n = len(dpus)
+    rows = rows or n
+    full, part = divmod(rows, n)
+    total = length * rows
+    to_dpu = direction is XferDirection.TO_DPU
+    (_M_BYTES_TO_DPU if to_dpu else _M_BYTES_FROM_DPU).inc(total)
+    if kind == "push":
+        _M_PUSHES.inc(full + (part > 0))
+    elif kind == "broadcast":
+        _M_BROADCASTS.inc()
+    clock = dpus[0].clock
+    with telemetry.span(
+        f"transfer.{kind}", category="transfer", direction=direction.value,
+        bytes=total, n_dpus=min(rows, n),
+    ):
+        clock.advance(transfer_seconds(length * n), full)
+        clock.advance(transfer_seconds(length * part))
 
 
 def _as_bytes(data: bytes | bytearray | memoryview | np.ndarray) -> bytes:

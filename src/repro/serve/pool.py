@@ -76,7 +76,8 @@ class BatchExecution:
     because every member of their launch had already missed its deadline
     (the launch was cancelled and memory rolled back).  ``failed``
     requests lived on fault-isolated DPUs; ``failed_dpu_ids`` names those
-    DPUs so the pool can quarantine them.
+    DPUs so the pool can quarantine them.  ``seconds`` is how far the
+    batch advanced the DPUs' simulated clock.
     """
 
     outputs: dict[int, Any] = field(default_factory=dict)
@@ -153,8 +154,10 @@ class EbnnBackend(ModelBackend):
     ) -> BatchExecution:
         capacity = len(members) * self.layout.images_per_dpu
         execution = BatchExecution()
-        for start in range(0, len(requests), capacity):
-            wave = requests[start : start + capacity]
+        clock = members[0].clock
+        start = clock.now
+        for first in range(0, len(requests), capacity):
+            wave = requests[first : first + capacity]
             view, counts = stage_wave(
                 members, attributes, self.image, self.layout,
                 [np.asarray(r.payload) for r in wave],
@@ -176,10 +179,10 @@ class EbnnBackend(ModelBackend):
                 continue
             # Deadline shedding: when every request of the wave would
             # finish past its deadline, the work is worthless — abandon
-            # the launch and roll the DPUs back instead of charging
-            # simulated time.
+            # the launch and roll the DPUs back instead of charging its
+            # simulated time (its staging transfers stay charged).
             completion = (
-                now + execution.seconds + handle.pending_seconds
+                now + (clock.now - start) + handle.pending_seconds
                 + HOST_SECONDS_PER_IMAGE * len(wave)
             )
             if all(
@@ -190,16 +193,14 @@ class EbnnBackend(ModelBackend):
                 execution.shed.extend(wave)
                 continue
             report = handle.wait()
-            labels, host_seconds = read_wave(
-                view, counts, report, self.model, self.layout
-            )
+            labels, _ = read_wave(view, counts, report, self.model, self.layout)
             for request, label in zip(wave, labels):
                 if label < 0:  # its DPU failed
                     execution.failed.append(request)
                 else:
                     execution.outputs[request.request_id] = int(label)
             execution.failed_dpu_ids.update(o.dpu_id for o in report.failed)
-            execution.seconds += report.seconds + host_seconds
+        execution.seconds = clock.now - start
         return execution
 
 
@@ -263,22 +264,21 @@ class YoloBackend(ModelBackend):
         fault_policy: str | None,
     ) -> BatchExecution:
         execution = BatchExecution()
+        clock = members[0].clock
+        start = clock.now
         active = list(members)
         for request in requests:
             if not active:
                 execution.failed.append(request)
                 continue
-            # Every wave's report, completed or aborted.
-            reports: list = []
             try:
                 detections = self.model.forward(
                     np.asarray(request.payload, dtype=np.float32),
                     conv_fn=lambda plan, a, b: self._pim_gemm(
-                        plan, b, active, attributes, fault_policy, reports
+                        plan, b, active, attributes, fault_policy
                     ),
                 )
             except LayerFailedError as failure:
-                reports += failure.reports
                 execution.failed.append(request)
                 execution.failed_dpu_ids.update(failure.failed_dpu_ids)
                 active = [
@@ -287,22 +287,19 @@ class YoloBackend(ModelBackend):
                 ]
             else:
                 execution.outputs[request.request_id] = detections
-            execution.seconds += sum(report.seconds for report in reports)
+        execution.seconds = clock.now - start
         return execution
 
-    def _pim_gemm(
-        self, plan, b, active, attributes, fault_policy, reports
-    ) -> np.ndarray:
+    def _pim_gemm(self, plan, b, active, attributes, fault_policy) -> np.ndarray:
         a_q, a_params, a_bound = self._weights[plan.layer_index]
         b_params = QuantParams.from_tensor(b, bits=8)
         b_q = b_params.quantize(b).astype(np.int16)
         divisor = accumulator_divisor(a_q, b_q, self.alpha, a_bound=a_bound)
-        c_rows, layer_reports = run_gemm_layer(
+        c_rows, _ = run_gemm_layer(
             active, attributes, plan, a_q, b_q, divisor, self.alpha,
             n_tasklets=self.n_tasklets, opt_level=self.opt_level,
             fault_policy=fault_policy,
         )
-        reports += layer_reports
         scale = a_params.scale * b_params.scale * divisor / self.alpha
         return c_rows.astype(np.float32) * np.float32(scale)
 

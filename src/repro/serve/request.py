@@ -4,8 +4,8 @@ A request names the model class it wants (the backend key — ``"ebnn"``
 or ``"yolo"`` in the stock pool), carries its payload, and is stamped
 with a *simulated-time* arrival.  The serving layer runs entirely on the
 simulated clock, like every latency the repo reports: arrivals come from
-the seeded load generator, service times from DPU launch reports, and a
-request's latency is ``completed_s - arrival_s`` on that clock.
+the seeded load generator, service times from the DPU system's clock,
+and a request's latency is ``completed_s - arrival_s`` on that clock.
 
 Every submitted request ends in exactly one :class:`InferenceResponse`,
 either ``completed`` (with the model output) or ``rejected`` (with a

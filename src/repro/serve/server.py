@@ -2,11 +2,11 @@
 
 The server is single-threaded over *simulated* time, like everything else
 in the simulator: arrivals carry simulated timestamps (from the seeded
-load generator), service times come from DPU launch reports, and the
-event loop interleaves the two — so a served workload is a deterministic
-function of (requests, policies, pool), which is what makes the
-batched-vs-offline bit-identity and fixed-seed latency assertions of the
-test suite possible.
+load generator), service times come from the DPU system's simulated
+clock, and the event loop interleaves the two — so a served workload is
+a deterministic function of (requests, policies, pool), which is what
+makes the batched-vs-offline bit-identity and fixed-seed latency
+assertions of the test suite possible.
 
 Event loop semantics (:meth:`InferenceServer.run`):
 
@@ -17,8 +17,10 @@ Event loop semantics (:meth:`InferenceServer.run`):
    or the next arrival — whichever is earlier — advances the clock,
 3. a flush leases the pool's healthy DPUs, executes the batch through
    the model backend, and advances the clock by the batch's simulated
-   service time.  Arrivals during that window pile up behind the busy
-   server, which is exactly when a bounded queue overflows.
+   service time — how far the batch moved the system's
+   :class:`~repro.dpu.clock.SimClock`, the only source of service
+   time.  Arrivals during that window pile up behind the busy server,
+   which is exactly when a bounded queue overflows.
 
 Fault handling: a batch executed under ``fault_policy="isolate"`` can
 come back with some requests failed and the dead DPUs named; the server
@@ -352,8 +354,6 @@ class InferenceServer:
             batcher.note_service(execution.seconds)
         _M_BATCHES.labels(model=model).inc()
         _M_BATCH_SIZE.observe(len(batch))
-        if execution.failed_dpu_ids:
-            self.pool.quarantine(model, execution.failed_dpu_ids)
         for request in batch:
             if request.request_id in execution.outputs:
                 self._record(
@@ -368,6 +368,13 @@ class InferenceServer:
             self._record(
                 rejected(request, RejectReason.DEADLINE_EXCEEDED, self.now)
             )
+        if execution.failed_dpu_ids:
+            # Healing warms replacements on the system's clock; the
+            # server is busy until it is done.
+            clock = self.pool.system.clock
+            start = clock.now
+            self.pool.quarantine(model, execution.failed_dpu_ids)
+            self.now += clock.now - start
         for request in execution.failed:
             if request.attempts <= self.max_request_retries:
                 _M_RETRIES.inc()

@@ -43,7 +43,6 @@ from repro.telemetry.spans import (
     NOOP_SPAN,
     Span,
     Tracer,
-    advance_sim,
     current_tracer,
     install_tracer,
     span,
@@ -58,7 +57,6 @@ __all__ = [
     "NOOP_SPAN",
     "Span",
     "Tracer",
-    "advance_sim",
     "current_tracer",
     "install_tracer",
     "span",

@@ -13,16 +13,17 @@ Every span carries **two clocks**:
   at 350 MHz, host-link transfer time), the axis the paper's figures are
   drawn on.
 
-The tracer owns a single simulated-time cursor (:attr:`Tracer.sim_now`).
-Serial host work (transfers, host compute) *advances* the cursor; parallel
-DPU work is recorded with :meth:`Tracer.add_span` at the current cursor
-without advancing it, and the enclosing launch advances by the slowest
-member — exactly the SIMD-across-DIMMs timing model of Section 3.1.
+Spans are stamped on the tracer's simulated timeline
+(:attr:`Tracer.sim_now`), which only the systems' simulated clocks move
+(:class:`repro.dpu.clock.SimClock`): serial host work (transfers, host
+compute, a synchronous launch) advances it, while parallel DPU work is
+recorded with :meth:`Tracer.add_span` at the current instant without
+moving it — the SIMD-across-DIMMs timing model of Section 3.1.
 
 Tracing is off by default.  :func:`current_tracer` returns ``None`` when
-disabled, and the module-level :func:`span` / :func:`advance_sim` helpers
-degrade to a shared no-op object, so instrumented code pays one global
-read per call site when telemetry is off.
+disabled, and the module-level :func:`span` helper degrades to a shared
+no-op object, so instrumented code pays one global read per call site
+when telemetry is off.
 """
 
 from __future__ import annotations
@@ -122,11 +123,12 @@ NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Collects a forest of spans with a shared simulated-time cursor."""
+    """Collects a forest of spans on one simulated timeline."""
 
     def __init__(self) -> None:
         self.roots: list[Span] = []
         self._stack: list[Span] = []
+        #: The timeline's current instant; only SimClock advances move it.
         self.sim_now: float = 0.0
 
     # ------------------------------------------------------------------ #
@@ -154,12 +156,12 @@ class Tracer:
         parent: Span | None = None,
         **attributes,
     ) -> Span:
-        """Record an already-complete span at the current simulated cursor.
+        """Record an already-complete span at the current simulated instant.
 
         Used for work that ran *in parallel* on another track (a DPU, a
         tasklet): the span starts at ``sim_now`` and lasts
-        ``sim_duration`` simulated seconds, but the cursor does not move —
-        the caller advances it once by the slowest parallel member.
+        ``sim_duration`` simulated seconds, but the timeline does not
+        move — the system's clock advances once by the slowest member.
         """
         span = Span(self, name, category=category, track=track, **attributes)
         now = time.perf_counter()
@@ -168,15 +170,6 @@ class Tracer:
         span.sim_end = self.sim_now + sim_duration
         self._attach(span, parent)
         return span
-
-    # ------------------------------------------------------------------ #
-    # the simulated clock
-    # ------------------------------------------------------------------ #
-
-    def advance_sim(self, seconds: float) -> None:
-        """Move the simulated-time cursor forward by ``seconds``."""
-        if seconds > 0:
-            self.sim_now += seconds
 
     # ------------------------------------------------------------------ #
     # stack discipline
@@ -292,10 +285,3 @@ def span(name: str, **kwargs) -> Span | _NoopSpan:
     if tracer is None:
         return NOOP_SPAN
     return tracer.span(name, **kwargs)
-
-
-def advance_sim(seconds: float) -> None:
-    """Advance the active tracer's simulated clock (no-op when disabled)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.advance_sim(seconds)

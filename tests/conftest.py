@@ -7,6 +7,7 @@ every test file independently runnable.
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.mapping_ebnn import IMAGES_PER_DPU
 from repro.dpu.kernel import GLOBAL_KERNELS
 
@@ -41,3 +42,26 @@ def ebnn_reference():
         return labels
 
     return expected
+
+
+@pytest.fixture
+def transfers():
+    """What the host-link counters of ``GLOBAL_METRICS`` counted since
+    the test began: call it for bytes per direction, broadcasts and
+    pushes."""
+    before = telemetry.GLOBAL_METRICS.snapshot()
+
+    def counted() -> dict:
+        delta = telemetry.GLOBAL_METRICS.delta_since(before)
+        moved = {
+            dict(key)["direction"]: child["state"]
+            for key, child in delta["transfer.bytes"].get("children", {}).items()
+        }
+        return {
+            "to_dpu": moved.get("to_dpu", 0),
+            "from_dpu": moved.get("from_dpu", 0),
+            "broadcasts": delta["transfer.broadcasts"]["state"],
+            "pushes": delta["transfer.pushes"]["state"],
+        }
+
+    return counted

@@ -13,7 +13,8 @@ deadline-cancel path:
   :class:`LaunchReport` and the runner's :class:`SubroutineProfile`;
 * every DPU's MRAM ``images``, ``meta`` and ``results`` symbols;
 * every ``GLOBAL_METRICS`` delta except :data:`EXTRA_COUNTERS`, which
-  must differ by exactly what the new routine adds.
+  must differ by exactly what the new routine adds, as must the
+  execution's simulated seconds (the gathers' host-link time).
 
 One difference is by design: an image on a DPU that the runner's launch
 isolated gets label ``-1``, and host time is charged only for the images
@@ -28,6 +29,7 @@ import pytest
 
 from repro import faults, telemetry
 from repro.core.lut import create_lut
+from repro.core.timing import transfer_seconds
 from repro.core.mapping_ebnn import (
     HOST_SECONDS_PER_IMAGE,
     EbnnPimRunner,
@@ -141,7 +143,7 @@ class OldRunner(EbnnPimRunner):
                 features = bits.reshape(cfg.filters, cfg.pooled_out, cfg.pooled_out)
                 label, _ = self.model.classify_features(features)
                 predictions[d * per_dpu + i] = label
-        telemetry.advance_sim(host_seconds)
+        dpu_set.clock.advance(host_seconds)
         return EbnnRunResult(
             predictions=predictions,
             dpu_report=report,
@@ -154,18 +156,22 @@ class OldRunner(EbnnPimRunner):
 
 class OldBackend(EbnnBackend):
     """The backend as it was: the warm image hand-set on each wave's
-    set, and results read image by image."""
+    set, and results read image by image.  Its service time is the
+    clock's advance, as the new backend's is."""
 
     def run_batch(self, members, attributes, requests, now, fault_policy):
         per_dpu = self.layout.images_per_dpu
         capacity = len(members) * per_dpu
         execution = BatchExecution()
-        for start in range(0, len(requests), capacity):
-            wave = requests[start : start + capacity]
+        clock = members[0].clock
+        start = clock.now
+        for first in range(0, len(requests), capacity):
+            wave = requests[first : first + capacity]
             self._old_wave(
-                members, attributes, wave, now + execution.seconds,
+                members, attributes, wave, now + (clock.now - start),
                 fault_policy, execution,
             )
+        execution.seconds = clock.now - start
         return execution
 
     def _old_wave(self, members, attributes, wave, now, fault_policy, execution):
@@ -244,9 +250,7 @@ class OldBackend(EbnnBackend):
                 label, _ = self.model.classify_features(features)
                 execution.outputs[request.request_id] = int(label)
                 n_classified += 1
-        host_seconds = HOST_SECONDS_PER_IMAGE * n_classified
-        telemetry.advance_sim(host_seconds)
-        execution.seconds += report.seconds + host_seconds
+        view.clock.advance(HOST_SECONDS_PER_IMAGE * n_classified)
 
 
 def _plan(scenario):
@@ -444,7 +448,11 @@ def test_backend_matches_old_wave(scenario, deadline_s, monkeypatch):
         return
     _check_extras(got_metrics, want_metrics, gathers, 2)
     assert got.outputs == want.outputs
-    assert got.seconds == want.seconds
+    # The gathers are also the only simulated time the new routine adds.
+    assert got.seconds == pytest.approx(
+        want.seconds + sum(transfer_seconds(g) for g in gathers),
+        rel=0, abs=1e-15,
+    )
     for name in ("shed", "failed"):
         ids = [r.request_id for r in getattr(got, name)]
         assert ids == [r.request_id for r in getattr(want, name)], name

@@ -455,40 +455,32 @@ class TestPushPartialFailure:
         dpu_set.load(mix_image())
         return system, dpu_set
 
-    def test_short_buffer_touches_no_dpu(self):
+    def test_short_buffer_touches_no_dpu(self, transfers):
         system = DpuSystem(UPMEM_ATTRIBUTES.scaled(4))
         dpu_set = system.allocate(2)
         dpu_set.load(DpuImage.from_symbol_layout(
             "wide", program=assemble(MIX_SOURCE, name="wide"),
             layout=[("buf", 16)],
         ))
-        stats = xfer.TransferStats()
         batch = xfer.XferBatch()
         batch.prepare(dpu_set[0], bytes([0xAA] * 16))
         batch.prepare(dpu_set[1], bytes([0xBB] * 8))  # too short for 16
-        before = telemetry.GLOBAL_METRICS.snapshot()
         with pytest.raises(TransferError, match="shorter"):
-            batch.push(
-                xfer.XferDirection.TO_DPU, "buf", length=16, stats=stats
-            )
-        delta = telemetry.GLOBAL_METRICS.delta_since(before)
+            batch.push(xfer.XferDirection.TO_DPU, "buf", length=16)
         # DPU 0 was NOT written before the error surfaced...
         assert dpu_set[0].read_symbol("buf", 16) == bytes(16)
-        # ...and stats and metrics agree: nothing was accounted.
-        assert stats.bytes_to_dpus == 0 and stats.pushes == 0
-        to_dpu = delta["transfer.bytes"]["children"][(("direction", "to_dpu"),)]
-        assert to_dpu["state"] == 0
-        assert delta["transfer.pushes"]["state"] == 0
+        # ...and nothing was accounted.
+        counted = transfers()
+        assert counted["to_dpu"] == 0 and counted["pushes"] == 0
         # The batch is still intact: a corrected retry just works.
-        batch.push(
-            xfer.XferDirection.TO_DPU, "buf", length=8, stats=stats
-        )
+        batch.push(xfer.XferDirection.TO_DPU, "buf", length=8)
         assert dpu_set[0].read_symbol("buf", 8) == bytes([0xAA] * 8)
         assert dpu_set[1].read_symbol("buf", 8) == bytes([0xBB] * 8)
-        assert stats.bytes_to_dpus == 16 and stats.pushes == 1
+        counted = transfers()
+        assert counted["to_dpu"] == 16 and counted["pushes"] == 1
         system.free(dpu_set)
 
-    def test_missing_symbol_touches_no_dpu(self):
+    def test_missing_symbol_touches_no_dpu(self, transfers):
         system, dpu_set = self.make_pair()
         # DPU 1 carries an image without the 'seed' symbol.
         other = DpuImage.from_symbol_layout(
@@ -496,14 +488,14 @@ class TestPushPartialFailure:
             layout=[("blob", 16)],
         )
         dpu_set[1].load(other)
-        stats = xfer.TransferStats()
         batch = xfer.XferBatch()
         batch.prepare(dpu_set[0], bytes([0xCC] * 8))
         batch.prepare(dpu_set[1], bytes([0xDD] * 8))
         with pytest.raises(SymbolError, match="seed"):
-            batch.push(xfer.XferDirection.TO_DPU, "seed", stats=stats)
+            batch.push(xfer.XferDirection.TO_DPU, "seed")
         assert dpu_set[0].read_symbol("seed", 8) == bytes(8)
-        assert stats.bytes_to_dpus == 0 and stats.pushes == 0
+        counted = transfers()
+        assert counted["to_dpu"] == 0 and counted["pushes"] == 0
         system.free(dpu_set)
 
     def test_broadcast_missing_symbol_touches_no_dpu(self):
@@ -518,17 +510,15 @@ class TestPushPartialFailure:
         assert dpu_set[0].read_symbol("seed", 8) == bytes(8)
         system.free(dpu_set)
 
-    def test_gather_stats_all_or_nothing(self):
+    def test_gather_stats_all_or_nothing(self, transfers):
         system, dpu_set = self.make_pair()
-        stats = xfer.TransferStats()
         batch = xfer.XferBatch()
         batch.prepare(dpu_set[0], bytearray(8))
         batch.prepare(dpu_set[1], bytearray(4))  # short for a FROM_DPU pull
         with pytest.raises(TransferError, match="shorter"):
-            batch.push(
-                xfer.XferDirection.FROM_DPU, "seed", length=8, stats=stats
-            )
-        assert stats.bytes_from_dpus == 0 and stats.pushes == 0
+            batch.push(xfer.XferDirection.FROM_DPU, "seed", length=8)
+        counted = transfers()
+        assert counted["from_dpu"] == 0 and counted["pushes"] == 0
         system.free(dpu_set)
 
 

@@ -124,7 +124,7 @@ class TestWaitAllTaskletMismatch:
 
 
 class TestAsyncSimTime:
-    """Async launches advance the simulated cursor at wait time, once."""
+    """Waiting moves the clock to the launch's completion instant, once."""
 
     def setup_method(self):
         from repro import telemetry
@@ -179,6 +179,31 @@ class TestAsyncSimTime:
             for handle in handles:
                 handle.wait()  # already synchronized: must be a no-op
             assert tracer.sim_now == pytest.approx(combined.seconds)
+
+    def test_wait_then_wait_all_does_not_double_advance(self):
+        system = DpuSystem(SMALL)
+        dpu_set = system.allocate(2)
+        dpu_set.load(image(50))
+        with self.telemetry.tracing() as tracer:
+            handle = dpu_set.launch_async()
+            report = handle.wait()
+            wait_all([handle])  # already synchronized: must cost nothing
+            assert tracer.sim_now == pytest.approx(report.seconds)
+            assert system.clock.now == pytest.approx(report.seconds)
+
+    def test_overlapping_handles_waited_in_turn_cost_max(self):
+        system = DpuSystem(SMALL)
+        fast_set = system.allocate(2)
+        slow_set = system.allocate(2)
+        fast_set.load(image(5))
+        slow_set.load(image(500))
+        for order in ((0, 1), (1, 0)):
+            with self.telemetry.tracing() as tracer:
+                handles = [fast_set.launch_async(), slow_set.launch_async()]
+                reports = [handles[i].wait() for i in order]
+            assert tracer.sim_now == pytest.approx(
+                max(r.seconds for r in reports)
+            )
 
     def test_sync_launch_still_advances_at_issue(self):
         system = DpuSystem(SMALL)

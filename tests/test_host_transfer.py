@@ -7,7 +7,7 @@ from repro import faults, telemetry
 from repro.dpu.device import Dpu, DpuImage
 from repro.faults import FaultPlan
 from repro.host import transfer
-from repro.host.transfer import TransferStats, XferBatch, XferDirection
+from repro.host.transfer import XferBatch, XferDirection
 from repro.errors import SymbolError, TransferError
 
 
@@ -24,14 +24,14 @@ def make_dpus(n=3, symbol_size=64):
 
 
 class TestCopyTo:
-    def test_broadcast_reaches_all_dpus(self):
+    def test_broadcast_reaches_all_dpus(self, transfers):
         dpus = make_dpus()
-        stats = TransferStats()
-        transfer.copy_to(dpus, "data", b"ABCDEFGH", stats=stats)
+        transfer.copy_to(dpus, "data", b"ABCDEFGH")
         for dpu in dpus:
             assert dpu.read_symbol("data", 8) == b"ABCDEFGH"
-        assert stats.bytes_to_dpus == 24
-        assert stats.broadcasts == 1
+        counted = transfers()
+        assert counted["to_dpu"] == 24
+        assert counted["broadcasts"] == 1
 
     def test_numpy_payload(self):
         dpus = make_dpus(1)
@@ -52,12 +52,11 @@ class TestCopyTo:
 
 
 class TestCopyFrom:
-    def test_reads_back(self):
+    def test_reads_back(self, transfers):
         dpus = make_dpus(1)
         dpus[0].write_symbol("data", b"12345678")
-        stats = TransferStats()
-        assert transfer.copy_from(dpus[0], "data", 8, stats=stats) == b"12345678"
-        assert stats.bytes_from_dpus == 8
+        assert transfer.copy_from(dpus[0], "data", 8) == b"12345678"
+        assert transfers()["from_dpu"] == 8
 
     def test_unaligned_rejected(self):
         with pytest.raises(TransferError):
@@ -139,7 +138,6 @@ class TestRowHelpers:
         dpus[2].load(DpuImage.from_symbol_layout(
             "other", kernel_name="test_double", layout=[("blob", 64)]
         ))
-        totals = vars(transfer.GLOBAL_TRANSFER_STATS).copy()
         before = telemetry.GLOBAL_METRICS.snapshot()
         with pytest.raises(SymbolError, match="data"):
             transfer.scatter_rows(dpus, "data", [b"\xaa" * 8] * 3)
@@ -147,7 +145,6 @@ class TestRowHelpers:
         for dpu in dpus[:2]:
             assert dpu.read_symbol("data", 64) == bytes(64)
             assert dpu.mram._pages == {}
-        assert vars(transfer.GLOBAL_TRANSFER_STATS) == totals
         assert delta["transfer.pushes"]["state"] == 0
         children = delta["transfer.bytes"].get("children", {})
         assert all(child["state"] == 0 for child in children.values())
@@ -279,7 +276,6 @@ class TestMixedImageSets:
     def test_a_bad_symbol_touches_nothing(self, name, k, other_layout):
         dpus = _mixed_image_set(k, other_layout)
         plan = FaultPlan(seed=4, bitflip_rate=1.0)
-        totals = vars(transfer.GLOBAL_TRANSFER_STATS).copy()
         before = telemetry.GLOBAL_METRICS.snapshot()
         with faults.fault_injection(plan), pytest.raises(SymbolError):
             SET_TRANSFERS[name](dpus)
@@ -287,7 +283,6 @@ class TestMixedImageSets:
         for dpu in dpus:
             assert dpu.mram.read(0, 64) == bytes(64)
         assert plan._xfer_seq == {}
-        assert vars(transfer.GLOBAL_TRANSFER_STATS) == totals
         for counter in ("transfer.pushes", "transfer.broadcasts"):
             assert delta[counter]["state"] == 0
         children = delta["transfer.bytes"].get("children", {})

@@ -1,11 +1,15 @@
 """Tests for the online serving layer (repro.serve)."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from repro import faults
+from repro import faults, telemetry
+from repro.core.mapping_ebnn import HOST_SECONDS_PER_IMAGE, ebnn_dpu_cycles
+from repro.core.mapping_yolo import yolo_network_timing
+from repro.core.timing import transfer_seconds
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.errors import ServeError
 from repro.host.runtime import DpuSystem
@@ -208,7 +212,7 @@ class TestServerBasics:
         assert len(server.result().completed) == 5
 
     def test_deadline_shedding_cancels_the_launch(self):
-        """A hopeless batch is abandoned: memory rolled back, no sim time."""
+        """A hopeless batch is abandoned: memory rolled back, no launch time."""
         pool = ebnn_pool()
         server = InferenceServer(
             pool, policy=BatchPolicy(max_batch=8, max_delay_s=1e-3)
@@ -324,6 +328,103 @@ class TestFaultTolerance:
             assert outputs_equal(
                 response.output, clean_outputs[response.request_id]
             )
+
+
+class TestSimulatedClock:
+    """Served times come from the system's clock, which counts every
+    transfer, launch and host charge whether or not tracing is on."""
+
+    def test_traced_and_untraced_serve_alike(self):
+        """Under faults and retries, with YOLO layers charged wave by
+        wave when traced and at once when not."""
+        spec = LoadSpec(
+            rps=2000.0, duration_s=0.008, seed=3,
+            mix=(("ebnn", 3.0), ("yolo", 1.0)),
+        )
+
+        def serve(traced):
+            pool = mixed_pool()
+            server = InferenceServer(
+                pool, policy=BatchPolicy(max_batch=8, max_delay_s=1e-3),
+                fault_policy="retry",
+            )
+            # Rate faults the retry policy absorbs, and one eBNN DPU that
+            # fails every attempt: it is quarantined and healed (the
+            # replacement's LUT staging is charged), and its requests
+            # retried on the server.
+            dead = pool.lease("ebnn")[0][0].dpu_id
+            plan = faults.FaultPlan(
+                seed=5, fault_rate=0.2, default_policy="retry",
+                targets={dead: "fault"},
+                target_attempts=faults.DEFAULT_MAX_RETRIES + 1,
+            )
+            tracing = telemetry.tracing() if traced else nullcontext()
+            with faults.fault_injection(plan), tracing:
+                result = server.run(generate_load(spec, PAYLOADS))
+            return result, pool.system.clock.now
+
+        (untraced, clock), (traced, traced_clock) = serve(False), serve(True)
+        assert traced.finished_s == untraced.finished_s
+        assert traced_clock == clock
+        assert len(traced.responses) == len(untraced.responses)
+        assert any(r.attempts > 1 for r in untraced.completed)
+        assert {r.model for r in untraced.completed} == {"ebnn", "yolo"}
+        for got, want in zip(traced.responses, untraced.responses):
+            assert (got.request_id, got.status, got.reason) == (
+                want.request_id, want.status, want.reason
+            )
+            assert (got.completed_s, got.attempts) == (
+                want.completed_s, want.attempts
+            )
+            if want.ok:
+                assert outputs_equal(got.output, want.output)
+
+    def test_uncontended_yolo_matches_the_closed_form(self, transfers):
+        """One request alone on an N-DPU pool: the layers' closed-form
+        DPU time plus the host-link time of the bytes it moved."""
+        n_dpus = 8
+        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(n_dpus))
+        backend = YoloBackend()
+        pool = DpuPool(system, [backend], dpus_per_model=n_dpus)
+        server = InferenceServer(pool, policy=BatchPolicy(max_batch=1))
+        before = transfers()
+        request = InferenceRequest(
+            0, "yolo", PAYLOADS["yolo"](0), arrival_s=1e-3
+        )
+        (response,) = server.run([request]).responses
+        after = transfers()
+        moved = sum(
+            after[d] - before[d] for d in ("to_dpu", "from_dpu")
+        )
+        closed_form = yolo_network_timing(
+            backend.model, attributes=UPMEM_ATTRIBUTES.scaled(n_dpus)
+        ).total_seconds
+        assert response.ok and moved > 0
+        assert response.latency_s == pytest.approx(
+            closed_form + transfer_seconds(moved), rel=0, abs=1e-12
+        )
+
+    def test_single_ebnn_latency_adds_up(self, transfers):
+        """The batcher's delay, the launch, the transfers and one image's
+        host classify."""
+        pool = ebnn_pool()
+        policy = BatchPolicy(max_batch=8, max_delay_s=3e-3)
+        server = InferenceServer(pool, policy=policy)
+        before = transfers()
+        (response,) = server.run([ebnn_request(0, arrival_s=1e-3)]).responses
+        after = transfers()
+        moved = sum(
+            after[d] - before[d] for d in ("to_dpu", "from_dpu")
+        )
+        launch = pool.system.attributes.cycles_to_seconds(
+            ebnn_dpu_cycles(pool.backend("ebnn").model.config, n_images=1)
+        )
+        assert response.ok and moved > 0
+        assert response.latency_s == pytest.approx(
+            policy.max_delay_s + launch + transfer_seconds(moved)
+            + HOST_SECONDS_PER_IMAGE,
+            rel=0, abs=1e-12,
+        )
 
 
 class TestLoadgen:

@@ -10,6 +10,7 @@ from repro.telemetry import metrics as metrics_mod
 from repro.telemetry import spans as spans_mod
 from repro.dpu.assembler import assemble
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
+from repro.dpu.clock import SimClock
 from repro.dpu.device import DpuImage
 from repro.host.runtime import DpuSystem
 
@@ -44,20 +45,20 @@ class TestSpans:
         assert [c.name for c in outer.children] == ["inner", "sibling"]
 
     def test_dual_clocks(self):
-        tracer = telemetry.Tracer()
-        with tracer.span("work") as sp:
-            tracer.advance_sim(2e-3)
+        clock = SimClock()
+        with telemetry.tracing() as tracer, tracer.span("work") as sp:
+            clock.advance(2e-3)
         assert sp.sim_seconds == pytest.approx(2e-3)
         assert sp.wall_seconds >= 0.0
 
     def test_add_span_records_parallel_work_without_advancing(self):
-        tracer = telemetry.Tracer()
-        with tracer.span("launch"):
+        clock = SimClock()
+        with telemetry.tracing() as tracer, tracer.span("launch"):
             before = tracer.sim_now
             a = tracer.add_span("exec", track=("dpu", 0), sim_duration=5e-6)
             b = tracer.add_span("exec", track=("dpu", 1), sim_duration=7e-6)
-            assert tracer.sim_now == before  # cursor did not move
-            tracer.advance_sim(7e-6)        # caller advances by the slowest
+            assert tracer.sim_now == before  # the timeline did not move
+            clock.advance(7e-6)             # the clock moves by the slowest
         assert a.sim_start == b.sim_start == before
         assert b.sim_seconds == pytest.approx(7e-6)
         assert tracer.roots[0].sim_seconds == pytest.approx(7e-6)
@@ -73,8 +74,10 @@ class TestSpans:
         assert telemetry.current_tracer() is None
         sp = telemetry.span("anything", n=1)
         assert sp is telemetry.NOOP_SPAN
+        clock = SimClock()
         with sp:
-            telemetry.advance_sim(1.0)  # must not raise
+            clock.advance(1.0)  # must not raise
+        assert clock.now == 1.0
 
     def test_tracing_context_restores_previous(self):
         outer = telemetry.install_tracer(telemetry.Tracer())
@@ -90,6 +93,46 @@ class TestSpans:
             with telemetry.span("work"):
                 pass
         assert [s.name for s in tracer.find("work")] == ["work"]
+
+
+class TestSimClock:
+    def test_sum_does_not_depend_on_order_or_grouping(self):
+        # As floats, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ.
+        assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+        forward, backward, grouped = SimClock(), SimClock(), SimClock()
+        for seconds in (0.1, 0.2, 0.3):
+            forward.advance(seconds)
+        for seconds in (0.3, 0.2, 0.1):
+            backward.advance(seconds)
+        grouped.advance(0.2)
+        grouped.advance(0.1)
+        grouped.advance(0.3)
+        assert forward.now == backward.now == grouped.now
+        once, thrice = SimClock(), SimClock()
+        once.advance(1e-4 / 3, 3)
+        for _ in range(3):
+            thrice.advance(1e-4 / 3)
+        assert once.now == thrice.now
+
+    def test_advance_to_never_moves_back(self):
+        clock = SimClock()
+        instant = clock.after(2e-6)
+        clock.advance_to(instant)
+        clock.advance_to(instant)
+        assert clock.now == pytest.approx(2e-6)
+        clock.advance(1e-6)
+        clock.advance_to(instant)  # already passed
+        assert clock.now == pytest.approx(3e-6)
+
+    def test_moves_the_installed_tracer_by_each_delta(self):
+        clock = SimClock()
+        clock.advance(5.0)  # untraced: the clock moves alone
+        with telemetry.tracing() as tracer:
+            clock.advance(1e-3)
+            clock.advance_to(clock.after(2e-3))
+        clock.advance(1.0)
+        assert tracer.sim_now == pytest.approx(3e-3)
+        assert clock.now == pytest.approx(6.003)
 
 
 class TestMetrics:
@@ -365,7 +408,7 @@ class TestInstrumentedRun:
             system.free(dpu_set)
         assert len(calls) > 0  # sanity: the counter does fire when enabled
 
-    def test_transfer_spans_advance_sim_clock(self):
+    def test_transfer_spans_advance_the_clock(self):
         with telemetry.tracing() as tracer:
             system = DpuSystem(SMALL)
             dpu_set = system.allocate(2)
@@ -394,14 +437,14 @@ class TestInstrumentedRun:
 
 class TestExporters:
     def _sample_tracer(self):
-        tracer = telemetry.Tracer()
-        with tracer.span("run", n=1):
-            tracer.advance_sim(1e-6)
+        clock = SimClock()
+        with telemetry.tracing() as tracer, tracer.span("run", n=1):
+            clock.advance(1e-6)
             tracer.add_span("exec", track=("dpu", 3), sim_duration=2e-6)
             tracer.add_span(
                 "tasklet", track=("dpu", 3, 1), sim_duration=1e-6
             )
-            tracer.advance_sim(2e-6)
+            clock.advance(2e-6)
         return tracer
 
     def test_chrome_trace_is_valid_json_with_tracks(self, tmp_path):

@@ -10,13 +10,14 @@ fault plan and the retry, isolate and raise policies, with and without
 transfer bit flips, traced and untraced, and over waves that replay
 several fault events each:
 
-* C, or the raised error and its DPU ids, and every wave's report;
-* every ``GLOBAL_METRICS`` value and the transfer totals;
+* C and every wave's report, or the raised error and its DPU ids;
+* every ``GLOBAL_METRICS`` value (launches, transfers, faults, ...) and
+  the system's simulated clock;
 * the plan's per-DPU transfer sequence, so later flips draw alike;
 * every staged DPU's memory and ``last_result``, starting from stale
   contents an earlier layer could have left;
 * when traced, every span (name, category, track, attributes, simulated
-  start and end, nesting) and the simulated cursor.
+  start and end, nesting) and the tracer's timeline.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -44,7 +45,6 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.host.runtime import DpuSet, DpuSystem
-from repro.host.transfer import GLOBAL_TRANSFER_STATS
 from repro.nn.gemm import GemmShape
 
 #: (DPUs in the group, rows of A): every group but the single DPU ends
@@ -93,14 +93,10 @@ def _per_wave_layer(
                 layout=layout,
             )
         except LaunchError:
-            raise LayerFailedError(
-                {d.dpu_id for d in wave}, reports
-            ) from None
+            raise LayerFailedError({d.dpu_id for d in wave}) from None
         reports.append(report)
         if report.degraded:
-            raise LayerFailedError(
-                {o.dpu_id for o in report.failed}, reports
-            )
+            raise LayerFailedError({o.dpu_id for o in report.failed})
         raw = b"".join(wave.gather("c_row", layout.c_row_bytes))
         c = np.frombuffer(raw, np.int32).reshape(count, -1)
         c_rows[start:stop] = c[:, : shape.n]
@@ -162,7 +158,6 @@ def _observe(layer_fn, n_dpus, m, make_plan, *, traced, fault_policy, first_id):
         dpu.last_result = "stale"
     plan, a_q, b_q, divisor = _operands(m)
     fault_plan = make_plan(dpus)
-    transfers = vars(GLOBAL_TRANSFER_STATS).copy()
     tracing = telemetry.tracing() if traced else nullcontext()
     with _fresh_metrics() as registry, faults.fault_injection(fault_plan), \
             tracing as tracer:
@@ -177,7 +172,7 @@ def _observe(layer_fn, n_dpus, m, make_plan, *, traced, fault_policy, first_id):
         c_rows, reports = outcome
         result = ("ok", c_rows.dtype, c_rows.tobytes())
     else:
-        reports = getattr(outcome, "reports", [])
+        reports = []
         result = (
             type(outcome), str(outcome),
             getattr(outcome, "failed_dpu_ids", None),
@@ -186,10 +181,7 @@ def _observe(layer_fn, n_dpus, m, make_plan, *, traced, fault_policy, first_id):
         "result": result,
         "reports": [vars(r) for r in reports],
         "metrics": registry["metrics"],
-        "transfers": {
-            key: value - transfers[key]
-            for key, value in vars(GLOBAL_TRANSFER_STATS).items()
-        },
+        "clock": system.clock.now,
         "xfer_seq": dict(fault_plan._xfer_seq) if fault_plan else None,
         "memory": [dpu.mram.read(0, REGION) for dpu in dpus],
         "last_results": [dpu.last_result for dpu in dpus],
@@ -279,7 +271,12 @@ def test_replayed_multi_event_waves_match(policy, traced):
         assert retried == [2 + 2 + 3] * 4 + [2 + 1]
     else:
         assert got["result"][0] is LayerFailedError
-        assert got["result"][2] == {1, 2, 3, 4, 6} and retried == [0]
+        assert got["result"][2] == {1, 2, 3, 4, 6}
+        # The first wave ran degraded, and no DPU was retried.
+        metrics = got["metrics"]
+        assert metrics["dpu.launches"]["state"] == 1
+        assert metrics["launch.degraded"]["state"] == 1
+        assert metrics["launch.retries"]["state"] == 0
 
 
 def test_matrix_flips_every_transfer_kind():
@@ -360,7 +357,8 @@ def test_hung_dpu_matches_per_wave_layer(policy, traced):
 def test_all_failed_wave_matches_per_wave_layer():
     """A single-DPU group whose DPU always fails: no report, no launch."""
     got = _compare(1, 3, _matrix_plan("isolate", 0.05), fault_policy="isolate")
-    assert got["result"][0] is LayerFailedError and got["reports"] == []
+    assert got["result"][0] is LayerFailedError
+    assert got["metrics"]["dpu.launches"]["state"] == 0
 
 
 def test_env_style_rate_plan_matches_per_wave_layer():
