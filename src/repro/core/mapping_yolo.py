@@ -150,6 +150,7 @@ class YoloDpuLayout:
     def c_row_bytes(self) -> int:
         return align_up(4 * self.shape.n)
 
+    @functools.lru_cache(maxsize=1024)  # one image per layer, not per request
     def build_image(self, name: str = "yolo_gemm") -> DpuImage:
         return DpuImage.from_symbol_layout(
             name,
@@ -314,9 +315,9 @@ def run_gemm_layer(
     outcomes of its DPUs.  Each wave's transfers, launch report, faults
     and metrics are charged from that decision, all full waves in one
     step unless traced spans or bit-flip draws need them one by one (the
-    clock reads the same either way).  Then the rows that ran are
-    multiplied at once and each DPU's MRAM is left as its last wave
-    would leave it.
+    clock reads the same either way).  The transfers move no bytes: the
+    rows that ran are multiplied at once, and on every exit each DPU's
+    image is left as its last wave would leave it, with one MRAM write.
 
     Returns C as int32 rows and the report of every wave.  A wave that
     loses DPUs, degraded or with every DPU failed, raises
@@ -327,72 +328,94 @@ def run_gemm_layer(
     layout = YoloDpuLayout(shape)
     staged = DpuSet(list(dpus[: min(shape.m, len(dpus))]), attributes)
     staged.load(layout.build_image(f"yolo_layer_{plan.layer_index}"))
-    staged.broadcast("b", b_q.reshape(-1))
-    meta = [shape.m, shape.n, shape.k, alpha, divisor, 0]
-    staged.broadcast("meta", np.array(meta, dtype=np.int32))
     size = len(staged)
-    addr = {name: sym.mram_addr for name, sym in staged.image.symbols.items()}
-    # Each DPU's metadata and B, flipped bits included, read once;
-    # without bit flips every DPU holds the first one's bytes.
-    injected = faults.current_plan()
-    flips_on = injected is not None and injected.bitflip_rate > 0
-    keys = [
-        (dpu.mram.read(addr["meta"], 24),
-         dpu.mram.read(addr["b"], 2 * shape.k * shape.n))
-        for dpu in (staged if flips_on else staged[:1])
-    ] * (1 if flips_on else size)
-    shape_bytes = np.array([shape.n, shape.k], np.int32).tobytes()
-    decision = staged.decide(n_tasklets, opt_level, fault_policy)
-    ran = [o.index for o in decision.outcomes if o.ok]  # in the first wave
-    if any(keys[i][0][4:12] != shape_bytes for i in ran):
-        # A DPU whose metadata shape flipped runs in the first wave: run
-        # that wave as it is, and its kernel raises MappingError.
-        staged.scatter("a_row", list(a_q[:size]))
-        staged.launch(
-            n_tasklets=n_tasklets, opt_level=opt_level,
-            fault_policy=fault_policy, layout=layout,
-        )
-    # The scattered payloads, rows of A padded to the pushed length;
-    # the scatters' bit flips land here.
-    a_bytes = np.ascontiguousarray(a_q).view(np.uint8).reshape(shape.m, -1)
-    a_block = np.zeros((shape.m, align_up(a_bytes.shape[1])), np.uint8)
-    a_block[:, : a_bytes.shape[1]] = a_bytes
-    cost = _row_cost(
-        shape, n_tasklets, opt_level, AccumulatorPolicy.for_shape(shape)
+    # The image packs a_row | b | c_row | meta from address 0.
+    at = {name: sym.mram_addr for name, sym in staged.image.symbols.items()}
+    b = np.ascontiguousarray(b_q).tobytes()
+    meta = np.int32([shape.m, shape.n, shape.k, alpha, divisor, 0]).tobytes()
+    b_end, c_end = at["b"] + len(b), at["c_row"] + 4 * shape.n
+    end = at["meta"] + 24
+    bs, ms = (
+        account_rows(staged.dpus, name, len(raw), XferDirection.TO_DPU,
+                     kind="broadcast")
+        for name, raw in (("b", b), ("meta", meta))
     )
-    # The first wave is the whole staged set, so a DPU the decision
-    # fails ends the layer there; otherwise every wave runs whole.
-    whole = len(ran) == size
-    ran = range(shape.m) if whole else ran  # row r ran on DPU r % size
-    rows = shape.m if whole else size
-    if flips_on or telemetry.current_tracer() is not None:
-        waves = [min(size, rows - start) for start in range(0, rows, size)]
-    else:
-        waves = [rows]  # charged at once
+    # Each DPU's metadata and B as its broadcasts delivered them.
+    keys = [(meta, b)] * size
+    flipped = [i for i in range(size) if bs[i] or ms[i]]
+    for i in flipped:
+        keys[i] = faults.flipped(meta, ms[i]), faults.flipped(b, bs[i])
+    shape_bytes = np.int32([shape.n, shape.k]).tobytes()
+    ran: list[int] | range = []  # DPUs of the first wave, then rows
     flips: list[tuple[int, tuple[int, int]]] = []  # C readbacks' (row, site)
     reports: list[LaunchReport] = []
     scattered: int | None = None  # first row of the last scattered wave
 
     def settle() -> np.ndarray:
-        """C of the rows that ran; each DPU's MRAM as its last wave left it."""
+        """C of the rows that ran; each DPU's image as its last wave
+        left it, written at once."""
         c = np.zeros((len(ran), shape.n), np.int32)
-        if scattered is None:
-            return c
-        a_rows = a_block if len(ran) == shape.m else a_block[ran]
-        row_keys = [keys[row % size] for row in ran]
-        for members, group_c in _gemm_row_groups(
-            shape, row_keys, a_rows[:, : 2 * shape.k].view(np.int16)
-        ):
-            c[members] = group_c
-        for i, dpu in enumerate(staged):
-            row = scattered + i if scattered + i < shape.m else scattered + i - size
-            dpu.mram.write(addr["a_row"], memoryview(a_block[row]))
-        for i, j in {row % size: j for j, row in enumerate(ran)}.items():
-            staged[i].mram.write(addr["c_row"], memoryview(c[j]))
+        every = scattered is not None and len(ran) == shape.m  # all rows ran
+        if every and c_end == at["meta"]:
+            image = np.empty((size, end), np.uint8)
+        else:  # bytes that no transfer or row reaches keep their contents
+            image = np.stack([
+                np.frombuffer(dpu.mram.read(0, end), np.uint8) for dpu in staged
+            ])
+        image[:, at["b"] : b_end] = np.frombuffer(b, np.uint8)
+        image[:, at["meta"] :] = np.frombuffer(meta, np.uint8)
+        for i in flipped:
+            image[i, at["b"] : b_end] = np.frombuffer(keys[i][1], np.uint8)
+            image[i, at["meta"] :] = np.frombuffer(keys[i][0], np.uint8)
+        if scattered is not None:
+            a_rows = a_block if every else a_block[ran]
+            row_keys = [keys[row % size] for row in ran]
+            for members, group_c in _gemm_row_groups(
+                shape, row_keys, a_rows[:, : 2 * shape.k].view(np.int16)
+            ):
+                c[members] = group_c
+            last = np.arange(scattered, scattered + size)  # each DPU's row
+            last[last >= shape.m] -= size
+            image[:, : at["b"]] = a_block[last]
+            # DPU i's C row is row last[i], or after a lost first wave,
+            # DPU ran[j]'s is row j.
+            to, of = (slice(None), last) if every else (ran, slice(None))
+            image[to, at["c_row"] : c_end] = c.view(np.uint8)[of]
+        for dpu, row in zip(staged, image):
+            dpu.mram.write(0, memoryview(row))
         return c
 
     start = 0
     try:
+        decision = staged.decide(n_tasklets, opt_level, fault_policy)
+        ran = [o.index for o in decision.outcomes if o.ok]  # in the first wave
+        if any(keys[i][0][4:12] != shape_bytes for i in flipped if i in ran):
+            # A DPU whose metadata shape flipped runs in the first wave:
+            # run that wave as it is, and its kernel raises MappingError.
+            settle()
+            staged.scatter("a_row", list(a_q[:size]))
+            staged.launch(
+                n_tasklets=n_tasklets, opt_level=opt_level,
+                fault_policy=fault_policy, layout=layout,
+            )
+        # The scattered payloads, rows of A padded to the pushed length;
+        # the scatters' bit flips land here.
+        a_bytes = np.ascontiguousarray(a_q).view(np.uint8).reshape(shape.m, -1)
+        a_block = np.zeros((shape.m, align_up(a_bytes.shape[1])), np.uint8)
+        a_block[:, : a_bytes.shape[1]] = a_bytes
+        cost = _row_cost(
+            shape, n_tasklets, opt_level, AccumulatorPolicy.for_shape(shape)
+        )
+        # The first wave is the whole staged set, so a DPU the decision
+        # fails ends the layer there; otherwise every wave runs whole.
+        whole = len(ran) == size
+        ran = range(shape.m) if whole else ran  # row r ran on DPU r % size
+        rows = shape.m if whole else size
+        flips_on = getattr(faults.current_plan(), "bitflip_rate", 0) > 0
+        if flips_on or telemetry.current_tracer() is not None:
+            waves = [min(size, rows - start) for start in range(0, rows, size)]
+        else:
+            waves = [rows]  # charged at once
         for wave_rows in waves:
             sites = account_rows(
                 staged.dpus, "a_row", a_block.shape[1], XferDirection.TO_DPU,

@@ -40,9 +40,10 @@ Bit flips are drawn per transfer, in each DPU's transfer order, so they
 depend on how many transfers a mapping makes.  The YOLO layer routine
 sends B and the metadata once per layer, not once per wave: a flipped
 B persists across the layer's waves, as it would on hardware.  Its A
-rows go out and C rows come back once per wave, each drawn like a row
-push (:meth:`FaultPlan.draw_flip`) and XORed (:func:`flip_bit`) into
-the host's copy of the rows.
+rows go out and C rows come back once per wave.  Each of these
+transfers is drawn as its push or broadcast would draw it
+(:meth:`FaultPlan.draw_flip`) and XORed (:func:`flip_bit`) into the
+host's copy of the payload, which reaches MRAM in the layer's one write.
 """
 
 from __future__ import annotations
@@ -223,12 +224,7 @@ class FaultPlan:
 
     def corrupt(self, data: bytes, *, dpu_id: int) -> bytes:
         """Maybe flip one bit of a transfer payload for ``dpu_id``."""
-        site = self.draw_flip(len(data), dpu_id=dpu_id)
-        if site is None:
-            return data
-        corrupted = bytearray(data)
-        flip_bit(corrupted, site)
-        return bytes(corrupted)
+        return flipped(data, self.draw_flip(len(data), dpu_id=dpu_id))
 
     def draw_flip(self, n_bytes: int, *, dpu_id: int) -> tuple[int, int] | None:
         """Draw one ``n_bytes`` transfer's flip for ``dpu_id``: advance its
@@ -259,6 +255,15 @@ def flip_bit(buffer, site: tuple[int, int]) -> None:
     """XOR the ``(byte, bit)`` site of a drawn flip into a writable buffer."""
     byte_index, bit_index = site
     buffer[byte_index] ^= 1 << bit_index
+
+
+def flipped(data: bytes, site: tuple[int, int] | None) -> bytes:
+    """``data`` as a transfer with the drawn flip ``site`` delivers it."""
+    if site is None:
+        return data
+    corrupted = bytearray(data)
+    flip_bit(corrupted, site)
+    return bytes(corrupted)
 
 
 # ---------------------------------------------------------------------- #

@@ -165,8 +165,9 @@ class DpuSet:
         """``dpu_load``: load the image onto every DPU of the set."""
         self._require_live("load")
         with telemetry.span("host.load", n_dpus=len(self.dpus), image=image.name):
+            self.dpus[0].load(image)  # validates it for every DPU
             for dpu in self.dpus:
-                dpu.load(image)
+                dpu.image = image
         self.image = image
         _M_LOADS.inc()
 
@@ -261,18 +262,22 @@ class DpuSet:
         decide its attempts.  A kernel fault fires before the kernel
         touches any state, so retrying is moving on to the next attempt.
         Decisions depend only on (DPU, attempt): one serves every launch
-        of the same DPUs."""
+        of the same DPUs.  The set was loaded as a whole, so one DPU's
+        launch check is every DPU's."""
         self._require_live("launch")
         policy, max_retries = _resolve_policy(fault_policy, max_retries)
-        for dpu in self.dpus:
-            dpu.check_launch(n_tasklets)
+        self.dpus[0].check_launch(n_tasklets)
         plan = faults.current_plan()
         decision = LaunchDecision(n_tasklets, opt_level, policy)
+        if plan is None:  # every DPU runs on its first attempt
+            decision.outcomes = [
+                DpuOutcome(i, dpu.dpu_id) for i, dpu in enumerate(self.dpus)
+            ]
+            return decision
         attempts = range(max_retries + 1 if policy == "retry" else 1)
-        decide = plan.exec_fault if plan is not None else lambda *ids: None
         for index, dpu in enumerate(self.dpus):
             for attempt in attempts:
-                event = decide(dpu.dpu_id, attempt)
+                event = plan.exec_fault(dpu.dpu_id, attempt)
                 if event is None:
                     decision.outcomes.append(
                         DpuOutcome(index, dpu.dpu_id, "ok", attempt + 1)

@@ -19,6 +19,7 @@ advances the DPUs' simulated clock by its time on the host link.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ _M_BROADCASTS = telemetry.GLOBAL_METRICS.counter(
 _M_PUSHES = telemetry.GLOBAL_METRICS.counter(
     "transfer.pushes", "dpu_push_xfer batch executions"
 )
+_IMAGE = operator.attrgetter("image")
 
 
 class XferDirection(enum.Enum):
@@ -220,18 +222,18 @@ def gather_rows(
 
 def account_rows(
     dpus: list[Dpu], symbol_name: str, length: int, direction: XferDirection,
-    rows: int | None = None,
+    rows: int | None = None, *, kind: str = "push",
 ) -> list[tuple[int, int] | None]:
     """The checks, bit-flip draws and accounting of pushing ``rows`` rows
     (default: one per DPU) over ``dpus`` as :meth:`DpuSet.charge` launches
-    them, without moving bytes; returns each row's flip site (see
-    :func:`faults.flip_bit`).  The pushes are accounted at once, in one
-    span."""
+    them, or with ``kind="broadcast"`` of :func:`copy_to`, without moving
+    bytes; returns each row's flip site (see :func:`faults.flip_bit`).
+    The pushes are accounted at once, in one span."""
     if not dpus:
         raise TransferError("push_xfer with no prepared transfers")
     validate_transfer(length)
     _symbol_addrs(dpus, symbol_name, 0, length)
-    rows, n = rows or len(dpus), len(dpus)
+    rows, n = len(dpus) if rows is None else rows, len(dpus)
     plan = faults.current_plan()
     if plan is None or plan.bitflip_rate <= 0:  # draw_flip would draw nothing
         sites = [None] * rows
@@ -239,7 +241,7 @@ def account_rows(
         sites = [
             plan.draw_flip(length, dpu_id=dpus[r % n].dpu_id) for r in range(rows)
         ]
-    _account(dpus, "push", direction, length, rows)
+    _account(dpus, kind, direction, length, rows)
     return sites
 
 
@@ -249,14 +251,17 @@ def _symbol_addrs(
     """Each DPU's MRAM address of ``symbol_name`` at ``offset``, checked
     once per distinct image before any DPU is touched, so a missing
     symbol cannot leave the set partially written."""
+    images = list(map(_IMAGE, dpus))
+    if images.count(images[0]) == len(images):  # one image, checked once
+        dpus = dpus[:1]
     resolved = {}
     for key, dpu in {id(dpu.image): dpu for dpu in dpus}.items():
         symbol = dpu.symbol(symbol_name)
         symbol.check_range(offset, n_bytes)
         resolved[key] = symbol.mram_addr + offset
     if len(resolved) == 1:
-        return [*resolved.values()] * len(dpus)
-    return [resolved[id(dpu.image)] for dpu in dpus]
+        return [*resolved.values()] * len(images)
+    return [resolved[id(image)] for image in images]
 
 
 def _account(
@@ -274,7 +279,9 @@ def _account(
     from repro.core.timing import transfer_seconds
 
     n = len(dpus)
-    rows = rows or n
+    rows = n if rows is None else rows
+    if rows <= 0:
+        raise TransferError(f"transfer of {rows} rows; push at least one")
     full, part = divmod(rows, n)
     total = length * rows
     to_dpu = direction is XferDirection.TO_DPU

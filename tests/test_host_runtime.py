@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import faults, telemetry
 from repro.dpu.assembler import assemble
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
-from repro.dpu.device import DpuImage
+from repro.dpu.costs import OptLevel
+from repro.dpu.device import Dpu, DpuImage
+from repro.dpu.kernel import GLOBAL_KERNELS
 from repro.host.runtime import DpuSystem
-from repro.errors import AllocationError, LaunchError
+from repro.errors import AllocationError, DpuError, LaunchError
 
 SMALL = UPMEM_ATTRIBUTES.scaled(16)
 
@@ -132,6 +135,71 @@ class TestSetOperations:
         )
         rows = dpu_set.gather("data", 8)
         assert rows[0] != rows[1]
+
+
+def kernel_image(name="sym", kernel_name="test_double"):
+    return DpuImage.from_symbol_layout(
+        name, kernel_name=kernel_name, layout=[("data", 32)]
+    )
+
+
+class TestSetLevelChecks:
+    """A set loaded as a whole is validated and launch-checked once."""
+
+    def test_load_validates_the_image_once(self, monkeypatch):
+        dpu_set = DpuSystem(SMALL).allocate(8)
+        looked_up = []
+        get = GLOBAL_KERNELS.get
+        monkeypatch.setattr(
+            GLOBAL_KERNELS, "get", lambda name: looked_up.append(name) or get(name)
+        )
+        image = kernel_image()
+        dpu_set.load(image)
+        assert looked_up == ["test_double"]
+        assert all(dpu.image is image for dpu in dpu_set)
+
+    def test_unregistered_kernel_leaves_every_image(self):
+        dpu_set = DpuSystem(SMALL).allocate(4)
+        first = kernel_image()
+        dpu_set.load(first)
+        before = telemetry.GLOBAL_METRICS.snapshot()
+        with pytest.raises(DpuError, match="no kernel registered"):
+            dpu_set.load(kernel_image("bad", kernel_name="no_such_kernel"))
+        delta = telemetry.GLOBAL_METRICS.delta_since(before)
+        assert dpu_set.image is first
+        assert all(dpu.image is first for dpu in dpu_set)
+        assert delta["dpu.loads"]["state"] == 0
+
+    @pytest.mark.parametrize("n_tasklets", [0, 25])
+    def test_bad_tasklet_count_is_rejected_once(self, n_tasklets, monkeypatch):
+        dpu_set = DpuSystem(SMALL).allocate(8)
+        dpu_set.load(kernel_image())
+        checked = []
+        check = Dpu.check_launch
+        monkeypatch.setattr(
+            Dpu, "check_launch",
+            lambda dpu, n: checked.append(dpu.dpu_id) or check(dpu, n),
+        )
+        message = rf"^tasklet count {n_tasklets} outside \[1, 24\]$"
+        with pytest.raises(LaunchError, match=message):
+            dpu_set.decide(n_tasklets, OptLevel.O3)
+        assert checked == [0]
+        with pytest.raises(LaunchError, match=message):
+            dpu_set.launch(n_tasklets=n_tasklets)
+
+    @pytest.mark.parametrize("policy", faults.POLICIES)
+    def test_decide_without_a_plan_runs_every_dpu_once(self, policy):
+        """The outcomes an installed plan that injects nothing decides."""
+        dpu_set = DpuSystem(SMALL).allocate(8)
+        dpu_set.load(kernel_image())
+        decisions = []
+        for plan in (None, faults.FaultPlan(seed=3)):
+            with faults.fault_injection(plan):
+                decisions.append(dpu_set.decide(11, OptLevel.O3, policy))
+        bare, planned = decisions
+        assert bare.outcomes == planned.outcomes and bare.events == []
+        assert [o.dpu_id for o in bare.outcomes] == [d.dpu_id for d in dpu_set]
+        assert all(o.ok and o.attempts == 1 for o in bare.outcomes)
 
 
 class TestFreedSet:

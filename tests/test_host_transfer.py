@@ -287,3 +287,96 @@ class TestMixedImageSets:
             assert delta[counter]["state"] == 0
         children = delta["transfer.bytes"].get("children", {})
         assert all(child["state"] == 0 for child in children.values())
+
+
+class TestAccountRows:
+    """The accounting of a transfer that moves no bytes."""
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_no_rows_is_an_empty_push(self, rows, transfers):
+        dpus = make_dpus(4)
+        plan = FaultPlan(seed=4, bitflip_rate=1.0)
+        with faults.fault_injection(plan), pytest.raises(TransferError):
+            transfer.account_rows(dpus, "data", 8, XferDirection.TO_DPU, rows)
+        with pytest.raises(TransferError):
+            transfer._account(dpus, "push", XferDirection.TO_DPU, 8, rows)
+        assert plan._xfer_seq == {}
+        assert dpus[0].clock.now == 0.0
+        assert transfers() == {
+            "to_dpu": 0, "from_dpu": 0, "broadcasts": 0, "pushes": 0,
+        }
+
+    def test_broadcast_accounts_and_draws_as_copy_to(self, transfers):
+        """Same flip sites, clock and counters as ``copy_to``, and the
+        DPUs' memory untouched."""
+
+        def broadcast(send):
+            dpus = make_dpus(3)
+            plan = FaultPlan(seed=4, bitflip_rate=0.5)
+            with faults.fault_injection(plan):
+                sites = send(dpus)
+            return sites, dict(plan._xfer_seq), dpus[0].clock.now, dpus
+
+        payload = b"\x5a" * 16
+        sites, seq, now, dpus = broadcast(lambda dpus: transfer.account_rows(
+            dpus, "data", 16, XferDirection.TO_DPU, kind="broadcast"
+        ))
+        accounted = transfers()
+        assert all(dpu.mram._pages == {} for dpu in dpus)
+        _, want_seq, want_now, copied = broadcast(
+            lambda dpus: transfer.copy_to(dpus, "data", payload)
+        )
+        assert (seq, now) == (want_seq, want_now)
+        assert [faults.flipped(payload, site) for site in sites] == [
+            dpu.read_symbol("data", 16) for dpu in copied
+        ]
+        assert any(sites) and not all(sites)
+        both = transfers()
+        assert both == {key: 2 * value for key, value in accounted.items()}
+        assert accounted["broadcasts"] == 1 and accounted["to_dpu"] == 48
+
+
+class TestSymbolResolution:
+    """``_symbol_addrs`` looks a symbol up once per distinct image."""
+
+    @pytest.fixture
+    def looked_up(self, monkeypatch):
+        """The ids of the DPUs whose symbols are looked up, in order."""
+        ids = []
+        symbol = Dpu.symbol
+        monkeypatch.setattr(
+            Dpu, "symbol", lambda dpu, name: ids.append(dpu.dpu_id) or symbol(dpu, name)
+        )
+        return ids
+
+    def test_one_image_is_checked_once(self, looked_up):
+        dpus = make_dpus(64)
+        assert transfer._symbol_addrs(dpus, "data", 8, 16) == [8] * 64
+        assert looked_up == [0]
+
+    def test_two_images_are_both_checked_before_any_write(self, looked_up):
+        dpus = _mixed_image_set(2, [("pad", 32), ("data", 16)])
+        dpus[3].load(dpus[2].image)
+        assert transfer._symbol_addrs(dpus, "data", 0, 16) == [0, 0, 32, 32]
+        checked = [dpus[i].image for i in looked_up]
+        assert checked == [dpus[0].image, dpus[2].image]
+
+    def test_a_symbol_missing_from_the_second_image_draws_nothing(self):
+        """``TestMixedImageSets`` covers the transfers that move bytes."""
+        dpus = _mixed_image_set(3, [("blob", 16)])
+        plan = FaultPlan(seed=4, bitflip_rate=1.0)
+        with faults.fault_injection(plan), pytest.raises(SymbolError, match="data"):
+            transfer.account_rows(dpus, "data", 16, XferDirection.TO_DPU)
+        assert plan._xfer_seq == {}
+        assert dpus[0].clock.now == 0.0
+        assert all(dpu.mram._pages == {} for dpu in dpus)
+
+    def test_equal_images_resolve_alike(self):
+        """Two builds of one layout are distinct objects with one layout."""
+        dpus = make_dpus(4)
+        twin = DpuImage.from_symbol_layout(
+            "xfer_test", kernel_name="test_double", layout=[("data", 64)]
+        )
+        assert twin is not dpus[0].image and twin == dpus[0].image
+        dpus[2].load(twin)
+        assert transfer._symbol_addrs(dpus, "data", 16, 8) == [16] * 4

@@ -2,13 +2,15 @@
 
 :func:`repro.core.mapping_yolo.run_gemm_layer` decides a layer's launch
 once, charges every wave from that decision and executes the layer once:
-one GEMM per B/metadata group and one MRAM write per DPU for ``a_row``
-and ``c_row``.  These tests keep the per-wave loop it replaced (stage
-once, then scatter, launch and gather on every wave) as the oracle and
-hold the walk to it bit for bit, over group sizes 1, 3, 8 and 64, no
-fault plan and the retry, isolate and raise policies, with and without
-transfer bit flips, traced and untraced, and over waves that replay
-several fault events each:
+its transfers are accounted without moving bytes, one GEMM runs per
+B/metadata group, and each DPU's layer image (``a_row | b | c_row |
+meta``) is written with one MRAM write.  These tests keep the per-wave
+loop it replaced (stage once, then scatter, launch and gather on every
+wave) as the oracle and hold the walk to it bit for bit, over group
+sizes 1, 3, 8 and 64, no fault plan and the retry, isolate and raise
+policies, with and without transfer bit flips, traced and untraced,
+over waves that replay several fault events each, and over an image
+that spans four MRAM pages:
 
 * C and every wave's report, or the raised error and its DPU ids;
 * every ``GLOBAL_METRICS`` value (launches, transfers, faults, ...) and
@@ -20,6 +22,7 @@ several fault events each:
   start and end, nesting) and the tracer's timeline.
 """
 
+import functools
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 
@@ -144,9 +147,12 @@ def _operands(m, *, n=24, k=40, seed=5, alpha=1):
     return plan, a_q, b_q, accumulator_divisor(a_q, b_q, alpha)
 
 
-def _observe(layer_fn, n_dpus, m, make_plan, *, traced, fault_policy, first_id):
+def _observe(
+    layer_fn, n_dpus, m, make_plan, *, traced, fault_policy, first_id,
+    n=24, k=40, region=REGION,
+):
     """Run one layer on a fresh group of DPUs ``first_id`` onwards;
-    returns everything to compare."""
+    returns everything to compare, memory up to byte ``region``."""
     system = DpuSystem(UPMEM_ATTRIBUTES.scaled(max(first_id + n_dpus, 8)))
     if first_id:
         system.allocate(first_id)
@@ -154,9 +160,9 @@ def _observe(layer_fn, n_dpus, m, make_plan, *, traced, fault_policy, first_id):
     rng = np.random.default_rng(11)
     for dpu in dpus:
         # What an earlier layer could have left behind.
-        dpu.mram.write(0, rng.integers(0, 256, REGION, np.uint8).tobytes())
+        dpu.mram.write(0, rng.integers(0, 256, region, np.uint8).tobytes())
         dpu.last_result = "stale"
-    plan, a_q, b_q, divisor = _operands(m)
+    plan, a_q, b_q, divisor = _operands(m, n=n, k=k)
     fault_plan = make_plan(dpus)
     tracing = telemetry.tracing() if traced else nullcontext()
     with _fresh_metrics() as registry, faults.fault_injection(fault_plan), \
@@ -183,7 +189,7 @@ def _observe(layer_fn, n_dpus, m, make_plan, *, traced, fault_policy, first_id):
         "metrics": registry["metrics"],
         "clock": system.clock.now,
         "xfer_seq": dict(fault_plan._xfer_seq) if fault_plan else None,
-        "memory": [dpu.mram.read(0, REGION) for dpu in dpus],
+        "memory": [dpu.mram.read(0, region) for dpu in dpus],
         "last_results": [dpu.last_result for dpu in dpus],
         "spans": _spans(tracer) if traced else None,
         "sim_now": tracer.sim_now if traced else None,
@@ -191,15 +197,18 @@ def _observe(layer_fn, n_dpus, m, make_plan, *, traced, fault_policy, first_id):
 
 
 def _compare(
-    n_dpus, m, make_plan, *, traced=False, fault_policy=None, first_id=0
+    n_dpus, m, make_plan, *, traced=False, fault_policy=None, first_id=0,
+    **operands,
 ):
     got = _observe(
         run_gemm_layer, n_dpus, m, make_plan,
         traced=traced, fault_policy=fault_policy, first_id=first_id,
+        **operands,
     )
     want = _observe(
         _per_wave_layer, n_dpus, m, make_plan,
         traced=traced, fault_policy=fault_policy, first_id=first_id,
+        **operands,
     )
     for key in want:
         assert got[key] == want[key], key
@@ -410,3 +419,61 @@ def test_walk_counts_every_row_as_a_launch_of_its_own():
         )
     failed = [d.last_result is None for d in dpus]
     assert failed == [False] * 5 + [True] + [False] * 2
+
+
+#: The served model's first layer, (M, N, K) = (2, 4096, 27): its image
+#: spans 237,648 bytes, four 64 KB MRAM pages.
+WIDE = {"n": 4096, "k": 27}
+
+
+@pytest.mark.parametrize("bitflip_rate", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("n_dpus", [1, 2])
+def test_walk_matches_across_mram_pages(n_dpus, bitflip_rate):
+    meta = YoloDpuLayout(GemmShape(m=2, **WIDE)).build_image().symbols["meta"]
+    region = meta.mram_addr + meta.size
+    assert region == 237_648
+    got = _compare(
+        n_dpus, 2, _matrix_plan(None, bitflip_rate), region=region, **WIDE
+    )
+    if not bitflip_rate:
+        assert got["result"][0] == "ok"
+
+
+def _rejected_launch_layer(
+    dpus, attributes, plan, a_q, b_q, divisor, alpha, *,
+    n_tasklets, opt_level=OptLevel.O3, fault_policy=None,
+):
+    """The per-wave layer when its DPUs reject the launch: staged as
+    the walk stages, then refused before any row of A is sent."""
+    shape = plan.gemm
+    staged = DpuSet(list(dpus[: min(shape.m, len(dpus))]), attributes)
+    staged.load(YoloDpuLayout(shape).build_image(f"yolo_layer_{plan.layer_index}"))
+    staged.broadcast("b", b_q.reshape(-1))
+    meta = [shape.m, shape.n, shape.k, alpha, divisor, 0]
+    staged.broadcast("meta", np.array(meta, dtype=np.int32))
+    for dpu in staged:
+        dpu.check_launch(n_tasklets)
+    raise AssertionError(f"{n_tasklets} tasklets launched")
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("bitflip_rate", [0.0, 1.0])
+@pytest.mark.parametrize("n_tasklets", [0, 25])
+def test_rejected_launch_leaves_the_broadcasts(n_tasklets, bitflip_rate, traced):
+    """A tasklet count the DPUs reject raises LaunchError once B and the
+    metadata went out: they stay in MRAM, flipped bits included, and
+    the clock and metrics count them."""
+    got, want = [
+        _observe(
+            functools.partial(layer_fn, n_tasklets=n_tasklets), 3, 8,
+            _matrix_plan(None, bitflip_rate),
+            traced=traced, fault_policy=None, first_id=0,
+        )
+        for layer_fn in (run_gemm_layer, _rejected_launch_layer)
+    ]
+    for key in want:
+        assert got[key] == want[key], key
+    assert got["result"][:2] == (
+        LaunchError, f"tasklet count {n_tasklets} outside [1, 24]"
+    )
+    assert got["metrics"]["transfer.broadcasts"]["state"] == 2
