@@ -44,6 +44,7 @@ from repro.host.alignment import align_up
 from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
 from repro.host.transfer import XferDirection, account_rows
 from repro.nn.gemm import GemmShape, gemm_fast
+from repro.nn.im2col import ConvGeometry, im2col
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.quantize import QuantParams
 
@@ -273,11 +274,25 @@ def accumulator_divisor(
     """
     if a_bound is None:
         a_bound = weight_bound(a_q)
-    bound = a_bound * int(np.abs(b_q).max() or 1)
+    bound = a_bound * int(np.abs(b_q).max(initial=0) or 1)
     divisor = 32
     while bound * abs(alpha) // divisor > 32767:
         divisor *= 2
     return divisor
+
+
+def lower_layer_input(
+    x: np.ndarray, geometry: ConvGeometry, a_q: np.ndarray, alpha: int,
+    *, a_bound: int | None = None,
+) -> tuple[np.ndarray, QuantParams, int]:
+    """B, its quantizer and :func:`accumulator_divisor` for CHW input
+    ``x``: ``x`` quantized on the scale of ``x[geometry.covered]``, then
+    lowered, is the B of quantizing ``im2col(x)`` (``quantize(0) == 0``)."""
+    covered = geometry.covered
+    params = QuantParams.from_tensor(x[covered], bits=8)
+    x_q = params.quantize(x).astype(np.int16)
+    divisor = accumulator_divisor(a_q, x_q[covered], alpha, a_bound=a_bound)
+    return im2col(x_q, geometry), params, divisor
 
 
 class LayerFailedError(LaunchError):
@@ -388,7 +403,7 @@ def run_gemm_layer(
     start = 0
     try:
         decision = staged.decide(n_tasklets, opt_level, fault_policy)
-        ran = [o.index for o in decision.outcomes if o.ok]  # in the first wave
+        ran = decision.ran  # in the first wave
         if any(keys[i][0][4:12] != shape_bytes for i in flipped if i in ran):
             # A DPU whose metadata shape flipped runs in the first wave:
             # run that wave as it is, and its kernel raises MappingError.
@@ -577,13 +592,13 @@ class YoloPimRunner:
     def timing(self) -> YoloNetworkTiming:
         return YoloNetworkTiming(layers=list(self.layer_reports))
 
-    def _pim_gemm(self, plan, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _pim_gemm(self, plan, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         shape = plan.gemm
         a_params = QuantParams.from_tensor(a, bits=8)
-        b_params = QuantParams.from_tensor(b, bits=8)
         a_q = a_params.quantize(a).astype(np.int16)
-        b_q = b_params.quantize(b).astype(np.int16)
-        divisor = accumulator_divisor(a_q, b_q, self.alpha)
+        b_q, b_params, divisor = lower_layer_input(
+            x, plan.geometry, a_q, self.alpha
+        )
 
         n_dpus = min(shape.m, self.system.n_dpus)
         attributes = self.system.attributes

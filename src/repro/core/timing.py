@@ -18,16 +18,13 @@ from dataclasses import dataclass
 from repro import telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.errors import MappingError
+from repro.host.transfer import HOST_LINK_BYTES_PER_SECOND, transfer_seconds
 
 _M_BREAKDOWN_TOTAL = telemetry.GLOBAL_METRICS.histogram(
     "breakdown.total_seconds",
     "end-to-end seconds per assembled LatencyBreakdown",
     buckets=tuple(10.0 ** e for e in range(-9, 3)),
 )
-
-#: Aggregate host->DIMM link bandwidth (DDR4-2400 class, per the UPMEM
-#: platform's standard DIMM interface).
-HOST_LINK_BYTES_PER_SECOND = 16e9
 
 
 @dataclass(frozen=True)
@@ -92,15 +89,6 @@ class LatencyBreakdown:
                 dpu_fraction=self.dpu_fraction,
             )
         return self
-
-
-def transfer_seconds(n_bytes: int, link_bytes_per_second: float = HOST_LINK_BYTES_PER_SECOND) -> float:
-    """Host-link time to move ``n_bytes``."""
-    if n_bytes < 0:
-        raise MappingError(f"negative transfer size: {n_bytes}")
-    if link_bytes_per_second <= 0:
-        raise MappingError(f"bad link bandwidth: {link_bytes_per_second}")
-    return n_bytes / link_bytes_per_second
 
 
 def breakdown_from_cycles(

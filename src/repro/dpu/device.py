@@ -378,19 +378,21 @@ def launch_kernel(
 
 def record_kernel_results(
     dpus: list[Dpu], results, n_tasklets: int, times: int = 1
-) -> None:
-    """Record each DPU's result as a launch of its own would: its
+) -> list[float]:
+    """Record each DPU's result as a launch of its own would (its
     ``last_result``, a ``launch.cycles`` observation and, when traced, a
-    ``dpu.exec`` span; ``dpu.execs`` / ``dpu.instructions`` move once.
-    ``times`` charges that many alike launches at once (untraced)."""
+    ``dpu.exec`` span; ``dpu.execs`` / ``dpu.instructions`` move once) and
+    return their cycles.  ``times`` charges alike launches at once (untraced)."""
     tracer = telemetry.current_tracer()
+    cycles, issue_slots = [], 0
     for dpu, result in zip(dpus, results, strict=True):
         dpu.last_result = result
         if tracer is not None:
             dpu._record_exec_span(tracer, result, n_tasklets)
-    for cycles, run in itertools.groupby([float(r.cycles) for r in results]):
-        _M_LAUNCH_CYCLES.observe(cycles, count=len(list(run)) * times)
+        cycles.append(float(result.cycles))
+        issue_slots += result.issue_slots
+    for value, run in itertools.groupby(cycles):
+        _M_LAUNCH_CYCLES.observe(value, count=len(list(run)) * times)
     _M_DPU_EXECS.inc(len(dpus) * times)
-    _M_DPU_INSTRUCTIONS.inc(
-        sum([result.issue_slots for result in results]) * times
-    )
+    _M_DPU_INSTRUCTIONS.inc(issue_slots * times)
+    return cycles

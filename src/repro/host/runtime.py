@@ -22,6 +22,7 @@ N overlapping launches cost max, not sum, however they are waited on.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,12 +120,13 @@ class LaunchReport:
 class LaunchDecision:
     """A kernel launch decided before any effect (:meth:`DpuSet.decide`):
     each DPU's outcome in set order (under ``raise``, up to the first
-    failure) and each failed attempt as ``(index, event)``, in order."""
+    failure), the DPUs that run and each failed attempt, in order."""
 
     n_tasklets: int
     opt_level: OptLevel
     policy: str
     outcomes: list[DpuOutcome] = field(default_factory=list)
+    ran: list[int] = field(default_factory=list)
     events: list[tuple[int, faults.ExecFault]] = field(default_factory=list)
 
 
@@ -273,6 +275,7 @@ class DpuSet:
             decision.outcomes = [
                 DpuOutcome(i, dpu.dpu_id) for i, dpu in enumerate(self.dpus)
             ]
+            decision.ran = list(range(len(self.dpus)))
             return decision
         attempts = range(max_retries + 1 if policy == "retry" else 1)
         for index, dpu in enumerate(self.dpus):
@@ -282,6 +285,7 @@ class DpuSet:
                     decision.outcomes.append(
                         DpuOutcome(index, dpu.dpu_id, "ok", attempt + 1)
                     )
+                    decision.ran.append(index)
                     break
                 decision.events.append((index, event))
             else:
@@ -323,23 +327,24 @@ class DpuSet:
         ``decision`` decided, inside one ``dpu.launch`` span if traced."""
 
         def launch() -> LaunchReport:
-            dpus, outcomes = self.dpus[:count], decision.outcomes[:count]
+            outcomes = decision.outcomes[:count]
             events = [event for i, event in decision.events if i < count]
             raising = decision.policy == "raise" and bool(events)
             for event in [] if raising else events:
                 faults.record_fault(event, times)
-            for outcome in [] if raising else outcomes:
-                if not outcome.ok:
-                    dpus[outcome.index].last_result = None
-            ran = [o.index for o in outcomes if o.ok]
-            ran_dpus = [dpus[i] for i in ran]
-            results = run(ran_dpus)
-            record_kernel_results(ran_dpus, results, decision.n_tasklets, times)
+            ran = decision.ran[: bisect.bisect_left(decision.ran, count)]
+            ran_dpus = [self.dpus[i] for i in ran]
+            for outcome in [] if raising or len(ran) == count else outcomes:
+                if outcome.status != "ok":  # isolated: keeps no result
+                    self.dpus[outcome.index].last_result = None
+            cycles = record_kernel_results(
+                ran_dpus, run(ran_dpus), decision.n_tasklets, times
+            )
             if raising:
                 events[-1].raise_now()
             per_dpu = [0.0] * count
-            for i, result in zip(ran, results):
-                per_dpu[i] = float(result.cycles)
+            for i, dpu_cycles in zip(ran, cycles):
+                per_dpu[i] = dpu_cycles
             return self._report(
                 per_dpu, decision.n_tasklets, decision.policy,
                 [] if decision.policy == "raise" else outcomes, times,

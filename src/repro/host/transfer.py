@@ -27,7 +27,7 @@ import numpy as np
 from repro import faults, telemetry
 from repro.dpu.device import Dpu
 from repro.host.alignment import align_up, validate_transfer
-from repro.errors import TransferError
+from repro.errors import MappingError, TransferError
 
 _M_XFER_BYTES = telemetry.GLOBAL_METRICS.counter(
     "transfer.bytes", "host-link bytes moved, labelled by direction"
@@ -41,6 +41,9 @@ _M_PUSHES = telemetry.GLOBAL_METRICS.counter(
     "transfer.pushes", "dpu_push_xfer batch executions"
 )
 _IMAGE = operator.attrgetter("image")
+
+#: Host->DIMM link bandwidth (DDR4-2400 class, the UPMEM DIMM interface).
+HOST_LINK_BYTES_PER_SECOND = 16e9
 
 
 class XferDirection(enum.Enum):
@@ -264,6 +267,13 @@ def _symbol_addrs(
     return [resolved[id(image)] for image in images]
 
 
+def transfer_seconds(n_bytes: int) -> float:
+    """Host-link time to move ``n_bytes``."""
+    if n_bytes < 0:
+        raise MappingError(f"negative transfer size: {n_bytes}")
+    return n_bytes / HOST_LINK_BYTES_PER_SECOND
+
+
 def _account(
     dpus: list[Dpu], kind: str, direction: XferDirection, length: int,
     rows: int | None = None,
@@ -273,11 +283,8 @@ def _account(
     per DPU: the counters, the DPUs' clock and the span move together.
 
     The host link is serial, so the clock advances by every push's
-    :func:`repro.core.timing.transfer_seconds` (imported lazily:
-    ``repro.core`` imports this module at package init).
+    :func:`transfer_seconds`.
     """
-    from repro.core.timing import transfer_seconds
-
     n = len(dpus)
     rows = n if rows is None else rows
     if rows <= 0:

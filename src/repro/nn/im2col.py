@@ -12,7 +12,8 @@ Tensors are CHW (channels, height, width), the Darknet layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,6 +57,15 @@ class ConvGeometry:
         """Output pixels: the GEMM column dimension N."""
         return self.out_height * self.out_width
 
+    @functools.cached_property
+    def covered(self) -> tuple:
+        """Index of the input pixels that im2col keeps (padding aside),
+        found by lowering the pixels' numbers, 1 up; padding lowers to 0."""
+        h, w = self.in_height, self.in_width
+        numbers = np.arange(1, h * w + 1).reshape(1, h, w)
+        read = np.setdiff1d(im2col(numbers, replace(self, in_channels=1)), 0) - 1
+        return (...,) if read.size == h * w else (slice(None), *divmod(read, w))
+
     def macs(self, out_channels: int) -> int:
         """Multiply-accumulate count of the convolution."""
         return out_channels * self.gemm_k * self.gemm_n
@@ -74,18 +84,19 @@ def im2col(image: np.ndarray, geometry: ConvGeometry) -> np.ndarray:
             f"image shape {image.shape} does not match geometry "
             f"({g.in_channels}, {g.in_height}, {g.in_width})"
         )
-    if g.padding:
-        image = np.pad(
-            image,
-            ((0, 0), (g.padding, g.padding), (g.padding, g.padding)),
-            mode="constant",
-        )
-    # (C, out_h, out_w, k, k) windows, copied once into (C, k, k) rows.
-    windows = np.lib.stride_tricks.sliding_window_view(
-        image, (g.kernel, g.kernel), axis=(1, 2)
-    )[:, :: g.stride, :: g.stride]
-    columns = np.array(windows.transpose(0, 3, 4, 1, 2), order="C")
-    return columns.reshape(g.gemm_k, g.gemm_n)
+    if p := g.padding:  # the zero border, written once around the image
+        padded = np.zeros((c, h + 2 * p, w + 2 * p), image.dtype)
+        padded[:, p : p + h, p : p + w] = image
+        image = padded
+    image = np.ascontiguousarray(image)
+    sc, sh, sw = image.strides
+    windows = np.ndarray(  # (C, k, k, out_h, out_w), on the image's buffer
+        (c, g.kernel, g.kernel, g.out_height, g.out_width), image.dtype,
+        image, 0, (sc, sh, sw, sh * g.stride, sw * g.stride),
+    )
+    columns = np.empty((g.gemm_k, g.gemm_n), image.dtype)
+    columns.reshape(windows.shape)[...] = windows
+    return columns
 
 
 def col2im_output(flat_output: np.ndarray, geometry: ConvGeometry) -> np.ndarray:

@@ -205,7 +205,8 @@ def fully_connected(
         raise WorkloadError(
             f"FC weights {weights.shape} do not match features {features.shape}"
         )
-    out = weights.astype(np.float64) @ features.astype(np.float64)
+    # No BLAS: OpenBLAS threads a gemv this size, at an erratic latency.
+    out = np.einsum("oi,i->o", weights, features, dtype=np.float64)
     if bias is not None:
         out += bias
     return out.astype(np.float32)

@@ -254,10 +254,12 @@ class Yolov3Model:
     ) -> list[np.ndarray]:
         """Run the graph; returns the three YOLO layer outputs.
 
-        ``conv_fn(plan, a, b) -> (M, N) array`` overrides how each layer's
-        GEMM executes — the hook the DPU mapping uses to route the matrix
-        multiplications through the PIM system while the host runs the
-        rest, mirroring the paper's host/DPU split.
+        ``conv_fn(plan, a, x) -> (M, N) array`` overrides how each layer's
+        GEMM, ``a @ im2col(x, plan.geometry)``, executes on the CHW input
+        ``x`` (so a hook can quantize ``x`` before lowering it) — the hook
+        the DPU mapping uses to route the matrix multiplications through
+        the PIM system while the host runs the rest, mirroring the paper's
+        host/DPU split.
         """
         expected = (3, self.input_size, self.input_size)
         if image.shape != expected:
@@ -288,11 +290,10 @@ class Yolov3Model:
         g = plan.geometry
         weights = self.conv_weights(plan)
         a = weights.reshape(plan.spec.filters, g.gemm_k)
-        b = im2col(image, g)
-        if conv_fn is not None:
-            flat = np.asarray(conv_fn(plan, a, b), dtype=np.float32)
+        if conv_fn is None:
+            flat = a @ im2col(image, g)
         else:
-            flat = a @ b
+            flat = np.asarray(conv_fn(plan, a, image), dtype=np.float32)
         out = col2im_output(flat, g)
         if plan.spec.batch_normalize:
             scale, bias = self.conv_bn(plan)

@@ -44,7 +44,7 @@ from repro.core.mapping_ebnn import (
 from repro.core.mapping_yolo import (
     YOLO_TASKLETS,
     LayerFailedError,
-    accumulator_divisor,
+    lower_layer_input,
     run_gemm_layer,
     weight_bound,
 )
@@ -274,8 +274,8 @@ class YoloBackend(ModelBackend):
             try:
                 detections = self.model.forward(
                     np.asarray(request.payload, dtype=np.float32),
-                    conv_fn=lambda plan, a, b: self._pim_gemm(
-                        plan, b, active, attributes, fault_policy
+                    conv_fn=lambda plan, a, x: self._pim_gemm(
+                        plan, x, active, attributes, fault_policy
                     ),
                 )
             except LayerFailedError as failure:
@@ -290,11 +290,11 @@ class YoloBackend(ModelBackend):
         execution.seconds = clock.now - start
         return execution
 
-    def _pim_gemm(self, plan, b, active, attributes, fault_policy) -> np.ndarray:
+    def _pim_gemm(self, plan, x, active, attributes, fault_policy) -> np.ndarray:
         a_q, a_params, a_bound = self._weights[plan.layer_index]
-        b_params = QuantParams.from_tensor(b, bits=8)
-        b_q = b_params.quantize(b).astype(np.int16)
-        divisor = accumulator_divisor(a_q, b_q, self.alpha, a_bound=a_bound)
+        b_q, b_params, divisor = lower_layer_input(
+            x, plan.geometry, a_q, self.alpha, a_bound=a_bound
+        )
         c_rows, _ = run_gemm_layer(
             active, attributes, plan, a_q, b_q, divisor, self.alpha,
             n_tasklets=self.n_tasklets, opt_level=self.opt_level,

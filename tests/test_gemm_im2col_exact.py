@@ -11,6 +11,8 @@ to the formulas they replaced, which are kept here as oracles:
   the sign/abs/floor-divide/clip formula.
 * ``im2col`` is one strided copy; the oracle copies one row per
   (channel, ky, kx) tap.
+* ``lower_layer_input`` quantizes a layer's input, then lowers it; the
+  oracle lowers the float input and quantizes the im2col matrix.
 """
 
 import os
@@ -21,10 +23,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.core.mapping_yolo import (
+    accumulator_divisor,
+    lower_layer_input,
+    weight_bound,
+)
 from repro.errors import WorkloadError
 from repro.nn.gemm import gemm_fast
 from repro.nn.im2col import ConvGeometry, im2col
-from repro.nn.quantize import requantize_shift
+from repro.nn.models.darknet import Yolov3Model
+from repro.nn.quantize import QuantParams, requantize_shift
 
 INT16_MIN, INT16_MAX = -32768, 32767
 
@@ -242,16 +252,22 @@ def _geometries():
                         continue  # the kernel does not fit this input
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.int16])
+@pytest.mark.parametrize("dtype", [np.float32, np.int16, np.int8])
 @pytest.mark.parametrize("geometry", list(_geometries()), ids=str)
 def test_im2col_matches_row_copy_oracle(geometry, dtype):
     rng = np.random.default_rng(geometry.kernel * 10 + geometry.stride)
     shape = (geometry.in_channels, geometry.in_height, geometry.in_width)
-    image = (rng.standard_normal(shape) * 1000).astype(dtype)
+    values = rng.standard_normal(shape) * 1000
+    if np.issubdtype(dtype, np.integer):
+        values = values.clip(np.iinfo(dtype).min, np.iinfo(dtype).max)
+    image = values.astype(dtype)
     got = im2col(image, geometry)
     want = _im2col_oracle(image, geometry)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+    # An array of its own, even where a view would hold the same values
+    # (a 1x1 kernel at stride 1 without padding).
+    assert got.flags.owndata and not np.shares_memory(got, image)
     assert got.flags.c_contiguous and got.flags.writeable
 
 
@@ -261,3 +277,90 @@ def test_im2col_returns_a_fresh_array_for_1x1_kernels():
     assert not np.shares_memory(columns, image)
     columns[0, 0] = -1.0
     assert image[0, 0, 0] == 0.0
+
+
+# ---------------------------------------------------------------------- #
+# lower_layer_input: quantize the layer input, then lower it
+# ---------------------------------------------------------------------- #
+
+
+def _lowering_oracle(x, geometry, a_q, alpha):
+    """B as the layer routine built it before: lower the float input,
+    then quantize the im2col matrix."""
+    b = im2col(x, geometry)
+    params = QuantParams.from_tensor(b, bits=8)
+    b_q = params.quantize(b).astype(np.int16)
+    return b_q, params, accumulator_divisor(a_q, b_q, alpha)
+
+
+def _assert_lowers_like_oracle(x, geometry, alpha, seed):
+    rng = np.random.default_rng(seed)
+    a_q = rng.integers(-127, 128, size=(3, geometry.gemm_k)).astype(np.int16)
+    want = _lowering_oracle(x, geometry, a_q, alpha)
+    for a_bound in (None, weight_bound(a_q)):
+        b_q, params, divisor = lower_layer_input(
+            x, geometry, a_q, alpha, a_bound=a_bound
+        )
+        assert b_q.dtype == np.int16 and np.array_equal(b_q, want[0])
+        assert params == want[1] and params.scale == want[1].scale
+        assert divisor == want[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    channels=st.integers(1, 3),
+    height=st.integers(1, 9),
+    width=st.integers(1, 9),
+    kernel=st.sampled_from([1, 3]),
+    stride=st.sampled_from([1, 2]),
+    padding=st.sampled_from([0, 1]),
+    alpha=st.sampled_from([1, -2, 250]),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 4e4]),
+    seed=st.integers(0, 2**16),
+)
+def test_lower_layer_input_matches_quantizing_im2col(
+    channels, height, width, kernel, stride, padding, alpha, scale, seed
+):
+    """Same B, scale and divisor as quantizing ``im2col(x)``, over both
+    kernels, strides and paddings of the served layers, odd and even
+    sizes, and all-zero inputs (``scale == 0``)."""
+    try:
+        geometry = ConvGeometry(channels, height, width, kernel, stride, padding)
+    except WorkloadError:
+        assume(False)  # the kernel does not fit this input
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((channels, height, width)) * scale).astype(
+        np.float32
+    )
+    _assert_lowers_like_oracle(x, geometry, alpha, seed)
+
+
+@pytest.mark.parametrize("alpha", [1, 250])
+def test_lower_layer_input_ignores_pixels_no_window_reads(alpha):
+    """At 8x8, k=3, stride 2 and no padding, no window reaches the last
+    row or column; a peak there must not set the scale."""
+    geometry = ConvGeometry(2, 8, 8, 3, 2, 0)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 8, 8)).astype(np.float32)
+    x[1, 7, 3] = x[0, 2, 7] = 1e4  # far above every read pixel
+    assert np.abs(x[geometry.covered]).max() < 10
+    _assert_lowers_like_oracle(x, geometry, alpha, 5)
+    _, params, _ = lower_layer_input(x, geometry, np.ones((1, 18), np.int16), 1)
+    assert params.scale < 10 / 127
+
+
+def test_lower_layer_input_on_every_served_layer():
+    """Each conv layer of the served YOLO model, on its own forward
+    input, lowers as quantizing ``im2col`` did."""
+    model = Yolov3Model(64, width_scale=0.05, seed=21)
+    image = np.random.default_rng(4).random((3, 64, 64)).astype(np.float32)
+    geometries = []
+
+    def conv(plan, a, x):
+        geometries.append(plan.geometry)
+        assert plan.geometry.covered == (...,)  # every pixel is read
+        _assert_lowers_like_oracle(x, plan.geometry, 1, plan.layer_index)
+        return a @ im2col(x, plan.geometry)
+
+    model.forward(image, conv_fn=conv)
+    assert len(geometries) == 75

@@ -1,5 +1,8 @@
 """Tests for repro.host.runtime (allocation, load, launch)."""
 
+import itertools
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -7,10 +10,11 @@ from repro import faults, telemetry
 from repro.dpu.assembler import assemble
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
+from repro.dpu import device
 from repro.dpu.device import Dpu, DpuImage
-from repro.dpu.kernel import GLOBAL_KERNELS
-from repro.host.runtime import DpuSystem
-from repro.errors import AllocationError, DpuError, LaunchError
+from repro.dpu.kernel import GLOBAL_KERNELS, charged_result
+from repro.host.runtime import DpuSet, DpuSystem
+from repro.errors import AllocationError, DpuError, DpuFaultError, LaunchError
 
 SMALL = UPMEM_ATTRIBUTES.scaled(16)
 
@@ -200,6 +204,137 @@ class TestSetLevelChecks:
         assert bare.outcomes == planned.outcomes and bare.events == []
         assert [o.dpu_id for o in bare.outcomes] == [d.dpu_id for d in dpu_set]
         assert all(o.ok and o.attempts == 1 for o in bare.outcomes)
+
+
+def _head_charged(self, decision, count, times, run):
+    """``DpuSet._charged`` as it was before its one-walk rewrite: the
+    outcomes walked three times and the results twice, the recording
+    inlined.  The oracle of :class:`TestChargedWalk`."""
+
+    def launch():
+        dpus, outcomes = self.dpus[:count], decision.outcomes[:count]
+        events = [event for i, event in decision.events if i < count]
+        raising = decision.policy == "raise" and bool(events)
+        for event in [] if raising else events:
+            faults.record_fault(event, times)
+        for outcome in [] if raising else outcomes:
+            if not outcome.ok:
+                dpus[outcome.index].last_result = None
+        ran = [o.index for o in outcomes if o.ok]
+        ran_dpus = [dpus[i] for i in ran]
+        results = run(ran_dpus)
+        tracer = telemetry.current_tracer()
+        for dpu, result in zip(ran_dpus, results, strict=True):
+            dpu.last_result = result
+            if tracer is not None:
+                dpu._record_exec_span(tracer, result, decision.n_tasklets)
+        for cycles, group in itertools.groupby(
+            [float(r.cycles) for r in results]
+        ):
+            device._M_LAUNCH_CYCLES.observe(
+                cycles, count=len(list(group)) * times
+            )
+        device._M_DPU_EXECS.inc(len(ran_dpus) * times)
+        device._M_DPU_INSTRUCTIONS.inc(
+            sum([result.issue_slots for result in results]) * times
+        )
+        if raising:
+            events[-1].raise_now()
+        per_dpu = [0.0] * count
+        for i, result in zip(ran, results):
+            per_dpu[i] = float(result.cycles)
+        return self._report(
+            per_dpu, decision.n_tasklets, decision.policy,
+            [] if decision.policy == "raise" else outcomes, times,
+        )
+
+    return self._spanned(
+        launch, count, decision.n_tasklets, decision.opt_level, times
+    )
+
+
+def _results():
+    """Three results of different cost, so each DPU's cycles show where
+    they land in ``per_dpu_cycles``."""
+    return [
+        charged_result(
+            lambda ctx, n=n: ctx.charge_instructions(1000 * n),
+            n_tasklets=11, opt_level=OptLevel.O3,
+        )
+        for n in (1, 2, 3)
+    ]
+
+
+class TestChargedWalk:
+    """``DpuSet.charge`` walks a decision's outcomes once, and its results
+    once, yet reports, records and charges as the three-walk version
+    did: an all-ok launch, an isolated failed DPU, a retried DPU and a
+    raised fault, traced and untraced."""
+
+    SIZE, ROWS = 5, 13  # two full waves, then a wave of three DPUs
+
+    def _charge(self, plan, policy, traced):
+        system = DpuSystem(SMALL)
+        dpu_set = system.allocate(self.SIZE)
+        dpu_set.load(kernel_image())
+        results = _results()
+        for dpu in dpu_set:
+            dpu.last_result = "before"
+        tracer = telemetry.Tracer() if traced else None
+        tracing = telemetry.tracing(tracer) if traced else nullcontext()
+        # Zeroed metrics, so that float sums start alike; then restored.
+        registry = telemetry.GLOBAL_METRICS
+        saved = registry.delta_since({})
+        registry.reset()
+        with faults.fault_injection(plan), tracing:
+            decision = dpu_set.decide(11, OptLevel.O3, policy)
+            try:
+                reports = dpu_set.charge(
+                    decision, self.ROWS,
+                    lambda dpus: [results[d.dpu_id % 3] for d in dpus],
+                )
+            except DpuError as exc:
+                reports = (type(exc), str(exc))
+            delta = registry.snapshot()
+        registry.reset()
+        registry.merge_delta(saved)
+        spans = [
+            (span.name, span.track, span.sim_start, span.sim_end,
+             span.attributes)
+            for span in tracer.all_spans()
+        ] if traced else []
+        return (
+            reports, dpu_set.last_report, delta, system.clock.now, spans,
+            [results.index(r) if r in results else r
+             for r in (dpu.last_result for dpu in dpu_set)],
+        )
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("case", ["ok", "isolate", "retry", "raise"])
+    def test_same_as_three_walks(self, case, traced, monkeypatch):
+        dpu = 1  # the second DPU of a fresh system's first set
+        plan, policy = {
+            "ok": (None, None),
+            "isolate": (faults.FaultPlan(
+                targets={dpu: "fault"}, target_attempts=9), "isolate"),
+            "retry": (faults.FaultPlan(targets={dpu: "hang"}), "retry"),
+            "raise": (faults.FaultPlan(targets={dpu: "fault"}), "raise"),
+        }[case]
+        got = self._charge(plan, policy, traced)
+        monkeypatch.setattr(DpuSet, "_charged", _head_charged)
+        want = self._charge(plan, policy, traced)
+        assert got == want
+        reports, _, delta, _, _, last = got
+        if case == "raise":
+            # The DPU before the fault ran; the rest kept their results.
+            assert reports[0] is DpuFaultError
+            assert last == [0] + ["before"] * (self.SIZE - 1)
+        else:
+            assert len(reports) == 3 and last[dpu] == (
+                None if case == "isolate" else dpu % 3
+            )
+            assert reports[0].n_retried == (case == "retry")
+        assert delta["dpu.execs"]["state"] > 0
 
 
 class TestFreedSet:

@@ -175,3 +175,16 @@ class TestStructuralLayers:
         assert out.tolist() == [2.0, 0.0]
         with pytest.raises(WorkloadError):
             layers.fully_connected(np.ones(3), weights)
+
+    def test_fully_connected_equals_the_blas_product_on_binary_layers(self):
+        """eBNN's classifier shape, +-1 weights and signs: the sums are
+        exact integers, so the layer equals the float64 BLAS product bit
+        for bit, whatever order it sums in."""
+        rng = np.random.default_rng(3)
+        weights = rng.choice(np.array([-1, 1], np.int8), size=(10, 3136))
+        for density in (0.0, 0.3, 0.5, 1.0):
+            signs = np.where(rng.random(3136) < density, 1.0, -1.0)
+            want = weights.astype(np.float32).astype(np.float64) @ signs
+            got = layers.fully_connected(signs, weights.astype(np.float32))
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want.astype(np.float32))

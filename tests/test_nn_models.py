@@ -9,6 +9,7 @@ from repro.nn.models.alexnet import (
     total_macs,
     total_ops,
 )
+from repro.nn.im2col import im2col
 from repro.nn.models.darknet import Yolov3Model, build_yolov3_layers
 from repro.nn.models.ebnn import EbnnConfig, EbnnModel
 from repro.errors import WorkloadError
@@ -128,18 +129,24 @@ class TestYolov3Forward:
             assert np.allclose(a, b)
 
     def test_conv_fn_hook_receives_gemm_operands(self):
+        """The hook gets each layer's (M, K) weights and its CHW input,
+        and lowering the input itself reproduces the hookless forward."""
         model = Yolov3Model(64, width_scale=0.05, seed=5)
         calls = []
 
-        def spy(plan, a, b):
-            calls.append((plan.layer_index, a.shape, b.shape))
-            return a @ b
+        def spy(plan, a, x):
+            g = plan.geometry
+            calls.append(plan.layer_index)
+            assert a.shape == (plan.gemm.m, plan.gemm.k)
+            assert x.shape == (g.in_channels, g.in_height, g.in_width)
+            return a @ im2col(x, g)
 
         image = np.random.default_rng(2).random((3, 64, 64)).astype(np.float32)
-        model.forward(image, conv_fn=spy)
+        hooked = model.forward(image, conv_fn=spy)
+        assert calls == [plan.layer_index for plan in model.plans]
         assert len(calls) == 75
-        for _, a_shape, b_shape in calls:
-            assert a_shape[1] == b_shape[0]
+        for got, want in zip(hooked, model.forward(image), strict=True):
+            assert np.array_equal(got, want)
 
     def test_wrong_input_shape(self):
         model = Yolov3Model(64, width_scale=0.05)

@@ -35,6 +35,7 @@ from repro.faults import FaultPlan
 from repro.host.runtime import DpuSet, DpuSystem
 from repro.host.transfer import scatter_rows
 from repro.nn.gemm import GemmShape
+from repro.nn.im2col import im2col
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.quantize import QuantParams
 from repro.serve import InferenceRequest, YoloBackend, default_payloads
@@ -237,11 +238,14 @@ def _parent_runner_layer(system, timings, alpha=1):
     """The offline runner's layer before the shared routine.
 
     One allocation per layer, B staged once, and one direct
-    :meth:`Dpu.launch` per row.
+    :meth:`Dpu.launch` per row.  It lowers the float input first and
+    quantizes the im2col matrix, the order :func:`lower_layer_input`
+    replaced, so it is the bit-identity oracle for that too.
     """
 
-    def conv(plan, a, b):
+    def conv(plan, a, x):
         shape = plan.gemm
+        b = im2col(x, plan.geometry)
         a_params = QuantParams.from_tensor(a, bits=8)
         b_params = QuantParams.from_tensor(b, bits=8)
         a_q = a_params.quantize(a).astype(np.int16)
@@ -389,8 +393,9 @@ def test_warm_bound_keeps_every_served_divisor():
     backend.warm(DpuSystem(UPMEM_ATTRIBUTES.scaled(8)).allocate(8))
     divisors = []
 
-    def check(plan, a, b):
+    def check(plan, a, x):
         a_q, _, a_bound = backend._weights[plan.layer_index]
+        b = im2col(x, plan.geometry)
         b_q = QuantParams.from_tensor(b, bits=8).quantize(b).astype(np.int16)
         assert a_bound == weight_bound(a_q)
         for alpha in (backend.alpha, -9, 250):  # the last two widen it
