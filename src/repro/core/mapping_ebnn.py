@@ -42,11 +42,7 @@ from repro.dpu.profiler import SubroutineProfile
 from repro.errors import MappingError
 from repro.host.alignment import align_up
 from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
-from repro.nn.binary import (
-    MNIST_PACKED_PADDED_BYTES,
-    pack_image,
-    unpack_bits,
-)
+from repro.nn.binary import pack_image
 from repro.nn.models.ebnn import EbnnConfig, EbnnModel
 
 #: The per-DPU image batch the paper uses (Section 4.1.3).
@@ -86,8 +82,7 @@ class EbnnDpuLayout:
     @property
     def result_bytes_per_image(self) -> int:
         """Padded packed bytes of one image's binary feature tensor."""
-        bits = self.config.feature_count
-        return align_up(-(-bits // 8))
+        return align_up(self.config.feature_bytes)
 
     @property
     def results_bytes(self) -> int:
@@ -291,32 +286,34 @@ def read_wave(
     """Gather a launched wave's binary features and classify them on the
     host (Section 4.1.3's read-out).
 
-    One gather reads every DPU's ``results``; each image of a DPU that
-    completed is classified, and an image on a DPU that failed gets
-    label ``-1``.  The clock advances by the host seconds, which are
-    returned with the labels.
+    One gather reads every DPU's ``results``; the images of the DPUs
+    that completed are classified together, in one
+    :meth:`EbnnModel.classify_packed`, and an image on a DPU that failed
+    gets label ``-1``.  The clock advances by the host seconds, which
+    are returned with the labels.
     """
     done = (
         [o.index for o in report.outcomes if o.ok]
         if report.outcomes else range(len(view))
     )
-    size = layout.result_bytes_per_image
+    size, per_dpu = layout.result_bytes_per_image, layout.images_per_dpu
     rows = view.gather("results", max(counts) * size)
     labels = np.full(sum(counts), -1, dtype=np.int64)
     n_classified = sum(counts[d] for d in done)
     host_seconds = HOST_SECONDS_PER_IMAGE * n_classified
-    cfg = model.config
     with telemetry.span(
         "ebnn.host_classify", n_images=n_classified, host_seconds=host_seconds,
     ):
-        for d in done:
-            for i in range(counts[d]):
-                bits = unpack_bits(
-                    rows[d][i * size : (i + 1) * size], cfg.feature_count
-                )
-                features = bits.reshape(cfg.filters, cfg.pooled_out, cfg.pooled_out)
-                label, _ = model.classify_features(features)
-                labels[d * layout.images_per_dpu + i] = label
+        if n_classified:
+            block = np.frombuffer(
+                b"".join(rows[d] for d in done), dtype=np.uint8
+            ).reshape(len(done), max(counts), size)
+            slots = np.arange(max(counts))
+            filled = slots < np.array([counts[d] for d in done])[:, None]
+            images = (np.array(done)[:, None] * per_dpu + slots)[filled]
+            labels[images] = model.classify_packed(
+                block[filled][:, : model.config.feature_bytes]
+            )
         view.clock.advance(host_seconds)
     return labels, host_seconds
 

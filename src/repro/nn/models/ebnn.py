@@ -28,10 +28,15 @@ from repro.nn.binary import (
 from repro.nn.layers import (
     BatchNormParams,
     binary_activation,
-    fully_connected,
     maxpool2d_int,
     softmax,
 )
+
+
+#: Feature rows XORed against every class at once.  A whole wave's
+#: (256, 10, 49) uint64 XOR is a 1 MB temporary that the heap keeps
+#: resident once freed; 32 rows of it are 125 KB.
+_XOR_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,11 @@ class EbnnConfig:
     def feature_count(self) -> int:
         """Flattened binary feature vector length entering the FC layer."""
         return self.filters * self.pooled_out * self.pooled_out
+
+    @property
+    def feature_bytes(self) -> int:
+        """Bytes of the bit-packed feature vector (pad bits in the last)."""
+        return -(-self.feature_count // 8)
 
     @property
     def conv_range(self) -> tuple[int, int]:
@@ -143,15 +153,75 @@ class EbnnModel:
     # the host-side classifier
     # ------------------------------------------------------------------ #
 
+    @property
+    def fc_weights(self) -> np.ndarray:
+        """The (classes, feature_count) {-1,+1} int8 FC weights."""
+        return self._fc_weights
+
+    @fc_weights.setter
+    def fc_weights(self, weights: np.ndarray) -> None:
+        # Pack once per weight matrix, bit 1 for +1 in the DPU's
+        # ``results`` bit order, into 64-bit words; the mask keeps the
+        # feature bits and drops the pad bits of the last word.
+        self._fc_weights = weights
+        self._packed_fc = self._words(
+            np.packbits(weights > 0, axis=1, bitorder="little")
+        )
+        self._pad_mask = self._words(np.packbits(
+            np.ones((1, self.config.feature_count), dtype=bool),
+            axis=1, bitorder="little",
+        ))[0]
+
+    def classify_packed(self, packed: np.ndarray) -> np.ndarray:
+        """Labels of an (n, feature_bytes) block of packed features.
+
+        Each row is one image's binary features as the DPU writes them to
+        ``results`` (``packbits(..., bitorder="little")``).  Over +-1
+        values a dot product is ``feature_count - 2 * popcount(a XOR w)``
+        (Section 4.1.1), so the logits are exact integers.  Pad bits past
+        ``feature_count`` are masked off and change nothing.  Ties go to
+        the first maximum, as in :meth:`classify_features`.
+        """
+        return np.argmax(self.packed_logits(packed), axis=-1)
+
+    def packed_logits(self, packed: np.ndarray) -> np.ndarray:
+        """(n, classes) exact integer FC logits of a packed feature block."""
+        words = self._words(packed)
+        words &= self._pad_mask  # the weights' pad bits are 0
+        popcount = np.empty((len(words), len(self._packed_fc)), dtype=np.int64)
+        for start in range(0, len(words), _XOR_ROWS):
+            rows = words[start : start + _XOR_ROWS, None, :]
+            popcount[start : start + _XOR_ROWS] = np.bitwise_count(
+                rows ^ self._packed_fc
+            ).sum(axis=-1)
+        return self.config.feature_count - 2 * popcount
+
+    def _words(self, packed: np.ndarray) -> np.ndarray:
+        """(n, feature_bytes) uint8 rows as (n, words) uint64, zero-padded."""
+        n_bytes = self.config.feature_bytes
+        if packed.ndim != 2 or packed.shape[1] != n_bytes:
+            raise WorkloadError(
+                f"packed features {packed.shape} are not (n, {n_bytes})"
+            )
+        rows = np.zeros((len(packed), -(-n_bytes // 8) * 8), dtype=np.uint8)
+        rows[:, :n_bytes] = packed
+        return rows.view(np.uint64)
+
     def logits(self, binary_features: np.ndarray) -> np.ndarray:
-        """FC layer over {0,1} features re-expanded to {-1,+1}."""
-        signs = np.where(binary_features.reshape(-1) > 0, 1.0, -1.0)
-        return fully_connected(signs, self.fc_weights.astype(np.float32))
+        """FC layer over {0,1} features read as {-1,+1}: exact integers,
+        through the packed identity of :meth:`classify_packed`."""
+        bits = binary_features.reshape(-1) > 0
+        if bits.size != self.config.feature_count:
+            raise WorkloadError(
+                f"{bits.size} features, the FC layer takes "
+                f"{self.config.feature_count}"
+            )
+        return self.packed_logits(np.packbits(bits, bitorder="little")[None])[0]
 
     def classify_features(self, binary_features: np.ndarray) -> tuple[int, np.ndarray]:
         """Softmax inference on DPU-produced features; returns (label, probs)."""
-        probs = softmax(self.logits(binary_features))
-        return int(np.argmax(probs)), probs
+        logits = self.logits(binary_features)
+        return int(np.argmax(logits)), softmax(logits)
 
     def predict(self, image: np.ndarray) -> int:
         """Full reference inference for one image."""

@@ -92,7 +92,8 @@ def default_payloads(
     a small deterministic pool: (28, 28) float images for ``ebnn``,
     (3, size, size) CHW scenes for ``yolo``.
     """
-    ebnn_images = generate_batch(ebnn_pool, seed=seed).normalized()
+    # One view per image, shared by every request that cycles onto it.
+    ebnn_images = list(generate_batch(ebnn_pool, seed=seed).normalized())
     yolo_scenes = [
         generate_scene(yolo_size, seed=seed + i) for i in range(yolo_pool)
     ]

@@ -33,7 +33,7 @@ class RejectReason(str, enum.Enum):
     DPU_FAILURE = "dpu_failure"
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceRequest:
     """One unit of online work.
 

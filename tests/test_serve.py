@@ -10,6 +10,7 @@ from repro import faults, telemetry
 from repro.core.mapping_ebnn import HOST_SECONDS_PER_IMAGE, ebnn_dpu_cycles
 from repro.core.mapping_yolo import yolo_network_timing
 from repro.core.timing import transfer_seconds
+from repro.datasets.mnist import generate_batch
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.errors import ServeError
 from repro.host.runtime import DpuSystem
@@ -467,3 +468,34 @@ class TestLoadgen:
                 LoadSpec(rps=1.0, duration_s=1.0, mix=(("bert", 1.0),)),
                 PAYLOADS,
             )
+
+    def test_requests_carry_no_instance_dict(self):
+        request = ebnn_request(0)
+        assert not hasattr(request, "__dict__")
+        request.attempts += 1
+        assert request.attempts == 1
+        with pytest.raises(AttributeError):
+            request.note = "no such field"
+
+    def test_equal_indices_share_one_payload(self):
+        payloads = default_payloads(ebnn_pool=3, yolo_pool=2, seed=4)
+        for model, pool in (("ebnn", 3), ("yolo", 2)):
+            for i in range(2 * pool):
+                assert payloads[model](i) is payloads[model](i + pool)
+            assert payloads[model](0) is not payloads[model](1)
+
+    def test_load_matches_the_per_request_view_factory(self):
+        """The shared payloads change nothing a workload holds: the old
+        factory indexed the image batch anew for every request."""
+        ebnn_images = generate_batch(8, seed=123).normalized()
+        old = dict(PAYLOADS, ebnn=lambda i: ebnn_images[i % len(ebnn_images)])
+        spec = LoadSpec(rps=3000.0, duration_s=0.01, seed=9, deadline_s=2e-3,
+                        mix=(("ebnn", 3.0), ("yolo", 1.0)))
+        got, want = generate_load(spec, PAYLOADS), generate_load(spec, old)
+        assert len(got) == len(want) > 20
+        for g, w in zip(got, want):
+            assert (g.request_id, g.model, g.arrival_s, g.deadline_s) == (
+                w.request_id, w.model, w.arrival_s, w.deadline_s
+            )
+            assert g.payload.dtype == w.payload.dtype
+            assert np.array_equal(g.payload, w.payload)
