@@ -11,8 +11,12 @@ timed; no repetition's results are kept past its checks.
 With ``--against OTHER`` both checkouts run, each in a process of its
 own, and take turns repetition by repetition (which one goes first
 alternates), so that each pair of repetitions sees the same machine.
-The output then holds both summaries and the number of pairs in which
-``--root`` was faster.  Pin it to one CPU to compare two commits::
+The output then holds both summaries, the number of pairs in which
+``--root`` was faster and, for wall and CPU time, the gap between the
+medians (positive when ``--root`` is faster) and whether it exceeds the
+``--against`` side's interquartile range: a gain is claimed only when
+``--root`` wins at least nine pairs in ten and the gap exceeds that
+spread.  Pin it to one CPU to compare two commits::
 
     taskset -c 0 python3 benchmarks/rep_times.py --root . \\
         --against ../parent --workload yolo-serve --seed 1 --reps 10
@@ -49,14 +53,39 @@ def _worker(root: Path, workload: str, seed: int) -> None:
         print(json.dumps([wall, cpu, rss]), flush=True)
 
 
+def _quartiles(values: list) -> list:
+    """The first and third quartiles (both the value, for one run)."""
+    if len(values) < 2:
+        return [values[0]] * 2
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
+
+
 def _summary(root: Path, runs: list) -> dict:
-    wall, cpu = [r[0] for r in runs], [r[1] for r in runs]
-    return {
-        "root": str(root), "wall_s": wall, "cpu_s": cpu,
-        "wall_min": min(wall), "wall_median": statistics.median(wall),
-        "cpu_min": min(cpu), "cpu_median": statistics.median(cpu),
-        "peak_rss_mb": runs[-1][2],
-    }
+    out = {"root": str(root)}
+    for k, key in enumerate(("wall", "cpu")):
+        values = [r[k] for r in runs]
+        out[f"{key}_s"] = values
+        out[f"{key}_min"] = min(values)
+        out[f"{key}_median"] = statistics.median(values)
+        out[f"{key}_quartiles"] = _quartiles(values)
+    out["peak_rss_mb"] = runs[-1][2]
+    return out
+
+
+def _gaps(root: dict, against: dict) -> dict:
+    """Per clock: the median gap (``against`` minus ``root``), the
+    ``against`` side's interquartile range, and whether the gap is the
+    wider of the two."""
+    out = {}
+    for key in ("wall", "cpu"):
+        q1, q3 = against[f"{key}_quartiles"]
+        gap = against[f"{key}_median"] - root[f"{key}_median"]
+        out[key] = {
+            "median_gap": gap, "against_iqr": q3 - q1,
+            "gap_exceeds_iqr": abs(gap) > q3 - q1,
+        }
+    return out
 
 
 def main(argv=None) -> int:
@@ -107,6 +136,7 @@ def main(argv=None) -> int:
             key: sum(a[k] < b[k] for a, b in zip(*runs))
             for k, key in enumerate(("wall", "cpu"))
         }
+        out["gaps"] = _gaps(out["root"], out["against"])
     print(json.dumps(out))
     return 0
 

@@ -39,6 +39,7 @@ from repro.dpu.kernel import (
     KernelResult,
     charged_result,
 )
+from repro.dpu.memory import write_rows
 from repro.errors import LaunchError, MappingError
 from repro.host.alignment import align_up
 from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
@@ -332,7 +333,10 @@ def run_gemm_layer(
     step unless traced spans or bit-flip draws need them one by one (the
     clock reads the same either way).  The transfers move no bytes: the
     rows that ran are multiplied at once, and on every exit each DPU's
-    image is left as its last wave would leave it, with one MRAM write.
+    image is left as its last wave would leave it, with one batched MRAM
+    write.  When no bit flip can land (no plan, or one with no
+    ``bitflip_rate``), no Python work is done per row: every row runs in
+    one GEMM on the host's own B and metadata.
 
     Returns C as int32 rows and the report of every wave.  A wave that
     loses DPUs, degraded or with every DPU failed, raises
@@ -340,6 +344,7 @@ def run_gemm_layer(
     error propagates instead.
     """
     shape = plan.gemm
+    flips_on = getattr(faults.current_plan(), "bitflip_rate", 0) > 0
     layout = YoloDpuLayout(shape)
     staged = DpuSet(list(dpus[: min(shape.m, len(dpus))]), attributes)
     staged.load(layout.build_image(f"yolo_layer_{plan.layer_index}"))
@@ -355,11 +360,14 @@ def run_gemm_layer(
                      kind="broadcast")
         for name, raw in (("b", b), ("meta", meta))
     )
-    # Each DPU's metadata and B as its broadcasts delivered them.
-    keys = [(meta, b)] * size
-    flipped = [i for i in range(size) if bs[i] or ms[i]]
-    for i in flipped:
-        keys[i] = faults.flipped(meta, ms[i]), faults.flipped(b, bs[i])
+    # The metadata and B of each DPU whose broadcasts flipped a bit, as
+    # they delivered them.
+    flipped = {}
+    if flips_on:
+        flipped = {
+            i: (faults.flipped(meta, ms[i]), faults.flipped(b, bs[i]))
+            for i in range(size) if bs[i] or ms[i]
+        }
     shape_bytes = np.int32([shape.n, shape.k]).tobytes()
     ran: list[int] | range = []  # DPUs of the first wave, then rows
     flips: list[tuple[int, tuple[int, int]]] = []  # C readbacks' (row, site)
@@ -369,7 +377,6 @@ def run_gemm_layer(
     def settle() -> np.ndarray:
         """C of the rows that ran; each DPU's image as its last wave
         left it, written at once."""
-        c = np.zeros((len(ran), shape.n), np.int32)
         every = scattered is not None and len(ran) == shape.m  # all rows ran
         if every and c_end == at["meta"]:
             image = np.empty((size, end), np.uint8)
@@ -379,16 +386,23 @@ def run_gemm_layer(
             ])
         image[:, at["b"] : b_end] = np.frombuffer(b, np.uint8)
         image[:, at["meta"] :] = np.frombuffer(meta, np.uint8)
-        for i in flipped:
-            image[i, at["b"] : b_end] = np.frombuffer(keys[i][1], np.uint8)
-            image[i, at["meta"] :] = np.frombuffer(keys[i][0], np.uint8)
+        for i, (meta_i, b_i) in flipped.items():
+            image[i, at["b"] : b_end] = np.frombuffer(b_i, np.uint8)
+            image[i, at["meta"] :] = np.frombuffer(meta_i, np.uint8)
         if scattered is not None:
-            a_rows = a_block if every else a_block[ran]
-            row_keys = [keys[row % size] for row in ran]
-            for members, group_c in _gemm_row_groups(
-                shape, row_keys, a_rows[:, : 2 * shape.k].view(np.int16)
-            ):
-                c[members] = group_c
+            a_rows = (a_block if every else a_block[ran])[:, : 2 * shape.k]
+            a_rows = a_rows.view(np.int16)
+            if flipped:
+                c = np.empty((len(ran), shape.n), np.int32)
+                keys = [flipped.get(row % size, (meta, b)) for row in ran]
+                for members, group_c in _gemm_row_groups(shape, keys, a_rows):
+                    c[members] = group_c
+            else:  # every row runs against the host's own B and metadata
+                c = gemm_fast(
+                    alpha, a_rows,
+                    np.frombuffer(b, np.int16).reshape(shape.k, shape.n),
+                    divisor=divisor or 32,
+                )
             last = np.arange(scattered, scattered + size)  # each DPU's row
             last[last >= shape.m] -= size
             image[:, : at["b"]] = a_block[last]
@@ -396,15 +410,16 @@ def run_gemm_layer(
             # DPU ran[j]'s is row j.
             to, of = (slice(None), last) if every else (ran, slice(None))
             image[to, at["c_row"] : c_end] = c.view(np.uint8)[of]
-        for dpu, row in zip(staged, image):
-            dpu.mram.write(0, memoryview(row))
+        else:  # no wave was scattered
+            c = np.zeros((len(ran), shape.n), np.int32)
+        write_rows([dpu.mram for dpu in staged], 0, image)
         return c
 
     start = 0
     try:
         decision = staged.decide(n_tasklets, opt_level, fault_policy)
         ran = decision.ran  # in the first wave
-        if any(keys[i][0][4:12] != shape_bytes for i in flipped if i in ran):
+        if any(flipped[i][0][4:12] != shape_bytes for i in flipped if i in ran):
             # A DPU whose metadata shape flipped runs in the first wave:
             # run that wave as it is, and its kernel raises MappingError.
             settle()
@@ -426,7 +441,6 @@ def run_gemm_layer(
         whole = len(ran) == size
         ran = range(shape.m) if whole else ran  # row r ran on DPU r % size
         rows = shape.m if whole else size
-        flips_on = getattr(faults.current_plan(), "bitflip_rate", 0) > 0
         if flips_on or telemetry.current_tracer() is not None:
             waves = [min(size, rows - start) for start in range(0, rows, size)]
         else:
@@ -437,7 +451,7 @@ def run_gemm_layer(
                 wave_rows,
             )
             scattered = start + (wave_rows - 1) // size * size
-            for row, site in enumerate(sites, start):
+            for row, site in enumerate(sites, start) if flips_on else ():
                 if site is not None:
                     faults.flip_bit(a_block[row], site)
             try:
@@ -452,9 +466,10 @@ def run_gemm_layer(
                 staged.dpus, "c_row", layout.c_row_bytes,
                 XferDirection.FROM_DPU, wave_rows,
             )
-            flips += [
-                (row, site) for row, site in enumerate(sites, start) if site
-            ]
+            if flips_on:
+                flips += [
+                    (row, site) for row, site in enumerate(sites, start) if site
+                ]
             start += wave_rows
     finally:
         c_rows = settle()

@@ -9,7 +9,8 @@ The DPU sees three physical memories (paper Fig. 2.1 / Table 2.1):
   engine, which costs ``25 + bytes/2`` cycles per transfer (Eq. 3.4).
 
 MRAM is backed by a sparse page store so that instantiating many DPUs (the
-paper's server has 2560) does not allocate 2560 x 64 MB up front.
+paper's server has 2560) does not allocate 2560 x 64 MB up front; a page
+holds only the extent written so far.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ DMA_ALIGNMENT = 8
 
 #: Page size for the sparse MRAM backing store.
 _MRAM_PAGE_BYTES = 64 * 1024
+
+#: A page is allocated and grown in steps of this many bytes.
+_MRAM_GRAIN = 4 * 1024
 
 
 class Wram:
@@ -168,7 +172,12 @@ class Iram:
 
 
 class Mram:
-    """64 MB main RAM, sparse-backed, reachable only via :class:`DmaEngine`."""
+    """64 MB main RAM, sparse-backed, reachable only via :class:`DmaEngine`.
+
+    Each resident 64 KB page is allocated only up to the highest byte
+    written to it, in 4 KB steps, and grows as later writes reach
+    further; bytes past a page's extent read as zeros.
+    """
 
     def __init__(self, size: int = 64 * 1024 * 1024) -> None:
         if size <= 0:
@@ -182,11 +191,15 @@ class Mram:
                 f"MRAM access [{addr}, {addr + n_bytes}) outside [0, {self.size})"
             )
 
-    def _page(self, page_index: int) -> np.ndarray:
+    def _page(self, page_index: int, extent: int) -> np.ndarray:
+        """Page ``page_index``, allocated or grown (contents kept) to hold
+        at least its first ``extent`` bytes."""
         page = self._pages.get(page_index)
-        if page is None:
-            page = np.zeros(_MRAM_PAGE_BYTES, dtype=np.uint8)
-            self._pages[page_index] = page
+        if page is None or len(page) < extent:
+            grown = np.zeros(-(-extent // _MRAM_GRAIN) * _MRAM_GRAIN, np.uint8)
+            if page is not None:
+                grown[: len(page)] = page
+            self._pages[page_index] = page = grown
         return page
 
     def read(self, addr: int, n_bytes: int) -> bytes:
@@ -199,7 +212,8 @@ class Mram:
             page = self._pages.get(page_index)
             if page is None:
                 return bytes(n_bytes)
-            return memoryview(page)[offset : offset + n_bytes].tobytes()
+            if offset + n_bytes <= len(page):
+                return memoryview(page)[offset : offset + n_bytes].tobytes()
         out = bytearray(n_bytes)
         view = memoryview(out)
         pos = 0
@@ -208,23 +222,23 @@ class Mram:
             page_index, offset = divmod(a, _MRAM_PAGE_BYTES)
             chunk = min(n_bytes - pos, _MRAM_PAGE_BYTES - offset)
             page = self._pages.get(page_index)
-            if page is not None:
-                view[pos : pos + chunk] = memoryview(page)[offset : offset + chunk]
+            if page is not None and offset < len(page):
+                held = min(chunk, len(page) - offset)
+                view[pos : pos + held] = memoryview(page)[offset : offset + held]
             pos += chunk
         return bytes(out)
 
     def read_view(self, addr: int, n_bytes: int) -> "memoryview | bytes":
-        """Zero-copy view when the range lies in one resident page.
+        """Zero-copy view when the range lies in one page's extent.
 
         Falls back to a materialized ``bytes`` for absent pages (all
-        zeros, without allocating the page) and page-crossing ranges.
+        zeros, without allocating the page), ranges past a page's
+        extent and page-crossing ranges.
         """
         self._check(addr, n_bytes)
         page_index, offset = divmod(addr, _MRAM_PAGE_BYTES)
-        if offset + n_bytes <= _MRAM_PAGE_BYTES:
-            page = self._pages.get(page_index)
-            if page is None:
-                return bytes(n_bytes)
+        page = self._pages.get(page_index)
+        if page is not None and offset + n_bytes <= len(page):
             return memoryview(page)[offset : offset + n_bytes]
         return self.read(addr, n_bytes)
 
@@ -240,18 +254,12 @@ class Mram:
         if n_bytes == 0:
             return
         page_index, offset = divmod(addr, _MRAM_PAGE_BYTES)
-        if offset + n_bytes <= _MRAM_PAGE_BYTES:
+        end = offset + n_bytes
+        if end <= _MRAM_PAGE_BYTES:
             # Within one page (every DMA beat, most host rows): one copy.
-            memoryview(self._page(page_index))[offset : offset + n_bytes] = data
+            memoryview(self._page(page_index, end))[offset:end] = data
             return
-        src = np.frombuffer(data, dtype=np.uint8)
-        pos = 0
-        while pos < n_bytes:
-            a = addr + pos
-            page_index, offset = divmod(a, _MRAM_PAGE_BYTES)
-            chunk = min(n_bytes - pos, _MRAM_PAGE_BYTES - offset)
-            self._page(page_index)[offset : offset + chunk] = src[pos : pos + chunk]
-            pos += chunk
+        _write_pages(self, addr, np.frombuffer(data, dtype=np.uint8))
 
     def release(self) -> None:
         """Drop every page: all zeros again, until next written."""
@@ -266,8 +274,47 @@ class Mram:
 
     @property
     def resident_bytes(self) -> int:
-        """Bytes of host memory actually backing this MRAM (sparse pages)."""
-        return len(self._pages) * _MRAM_PAGE_BYTES
+        """Bytes of host memory actually backing this MRAM (each resident
+        page's allocated extent)."""
+        return sum(len(page) for page in self._pages.values())
+
+
+def write_rows(mrams: list[Mram], addr: int, block: np.ndarray) -> None:
+    """Write row ``i`` of the 2-D uint8 ``block`` at ``addr`` of
+    ``mrams[i]``: a host write to a set of DPUs as one operation, its
+    range checked once and each row copied page by page."""
+    rows, n_bytes = block.shape
+    if rows != len(mrams):
+        raise DpuMemoryError(f"{rows} rows for {len(mrams)} MRAMs")
+    size = min({mram.size for mram in mrams})
+    if addr < 0 or addr + n_bytes > size:
+        raise DpuMemoryError(
+            f"MRAM access [{addr}, {addr + n_bytes}) outside [0, {size})"
+        )
+    if n_bytes == 0:
+        return
+    page_index, offset = divmod(addr, _MRAM_PAGE_BYTES)
+    end = offset + n_bytes
+    if end <= _MRAM_PAGE_BYTES:
+        for mram, row in zip(mrams, block):
+            page = mram._pages.get(page_index)
+            if page is None or len(page) < end:
+                page = mram._page(page_index, end)
+            page[offset:end] = row
+        return
+    for mram, row in zip(mrams, block):
+        _write_pages(mram, addr, row)
+
+
+def _write_pages(mram: Mram, addr: int, src: np.ndarray) -> None:
+    """Copy the uint8 ``src`` to ``mram`` from ``addr``, page by page."""
+    pos, n_bytes = 0, len(src)
+    while pos < n_bytes:
+        page_index, offset = divmod(addr + pos, _MRAM_PAGE_BYTES)
+        chunk = min(n_bytes - pos, _MRAM_PAGE_BYTES - offset)
+        page = mram._page(page_index, offset + chunk)
+        page[offset : offset + chunk] = src[pos : pos + chunk]
+        pos += chunk
 
 
 class DmaEngine:

@@ -333,8 +333,9 @@ class DpuSet:
             for event in [] if raising else events:
                 faults.record_fault(event, times)
             ran = decision.ran[: bisect.bisect_left(decision.ran, count)]
-            ran_dpus = [self.dpus[i] for i in ran]
-            for outcome in [] if raising or len(ran) == count else outcomes:
+            whole = len(ran) == count  # then ran is range(count)
+            ran_dpus = self.dpus[:count] if whole else [self.dpus[i] for i in ran]
+            for outcome in [] if raising or whole else outcomes:
                 if outcome.status != "ok":  # isolated: keeps no result
                     self.dpus[outcome.index].last_result = None
             cycles = record_kernel_results(
@@ -342,9 +343,11 @@ class DpuSet:
             )
             if raising:
                 events[-1].raise_now()
-            per_dpu = [0.0] * count
-            for i, dpu_cycles in zip(ran, cycles):
-                per_dpu[i] = dpu_cycles
+            per_dpu = cycles
+            if not whole:  # a DPU that failed contributes 0.0
+                per_dpu = [0.0] * count
+                for i, dpu_cycles in zip(ran, cycles):
+                    per_dpu[i] = dpu_cycles
             return self._report(
                 per_dpu, decision.n_tasklets, decision.policy,
                 [] if decision.policy == "raise" else outcomes, times,

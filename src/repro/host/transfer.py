@@ -298,12 +298,14 @@ def _account(
     elif kind == "broadcast":
         _M_BROADCASTS.inc()
     clock = dpus[0].clock
-    with telemetry.span(
+    tracer = telemetry.current_tracer()
+    with telemetry.NOOP_SPAN if tracer is None else tracer.span(
         f"transfer.{kind}", category="transfer", direction=direction.value,
         bytes=total, n_dpus=min(rows, n),
     ):
         clock.advance(transfer_seconds(length * n), full)
-        clock.advance(transfer_seconds(length * part))
+        if part:
+            clock.advance(transfer_seconds(length * part))
 
 
 def _as_bytes(data: bytes | bytearray | memoryview | np.ndarray) -> bytes:

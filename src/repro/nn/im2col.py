@@ -59,16 +59,23 @@ class ConvGeometry:
 
     @functools.cached_property
     def covered(self) -> tuple:
-        """Index of the input pixels that im2col keeps (padding aside),
-        found by lowering the pixels' numbers, 1 up; padding lowers to 0."""
-        h, w = self.in_height, self.in_width
-        numbers = np.arange(1, h * w + 1).reshape(1, h, w)
-        read = np.setdiff1d(im2col(numbers, replace(self, in_channels=1)), 0) - 1
-        return (...,) if read.size == h * w else (slice(None), *divmod(read, w))
+        """Index of the input pixels that im2col keeps (padding aside)."""
+        return _covered(self)
 
     def macs(self, out_channels: int) -> int:
         """Multiply-accumulate count of the convolution."""
         return out_channels * self.gemm_k * self.gemm_n
+
+
+@functools.lru_cache(maxsize=1024)
+def _covered(geometry: ConvGeometry) -> tuple:
+    """:attr:`ConvGeometry.covered`, found once per geometry value (every
+    model instance, a served pool's included, shares it) by lowering the
+    pixels' numbers, 1 up; padding lowers to 0."""
+    h, w = geometry.in_height, geometry.in_width
+    numbers = np.arange(1, h * w + 1).reshape(1, h, w)
+    read = np.setdiff1d(im2col(numbers, replace(geometry, in_channels=1)), 0) - 1
+    return (...,) if read.size == h * w else (slice(None), *divmod(read, w))
 
 
 def im2col(image: np.ndarray, geometry: ConvGeometry) -> np.ndarray:

@@ -50,7 +50,9 @@ class QuantParams:
     @staticmethod
     def from_tensor(values: np.ndarray, bits: int = 16) -> "QuantParams":
         """Calibrate a symmetric quantizer to a tensor's max magnitude."""
-        peak = float(np.max(np.abs(values))) if values.size else 0.0
+        peak = 0.0
+        if values.size:  # the magnitude peak, without an ``abs`` copy
+            peak = max(float(values.max()), -float(values.min()))
         _, hi = qrange(bits)
         scale = peak / hi
         if scale <= 0.0 or not np.isfinite(scale):
@@ -61,9 +63,15 @@ class QuantParams:
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Float tensor -> fixed-point tensor (round-half-away, saturating)."""
         lo, hi = qrange(self.bits)
-        scaled = np.asarray(values, dtype=np.float64) / self.scale
-        rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-        return np.clip(rounded, lo, hi).astype(qdtype(self.bits))
+        # One float64 working array: |x| / scale, rounded half up, signed
+        # as x (scale > 0), then saturated.
+        work = np.abs(values, dtype=np.float64)
+        work /= self.scale
+        work += 0.5
+        np.floor(work, out=work)
+        np.copysign(work, values, out=work)
+        np.clip(work, lo, hi, out=work)
+        return work.astype(qdtype(self.bits))
 
     def dequantize(self, values: np.ndarray) -> np.ndarray:
         """Fixed-point tensor -> float tensor."""
@@ -92,11 +100,11 @@ def requantize_shift(
     if clamp <= 0:
         raise QuantizationError(f"clamp must be positive, got {clamp}")
     acc = np.array(accumulator, dtype=np.int64)  # the one working copy
-    negative = acc < 0
+    sign = np.sign(acc)  # a masked ``np.negative`` is several times slower
     np.abs(acc, out=acc)
     acc //= shift_divisor
     np.minimum(acc, clamp, out=acc)
-    np.negative(acc, out=acc, where=negative)
+    acc *= sign
     return acc.astype(np.int32)
 
 

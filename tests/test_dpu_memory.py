@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dpu.memory import DmaEngine, Iram, Mram, Wram, streamed_transfer_cycles
+from repro.dpu.device import Dpu
+from repro.dpu.memory import (
+    DmaEngine,
+    Iram,
+    Mram,
+    Wram,
+    streamed_transfer_cycles,
+    write_rows,
+)
 from repro.errors import DpuAlignmentError, DpuMemoryError
 
 
@@ -163,6 +171,106 @@ class TestMramWrite:
         mram = Mram()
         mram.write(16, memoryview(values))
         assert mram.read(16, values.nbytes) == values.tobytes()
+
+
+class TestMramExtent:
+    """Pages hold only the extent written so far, in 4 KB steps."""
+
+    PAGE, GRAIN = 64 * 1024, 4 * 1024
+
+    def extents(self, mram):
+        return {index: len(page) for index, page in mram._pages.items()}
+
+    def test_a_write_allocates_up_to_its_end(self):
+        mram = Mram()
+        mram.write(100, b"abcdefgh")
+        assert self.extents(mram) == {0: self.GRAIN}
+        mram.write(self.GRAIN, b"x")  # one byte past the extent
+        assert self.extents(mram) == {0: 2 * self.GRAIN}
+        assert mram.resident_bytes == 2 * self.GRAIN
+
+    def test_reads_at_and_past_the_extent(self):
+        mram = Mram()
+        mram.write(self.GRAIN - 8, bytes(range(1, 9)))
+        assert mram.read(self.GRAIN - 8, 8) == bytes(range(1, 9))
+        assert mram.read(self.GRAIN - 4, 12) == bytes(range(5, 9)) + bytes(8)
+        assert mram.read(self.GRAIN, 16) == bytes(16)
+        assert mram.read(3 * self.GRAIN, self.PAGE - 3 * self.GRAIN) == bytes(
+            self.PAGE - 3 * self.GRAIN
+        )
+        view = mram.read_view(self.GRAIN - 8, 8)
+        assert isinstance(view, memoryview) and view == bytes(range(1, 9))
+        past = mram.read_view(self.GRAIN - 4, 12)
+        assert isinstance(past, bytes)
+        assert past == mram.read(self.GRAIN - 4, 12)
+        assert mram.read_view(self.GRAIN, 8) == bytes(8)
+        assert self.extents(mram) == {0: self.GRAIN}  # reads allocate nothing
+
+    def test_growth_keeps_earlier_bytes(self):
+        mram = Mram()
+        mram.write(16, b"earlier!")
+        mram.write(10_000, b"later!!!")
+        assert self.extents(mram) == {0: 3 * self.GRAIN}
+        assert mram.read(16, 8) == b"earlier!"
+        assert mram.read(10_000, 8) == b"later!!!"
+        assert mram.read(0, 12 * 1024) == (
+            bytes(16) + b"earlier!" + bytes(10_000 - 24) + b"later!!!"
+            + bytes(12 * 1024 - 10_008)
+        )
+
+    def test_page_crossing_write(self):
+        mram = Mram()
+        mram.write(self.PAGE - 4, bytes(range(16)))
+        assert self.extents(mram) == {0: self.PAGE, 1: self.GRAIN}
+        assert mram.read(self.PAGE - 4, 16) == bytes(range(16))
+        assert mram.read(self.PAGE - 8, 24) == bytes(4) + bytes(range(16)) + bytes(4)
+        assert mram.resident_bytes == self.PAGE + self.GRAIN
+
+    def test_checkpoint_restores_a_grown_page(self):
+        dpu = Dpu()
+        dpu.mram.write(8, b"before!!")
+        saved = dpu.checkpoint()
+        dpu.mram.write(20_000, b"grown!!!")
+        dpu.mram.write(8, b"changed!")
+        assert self.extents(dpu.mram) == {0: 5 * self.GRAIN}
+        for _ in range(2):  # a checkpoint restores more than once
+            dpu.restore(saved)
+            assert self.extents(dpu.mram) == {0: self.GRAIN}
+            assert dpu.mram.read(0, 24 * 1024) == (
+                bytes(8) + b"before!!" + bytes(24 * 1024 - 16)
+            )
+            dpu.mram.write(20_000, b"again!!!")
+        assert dpu.mram.read(20_000, 8) == b"again!!!"
+
+    @pytest.mark.parametrize("addr,n_bytes", [
+        (0, 40), (8, 5000), (64 * 1024 - 16, 48), (64 * 1024, 24),
+        (100, 3 * 64 * 1024),
+    ])
+    def test_write_rows_matches_one_write_per_row(self, addr, n_bytes):
+        rng = np.random.default_rng(addr + n_bytes)
+        block = rng.integers(0, 256, (3, n_bytes), np.uint8)
+        got, want = [Mram() for _ in range(3)], [Mram() for _ in range(3)]
+        for mram in got + want:  # an earlier, smaller image
+            mram.write(0, rng.integers(0, 256, 300, np.uint8).tobytes())
+        for mram, other in zip(got, want):
+            other._pages[0][:] = mram._pages[0]
+        write_rows(got, addr, block)
+        for mram, row in zip(want, block):
+            mram.write(addr, row.tobytes())
+        span = addr + n_bytes + 64
+        for a, b in zip(got, want):
+            assert self.extents(a) == self.extents(b)
+            assert a.read(0, span) == b.read(0, span)
+
+    def test_write_rows_checks_before_writing(self):
+        mrams = [Mram(1024), Mram(1024)]
+        with pytest.raises(DpuMemoryError):
+            write_rows(mrams, 1000, np.zeros((2, 32), np.uint8))
+        with pytest.raises(DpuMemoryError):
+            write_rows(mrams, 0, np.zeros((3, 32), np.uint8))
+        with pytest.raises(DpuMemoryError):
+            write_rows(mrams, -8, np.zeros((2, 32), np.uint8))
+        assert all(mram._pages == {} for mram in mrams)
 
 
 class TestDmaEngine:

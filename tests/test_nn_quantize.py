@@ -97,6 +97,106 @@ class TestQuantParams:
         assert quantized.dtype == np.int8
 
 
+def _formula_quantize(params, values):
+    """The float64 formula ``QuantParams.quantize`` computed before it
+    kept one working array: the oracle it must equal."""
+    lo, hi = qrange(params.bits)
+    scaled = np.asarray(values, dtype=np.float64) / params.scale
+    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    return np.clip(rounded, lo, hi).astype(qdtype(params.bits))
+
+
+def _formula_from_tensor(values, bits):
+    """``QuantParams.from_tensor`` with its peak taken through ``np.abs``."""
+    peak = float(np.max(np.abs(values))) if values.size else 0.0
+    _, hi = qrange(bits)
+    scale = peak / hi
+    if scale <= 0.0 or not np.isfinite(scale):
+        scale = 1.0 / hi
+    return QuantParams(scale=scale, bits=bits)
+
+
+_WIDTHS = st.sampled_from([8, 16, 32])
+
+#: Magnitudes from subnormal to far past every width's saturation point.
+_VALUES = st.floats(-1e12, 1e12, allow_nan=False, width=64) | st.sampled_from(
+    [0.0, -0.0, 0.5, -0.5, 1.5, -2.5, 127.5, -128.5, 32767.5, -32768.5,
+     2.0**31 - 0.5, -(2.0**31) - 0.5, 5e-324, -5e-324]
+)
+
+
+class TestQuantizeAgainstTheFormula:
+    """``quantize`` and ``from_tensor`` equal the formulas they replaced."""
+
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.float32, np.float64]), st.integers(0, 40),
+            elements=_VALUES,
+        ),
+        _WIDTHS,
+        st.floats(2.0**-20, 2.0**10) | st.sampled_from([1.0, 0.5, 0.25]),
+    )
+    @settings(max_examples=300)
+    def test_quantize_matches(self, values, bits, scale):
+        params = QuantParams(scale=scale, bits=bits)
+        got, want = params.quantize(values), _formula_quantize(params, values)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @given(
+        st.lists(st.integers(-(2**33), 2**33), max_size=30),
+        _WIDTHS,
+        st.sampled_from([1.0, 0.5, 0.25, 2.0**-8]),
+    )
+    @settings(max_examples=200)
+    def test_exact_halves_round_away_from_zero(self, steps, bits, scale):
+        values = (np.array(steps, dtype=np.float64) + 0.5) * scale
+        params = QuantParams(scale=scale, bits=bits)
+        assert np.array_equal(
+            params.quantize(values), _formula_quantize(params, values)
+        )
+        assert np.array_equal(
+            params.quantize(-values), _formula_quantize(params, -values)
+        )
+
+    def test_saturates_and_signs_zero_at_every_width(self):
+        for bits in (8, 16, 32):
+            lo, hi = qrange(bits)
+            params = QuantParams(scale=1.0, bits=bits)
+            values = np.array([0.0, -0.0, 2.0 * hi, 2.0 * lo, np.inf, -np.inf])
+            assert params.quantize(values).tolist() == [0, 0, hi, lo, hi, lo]
+            assert np.array_equal(
+                params.quantize(values), _formula_quantize(params, values)
+            )
+
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.float32, np.float64]), st.integers(0, 40),
+            elements=_VALUES,
+        ),
+        _WIDTHS,
+    )
+    @settings(max_examples=300)
+    def test_from_tensor_matches(self, values, bits):
+        assert QuantParams.from_tensor(values, bits) == _formula_from_tensor(
+            values, bits
+        )
+
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    @pytest.mark.parametrize("values", [
+        np.zeros(5), np.array([-0.0, 0.0]), np.array([]),
+        np.array([1.0, np.nan, -3.0]), np.array([np.nan, np.nan]),
+        np.array([np.inf, 2.0]), np.array([5e-324, -5e-324]),
+    ], ids=["zeros", "signed-zeros", "empty", "nan", "all-nan", "inf",
+            "subnormal"])
+    def test_fallback_scale(self, values, bits):
+        """All-zero, NaN, infinite and subnormal-peak tensors fall back
+        to unit scale, as before."""
+        params = QuantParams.from_tensor(values, bits)
+        assert params == _formula_from_tensor(values, bits)
+        assert params.scale == 1.0 / qrange(bits)[1]
+
+
 class TestRequantizeShift:
     def test_algorithm_2_clamp(self):
         acc = np.array([32, -32, 32 * 40000, -32 * 40000], dtype=np.int64)
@@ -127,6 +227,27 @@ class TestRequantizeShift:
     def test_output_always_clamped(self, acc):
         out = requantize_shift(acc)
         assert np.all(np.abs(out) <= 32767)
+
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.int64, np.float64]), st.integers(0, 60),
+            elements=st.integers(-(2**40), 2**40),
+        ),
+        st.integers(1, 4096),
+        st.integers(1, 40000),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_masked_negation(self, acc, divisor, clamp):
+        """The sign multiply equals the masked ``np.negative`` it replaced."""
+        want = np.array(acc, dtype=np.int64)
+        negative = want < 0
+        np.abs(want, out=want)
+        want //= divisor
+        np.minimum(want, clamp, out=want)
+        np.negative(want, out=want, where=negative)
+        got = requantize_shift(acc, divisor, clamp)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want.astype(np.int32))
 
     def test_matches_c_semantics_against_python(self):
         """Trunc-toward-zero matches int(x/32) for representative values."""

@@ -477,3 +477,53 @@ def test_rejected_launch_leaves_the_broadcasts(n_tasklets, bitflip_rate, traced)
         LaunchError, f"tasklet count {n_tasklets} outside [1, 24]"
     )
     assert got["metrics"]["transfer.broadcasts"]["state"] == 2
+
+
+
+def _retry_plan(dpus):
+    """Rate-drawn faults that every retry recovers, and no bit flips."""
+    return FaultPlan(seed=1, fault_rate=0.03, default_policy="retry")
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("make_plan", [lambda dpus: None, _retry_plan],
+                         ids=["no-plan", "retry-plan"])
+@pytest.mark.parametrize("n_dpus,m", GROUPS)
+def test_fault_free_layer_does_no_per_row_work(n_dpus, m, make_plan, traced):
+    """With no bit flip possible, a layer multiplies every row in one
+    GEMM, flips no bit and leaves the staged images with one batched
+    MRAM write and no other, and still equals the per-wave oracle."""
+    from repro.core import mapping_yolo
+    from repro.dpu import memory
+
+    counted = [
+        (mapping_yolo, "gemm_fast"), (faults, "flip_bit"),
+        (mapping_yolo, "write_rows"), (memory.Mram, "write"),
+    ]
+    calls = dict.fromkeys([name for _, name in counted], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def layer(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, name in counted:
+                patch.setattr(owner, name, counting(name, getattr(owner, name)))
+            return run_gemm_layer(*args, **kwargs)
+
+    got, want = [
+        _observe(
+            layer_fn, n_dpus, m, make_plan,
+            traced=traced, fault_policy="retry", first_id=0,
+        )
+        for layer_fn in (layer, _per_wave_layer)
+    ]
+    assert calls == {"gemm_fast": 1, "flip_bit": 0, "write_rows": 1, "write": 0}
+    for key in want:
+        assert got[key] == want[key], key
+    assert got["result"][0] == "ok"
+    if make_plan is _retry_plan and n_dpus >= 8:
+        assert got["metrics"]["launch.retries"]["state"] > 0
