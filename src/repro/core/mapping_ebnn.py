@@ -42,7 +42,7 @@ from repro.dpu.profiler import SubroutineProfile
 from repro.errors import MappingError
 from repro.host.alignment import align_up
 from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
-from repro.nn.binary import pack_image
+from repro.nn.binary import pack_images
 from repro.nn.models.ebnn import EbnnConfig, EbnnModel
 
 #: The per-DPU image batch the paper uses (Section 4.1.3).
@@ -262,21 +262,26 @@ def stage_wave(
 
     The wave's first ``images_per_dpu`` images go to the first DPU, and so
     on; only DPUs that get at least one image join the returned set.
-    Returns that set and each of its DPUs' image count.
+    ``images`` is an ``(n, H, W)`` array or a list of ``(H, W)`` arrays.
+    The whole wave is binarized and packed in one pass, and an image of
+    the wrong shape raises :class:`~repro.errors.WorkloadError` before
+    any DPU is touched.  Returns that set and each of its DPUs' image
+    count.
     """
     per_dpu = layout.images_per_dpu
     n_active = min(len(dpus), -(-len(images) // per_dpu))
+    n_staged = min(len(images), n_active * per_dpu)
+    packed = pack_images(images[:n_staged], layout.config.image_size)
     view = DpuSet(list(dpus[:n_active]), attributes)
     view.load(image)
-    chunks = [images[d * per_dpu : (d + 1) * per_dpu] for d in range(n_active)]
-    view.scatter("images", [
-        np.frombuffer(b"".join(
-            pack_image(img).ljust(layout.image_bytes, b"\0") for img in chunk
-        ).ljust(layout.images_bytes, b"\0"), dtype=np.uint8)
-        for chunk in chunks
-    ])
-    view.scatter("meta", [np.array([len(c), 0], dtype=np.uint32) for c in chunks])
-    return view, [len(c) for c in chunks]
+    # One zeroed block, one padded image per row: DPU d's push is rows
+    # d*per_dpu .. (d+1)*per_dpu - 1, read as one images_bytes row.
+    staged = np.zeros((n_active * per_dpu, layout.image_bytes), dtype=np.uint8)
+    staged[:n_staged, : packed.shape[1]] = packed
+    view.scatter("images", staged.reshape(n_active, layout.images_bytes))
+    counts = [min(per_dpu, n_staged - d * per_dpu) for d in range(n_active)]
+    view.scatter("meta", np.array([[c, 0] for c in counts], dtype=np.uint32))
+    return view, counts
 
 
 def read_wave(

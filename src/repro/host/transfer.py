@@ -235,7 +235,7 @@ def account_rows(
     if not dpus:
         raise TransferError("push_xfer with no prepared transfers")
     validate_transfer(length)
-    _symbol_addrs(dpus, symbol_name, 0, length)
+    _check_symbol(dpus, symbol_name, 0, length)
     rows, n = len(dpus) if rows is None else rows, len(dpus)
     plan = faults.current_plan()
     if plan is None or plan.bitflip_rate <= 0:  # draw_flip would draw nothing
@@ -248,23 +248,35 @@ def account_rows(
     return sites
 
 
+def _check_symbol(
+    dpus: list[Dpu], symbol_name: str, offset: int, n_bytes: int
+) -> dict[int, int]:
+    """Check ``n_bytes`` at ``offset`` of ``symbol_name`` once per
+    distinct image of ``dpus``, before any DPU is touched, so a missing
+    symbol cannot leave the set partially written; returns each image's
+    (by ``id``) MRAM address of that range."""
+    first = dpus[0]
+    if operator.countOf(map(_IMAGE, dpus), first.image) == len(dpus):
+        distinct = (first,)  # one image, checked once
+    else:
+        distinct = {id(dpu.image): dpu for dpu in dpus}.values()
+    resolved = {}
+    for dpu in distinct:
+        symbol = dpu.symbol(symbol_name)
+        symbol.check_range(offset, n_bytes)
+        resolved[id(dpu.image)] = symbol.mram_addr + offset
+    return resolved
+
+
 def _symbol_addrs(
     dpus: list[Dpu], symbol_name: str, offset: int, n_bytes: int
 ) -> list[int]:
-    """Each DPU's MRAM address of ``symbol_name`` at ``offset``, checked
-    once per distinct image before any DPU is touched, so a missing
-    symbol cannot leave the set partially written."""
-    images = list(map(_IMAGE, dpus))
-    if images.count(images[0]) == len(images):  # one image, checked once
-        dpus = dpus[:1]
-    resolved = {}
-    for key, dpu in {id(dpu.image): dpu for dpu in dpus}.items():
-        symbol = dpu.symbol(symbol_name)
-        symbol.check_range(offset, n_bytes)
-        resolved[key] = symbol.mram_addr + offset
+    """Each DPU's MRAM address of ``symbol_name`` at ``offset``, every
+    image checked first (:func:`_check_symbol`)."""
+    resolved = _check_symbol(dpus, symbol_name, offset, n_bytes)
     if len(resolved) == 1:
-        return [*resolved.values()] * len(images)
-    return [resolved[id(image)] for image in images]
+        return [*resolved.values()] * len(dpus)
+    return [resolved[id(dpu.image)] for dpu in dpus]
 
 
 def transfer_seconds(n_bytes: int) -> float:

@@ -64,6 +64,35 @@ def pack_image(image: np.ndarray, threshold: float = 0.5) -> bytes:
     return pack_bits(to_bits(signs))
 
 
+def pack_images(images, side: int) -> np.ndarray:
+    """Binarize and bit-pack a batch of ``side`` x ``side`` images in one
+    pass: row ``i`` of the returned ``(n, ceil(side*side / 8))`` uint8
+    array holds the bytes :func:`pack_image` makes of image ``i``.
+
+    ``images`` is an ``(n, side, side)`` array or a sequence of
+    ``(side, side)`` arrays.  Every pixel is compared with 0.5 straight
+    into one bool block, so the batch is never copied to float64; 0.5 is
+    exact in every float dtype, so the comparison in the payload's own
+    dtype agrees with :func:`pack_image`'s.
+    """
+    if isinstance(images, np.ndarray):
+        shapes = {images.shape[1:]}
+    else:
+        shapes = {np.shape(image) for image in images}
+    if not shapes <= {(side, side)}:
+        raise WorkloadError(
+            f"images must be {side}x{side}; got shapes "
+            f"{sorted(shapes - {(side, side)})}"
+        )
+    bits = np.empty((len(images), side, side), dtype=bool)
+    if isinstance(images, np.ndarray):
+        np.greater_equal(images, 0.5, out=bits)
+    else:
+        for image, row in zip(images, bits):
+            np.greater_equal(image, 0.5, out=row)
+    return np.packbits(bits.reshape(len(images), -1), axis=1, bitorder="little")
+
+
 def unpack_image(data: bytes, height: int, width: int) -> np.ndarray:
     """Recover the {-1,+1} image from its packed form."""
     bits = unpack_bits(data, height * width)

@@ -371,6 +371,18 @@ class TestSymbolResolution:
         assert dpus[0].clock.now == 0.0
         assert all(dpu.mram._pages == {} for dpu in dpus)
 
+    def test_account_rows_checks_each_image_once(self, looked_up):
+        """``account_rows`` checks the range as ``_symbol_addrs`` does,
+        without resolving a per-DPU address list."""
+        transfer.account_rows(make_dpus(64), "data", 64, XferDirection.TO_DPU)
+        assert looked_up == [0]
+        looked_up.clear()
+        dpus = _mixed_image_set(2, [("pad", 32), ("data", 16)])
+        transfer.account_rows(dpus, "data", 16, XferDirection.TO_DPU)
+        assert [dpus[i].image for i in looked_up] == [dpus[0].image, dpus[2].image]
+        with pytest.raises(SymbolError, match="outside symbol"):
+            transfer.account_rows(dpus, "data", 24, XferDirection.TO_DPU)
+
     def test_equal_images_resolve_alike(self):
         """Two builds of one layout are distinct objects with one layout."""
         dpus = make_dpus(4)
