@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import faults, telemetry
+from repro import telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import Operation, OptLevel, Precision, mram_access_cycles
 from repro.dpu.device import DpuImage
@@ -181,8 +181,9 @@ def yolo_gemm_row_kernel(
     2, widened by the host for layers whose quantization would otherwise
     clamp (the padded-size side-channel protocol of Section 3.2 applied
     to scaling metadata).  Each DPU's symbols, laid out in the order
-    a_row, b, c_row, meta, are read as one span, and
-    :func:`_gemm_row_groups` multiplies them.  Every DPU does the same
+    a_row, b, c_row, meta, are read as one span.  B and the metadata are
+    broadcasts, so every DPU must hold the same copy of them, and one
+    :func:`gemm_fast` multiplies every row.  Every DPU does the same
     work, so the costs are charged once per launch.
     """
     shape = layout.shape
@@ -194,47 +195,25 @@ def yolo_gemm_row_kernel(
     b_at, meta_at = symbols["b"].mram_addr - base, symbols["meta"].mram_addr - base
     spans = [dpu.mram.read(base, meta_at + 24) for dpu in dpus]
     b_end = b_at + 2 * shape.k * shape.n
-    keys = [(span[meta_at : meta_at + 24], span[b_at:b_end]) for span in spans]
+    meta, b = spans[0][meta_at:], spans[0][b_at:b_end]
+    if any(span[meta_at:] != meta or span[b_at:b_end] != b for span in spans):
+        raise MappingError("YOLO row launch over DPUs whose B or metadata differ")
+    n, k, alpha, divisor = np.frombuffer(meta, np.int32)[1:5].tolist()
+    if (n, k) != (shape.n, shape.k):
+        raise MappingError(
+            f"metadata GEMM shape ({n}, {k}) != layout ({shape.n}, {shape.k})"
+        )
     a_rows = np.frombuffer(
         b"".join(span[: 2 * shape.k] for span in spans), np.int16
     ).reshape(-1, shape.k)
-    for members, c in _gemm_row_groups(shape, keys, a_rows):
-        for i, row in zip(members, c):
-            dpus[i].mram.write(c_addr, memoryview(row))
+    c = gemm_fast(
+        alpha, a_rows, np.frombuffer(b, np.int16).reshape(k, n),
+        divisor=divisor or 32,
+    )
+    for dpu, row in zip(dpus, c):
+        dpu.mram.write(c_addr, memoryview(row))
     policy = AccumulatorPolicy.for_shape(shape)
     return [_row_cost(shape, n_tasklets, opt_level, policy)] * len(dpus)
-
-
-def _gemm_row_groups(shape: GemmShape, keys: list, a_rows: np.ndarray):
-    """Multiply GEMM rows, one :func:`gemm_fast` per group of equal keys.
-
-    ``keys[i]`` is the ``(meta, b)`` bytes row ``i`` runs against.
-    Normally every row shares them; a transfer bit flip makes a DPU's
-    copy differ, and its rows form a group of their own.  Yields each
-    group's row indices, in order of first appearance, with its int32 C
-    rows; a group whose metadata disagrees with ``shape`` raises
-    :class:`MappingError` when reached.
-    """
-    groups: list[tuple[tuple[bytes, bytes], list[int]]] = []
-    for index, key in enumerate(keys):
-        for group_key, members in groups:
-            if group_key == key:
-                members.append(index)
-                break
-        else:
-            groups.append((key, [index]))
-    for (meta, b), members in groups:
-        n, k, alpha, divisor = np.frombuffer(meta, np.int32)[1:5].tolist()
-        if (n, k) != (shape.n, shape.k):
-            raise MappingError(
-                f"metadata GEMM shape ({n}, {k}) != layout "
-                f"({shape.n}, {shape.k})"
-            )
-        rows = a_rows if len(members) == len(a_rows) else a_rows[members]
-        yield members, gemm_fast(
-            alpha, rows, np.frombuffer(b, np.int16).reshape(k, n),
-            divisor=divisor or 32,
-        )
 
 
 @functools.lru_cache(maxsize=1024)
@@ -330,13 +309,11 @@ def run_gemm_layer(
     depend only on the DPU and the attempt, so every wave gets the
     outcomes of its DPUs.  Each wave's transfers, launch report, faults
     and metrics are charged from that decision, all full waves in one
-    step unless traced spans or bit-flip draws need them one by one (the
-    clock reads the same either way).  The transfers move no bytes: the
-    rows that ran are multiplied at once, and on every exit each DPU's
-    image is left as its last wave would leave it, with one batched MRAM
-    write.  When no bit flip can land (no plan, or one with no
-    ``bitflip_rate``), no Python work is done per row: every row runs in
-    one GEMM on the host's own B and metadata.
+    step unless traced spans need them one by one (the clock reads the
+    same either way).  The transfers move no bytes: the rows that ran
+    are multiplied in one GEMM on the host's own B and metadata, and on
+    every exit each DPU's image is left as its last wave would leave
+    it, with one batched MRAM write.
 
     Returns C as int32 rows and the report of every wave.  A wave that
     loses DPUs, degraded or with every DPU failed, raises
@@ -344,7 +321,6 @@ def run_gemm_layer(
     error propagates instead.
     """
     shape = plan.gemm
-    flips_on = getattr(faults.current_plan(), "bitflip_rate", 0) > 0
     layout = YoloDpuLayout(shape)
     staged = DpuSet(list(dpus[: min(shape.m, len(dpus))]), attributes)
     staged.load(layout.build_image(f"yolo_layer_{plan.layer_index}"))
@@ -355,22 +331,10 @@ def run_gemm_layer(
     meta = np.int32([shape.m, shape.n, shape.k, alpha, divisor, 0]).tobytes()
     b_end, c_end = at["b"] + len(b), at["c_row"] + 4 * shape.n
     end = at["meta"] + 24
-    bs, ms = (
+    for name, raw in (("b", b), ("meta", meta)):
         account_rows(staged.dpus, name, len(raw), XferDirection.TO_DPU,
                      kind="broadcast")
-        for name, raw in (("b", b), ("meta", meta))
-    )
-    # The metadata and B of each DPU whose broadcasts flipped a bit, as
-    # they delivered them.
-    flipped = {}
-    if flips_on:
-        flipped = {
-            i: (faults.flipped(meta, ms[i]), faults.flipped(b, bs[i]))
-            for i in range(size) if bs[i] or ms[i]
-        }
-    shape_bytes = np.int32([shape.n, shape.k]).tobytes()
     ran: list[int] | range = []  # DPUs of the first wave, then rows
-    flips: list[tuple[int, tuple[int, int]]] = []  # C readbacks' (row, site)
     reports: list[LaunchReport] = []
     scattered: int | None = None  # first row of the last scattered wave
 
@@ -386,23 +350,13 @@ def run_gemm_layer(
             ])
         image[:, at["b"] : b_end] = np.frombuffer(b, np.uint8)
         image[:, at["meta"] :] = np.frombuffer(meta, np.uint8)
-        for i, (meta_i, b_i) in flipped.items():
-            image[i, at["b"] : b_end] = np.frombuffer(b_i, np.uint8)
-            image[i, at["meta"] :] = np.frombuffer(meta_i, np.uint8)
         if scattered is not None:
             a_rows = (a_block if every else a_block[ran])[:, : 2 * shape.k]
-            a_rows = a_rows.view(np.int16)
-            if flipped:
-                c = np.empty((len(ran), shape.n), np.int32)
-                keys = [flipped.get(row % size, (meta, b)) for row in ran]
-                for members, group_c in _gemm_row_groups(shape, keys, a_rows):
-                    c[members] = group_c
-            else:  # every row runs against the host's own B and metadata
-                c = gemm_fast(
-                    alpha, a_rows,
-                    np.frombuffer(b, np.int16).reshape(shape.k, shape.n),
-                    divisor=divisor or 32,
-                )
+            c = gemm_fast(
+                alpha, a_rows.view(np.int16),
+                np.frombuffer(b, np.int16).reshape(shape.k, shape.n),
+                divisor=divisor or 32,
+            )
             last = np.arange(scattered, scattered + size)  # each DPU's row
             last[last >= shape.m] -= size
             image[:, : at["b"]] = a_block[last]
@@ -419,17 +373,7 @@ def run_gemm_layer(
     try:
         decision = staged.decide(n_tasklets, opt_level, fault_policy)
         ran = decision.ran  # in the first wave
-        if any(flipped[i][0][4:12] != shape_bytes for i in flipped if i in ran):
-            # A DPU whose metadata shape flipped runs in the first wave:
-            # run that wave as it is, and its kernel raises MappingError.
-            settle()
-            staged.scatter("a_row", list(a_q[:size]))
-            staged.launch(
-                n_tasklets=n_tasklets, opt_level=opt_level,
-                fault_policy=fault_policy, layout=layout,
-            )
-        # The scattered payloads, rows of A padded to the pushed length;
-        # the scatters' bit flips land here.
+        # The scattered payloads: rows of A padded to the pushed length.
         a_bytes = np.ascontiguousarray(a_q).view(np.uint8).reshape(shape.m, -1)
         a_block = np.zeros((shape.m, align_up(a_bytes.shape[1])), np.uint8)
         a_block[:, : a_bytes.shape[1]] = a_bytes
@@ -441,19 +385,16 @@ def run_gemm_layer(
         whole = len(ran) == size
         ran = range(shape.m) if whole else ran  # row r ran on DPU r % size
         rows = shape.m if whole else size
-        if flips_on or telemetry.current_tracer() is not None:
+        if telemetry.current_tracer() is not None:
             waves = [min(size, rows - start) for start in range(0, rows, size)]
         else:
             waves = [rows]  # charged at once
         for wave_rows in waves:
-            sites = account_rows(
+            account_rows(
                 staged.dpus, "a_row", a_block.shape[1], XferDirection.TO_DPU,
                 wave_rows,
             )
             scattered = start + (wave_rows - 1) // size * size
-            for row, site in enumerate(sites, start) if flips_on else ():
-                if site is not None:
-                    faults.flip_bit(a_block[row], site)
             try:
                 reports += staged.charge(
                     decision, wave_rows, lambda wave: [cost] * len(wave)
@@ -462,23 +403,13 @@ def run_gemm_layer(
                 raise LayerFailedError({d.dpu_id for d in staged}) from None
             if reports[-1].degraded:
                 raise LayerFailedError({o.dpu_id for o in reports[-1].failed})
-            sites = account_rows(
+            account_rows(
                 staged.dpus, "c_row", layout.c_row_bytes,
                 XferDirection.FROM_DPU, wave_rows,
             )
-            if flips_on:
-                flips += [
-                    (row, site) for row, site in enumerate(sites, start) if site
-                ]
             start += wave_rows
     finally:
         c_rows = settle()
-    # Every wave ran whole, so row i of C is row i of the product.  A
-    # readback flip lands in C or in the row's padding.
-    c_bytes = c_rows.view(np.uint8)
-    for row, site in flips:
-        if site[0] < c_bytes.shape[1]:
-            faults.flip_bit(c_bytes[row], site)
     return c_rows, reports
 
 

@@ -1,13 +1,12 @@
 """Deterministic, seeded fault injection for the simulated PIM system.
 
-At rack scale individual DPUs fault, straggle, and return corrupted data
+At rack scale individual DPUs fault and straggle
 (Gómez-Luna et al., "Benchmarking a New Paradigm"; Oliveira et al.,
 "Accelerating NN Inference with Processing-in-DRAM"), so a simulator that
 models a 2560-DPU server needs a way to *produce* those failures on
 demand.  This module is that knob: a :class:`FaultPlan` decides — purely
 from its seed and the identity of the victim — whether a given DPU
-launch attempt faults or hangs, and whether a host<->DPU transfer flips
-a bit.
+launch attempt faults or hangs.
 
 Design rules:
 
@@ -35,15 +34,6 @@ Rate-based faults trigger at instruction 0 — before any architectural
 side effect — so a retried attempt reproduces the fault-free execution
 bit for bit, and the whole test suite passes under smoke injection.
 Targeted faults (``targets=``) default to a mid-program site instead.
-
-Bit flips are drawn per transfer, in each DPU's transfer order, so they
-depend on how many transfers a mapping makes.  The YOLO layer routine
-sends B and the metadata once per layer, not once per wave: a flipped
-B persists across the layer's waves, as it would on hardware.  Its A
-rows go out and C rows come back once per wave.  Each of these
-transfers is drawn as its push or broadcast would draw it
-(:meth:`FaultPlan.draw_flip`) and XORed (:func:`flip_bit`) into the
-host's copy of the payload, which reaches MRAM in the layer's one write.
 """
 
 from __future__ import annotations
@@ -78,7 +68,6 @@ class FaultKind(str, Enum):
 
     FAULT = "fault"            # the DPU traps mid-program
     HANG = "hang"              # the DPU exceeds its cycle budget
-    BITFLIP = "bitflip"        # a transfer corrupts one MRAM bit
 
 
 @dataclass(frozen=True)
@@ -140,7 +129,8 @@ def record_fault(event: ExecFault, times: int = 1) -> None:
 
 @functools.lru_cache(maxsize=1 << 16, typed=True)
 def _uniform(seed: int, label: str, ids: tuple[int, ...]) -> float:
-    """The draw behind :meth:`FaultPlan._u`, memoized: it is pure."""
+    """A uniform [0, 1) draw, stable across processes and platforms, and
+    memoized: it is pure."""
     key = f"{seed}:{label}:" + ":".join(str(i) for i in ids)
     digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
@@ -161,16 +151,12 @@ class FaultPlan:
     seed: int = 0
     fault_rate: float = 0.0
     hang_rate: float = 0.0
-    bitflip_rate: float = 0.0
     targets: dict[int, FaultKind] = field(default_factory=dict)
     target_site: int = 1
     target_attempts: int = 1
     default_policy: str = "retry"
     max_retries: int = DEFAULT_MAX_RETRIES
     hang_cycle_budget: int = DEFAULT_HANG_BUDGET
-    #: Per-DPU transfer sequence numbers (so repeated transfers to one
-    #: DPU get independent bit-flip decisions).  Host-side only.
-    _xfer_seq: dict[int, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.default_policy not in POLICIES:
@@ -178,7 +164,7 @@ class FaultPlan:
                 f"unknown default_policy {self.default_policy!r}; "
                 f"use one of {POLICIES}"
             )
-        for name in ("fault_rate", "hang_rate", "bitflip_rate"):
+        for name in ("fault_rate", "hang_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise LaunchError(f"{name} must be in [0, 1], got {rate}")
@@ -191,10 +177,6 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
     # decisions
     # ------------------------------------------------------------------ #
-
-    def _u(self, label: str, *ids: int) -> float:
-        """A uniform [0, 1) draw, stable across processes and platforms."""
-        return _uniform(self.seed, label, ids)
 
     def exec_fault(self, dpu_id: int, attempt: int = 0) -> ExecFault | None:
         """Does launch ``attempt`` of ``dpu_id`` fail?  And how?
@@ -221,49 +203,6 @@ class FaultPlan:
                 deadline_cycles=self.hang_cycle_budget,
             )
         return None
-
-    def corrupt(self, data: bytes, *, dpu_id: int) -> bytes:
-        """Maybe flip one bit of a transfer payload for ``dpu_id``."""
-        return flipped(data, self.draw_flip(len(data), dpu_id=dpu_id))
-
-    def draw_flip(self, n_bytes: int, *, dpu_id: int) -> tuple[int, int] | None:
-        """Draw one ``n_bytes`` transfer's flip for ``dpu_id``: advance its
-        sequence; on a flip, count and trace it and return its site."""
-        if self.bitflip_rate <= 0 or not n_bytes:
-            return None
-        seq = self._xfer_seq.get(dpu_id, 0)
-        self._xfer_seq[dpu_id] = seq + 1
-        if self._u("flip", dpu_id, seq) >= self.bitflip_rate:
-            return None
-        bit = int(self._u("flipbit", dpu_id, seq) * n_bytes * 8)
-        byte_index, bit_index = divmod(bit, 8)
-        _M_FAULTS.labels(kind=FaultKind.BITFLIP.value).inc()
-        tracer = telemetry.current_tracer()
-        if tracer is not None:
-            tracer.add_span(
-                "dpu.bitflip",
-                category="fault",
-                track=("dpu", dpu_id),
-                dpu_id=dpu_id,
-                byte=byte_index,
-                bit=bit_index,
-            )
-        return byte_index, bit_index
-
-
-def flip_bit(buffer, site: tuple[int, int]) -> None:
-    """XOR the ``(byte, bit)`` site of a drawn flip into a writable buffer."""
-    byte_index, bit_index = site
-    buffer[byte_index] ^= 1 << bit_index
-
-
-def flipped(data: bytes, site: tuple[int, int] | None) -> bytes:
-    """``data`` as a transfer with the drawn flip ``site`` delivers it."""
-    if site is None:
-        return data
-    corrupted = bytearray(data)
-    flip_bit(corrupted, site)
-    return bytes(corrupted)
 
 
 # ---------------------------------------------------------------------- #
@@ -302,12 +241,7 @@ def fault_injection(plan: FaultPlan):
 
 
 def plan_from_env() -> FaultPlan | None:
-    """Build a smoke-injection plan from ``REPRO_FAULT_*`` (or None).
-
-    Bit flips are deliberately not env-enabled: they corrupt payloads
-    irrecoverably, which no retry can mask, so they stay an explicit
-    per-plan choice.
-    """
+    """Build a smoke-injection plan from ``REPRO_FAULT_*`` (or None)."""
 
     def _rate(name: str) -> float:
         raw = os.environ.get(name, "").strip()

@@ -19,9 +19,7 @@ from repro.host.runtime import (
 )
 from repro.host.topology import DpuAddress, SystemTopology
 from repro.host.transfer import (
-    XferBatch,
     XferDirection,
-    copy_from,
     copy_to,
     gather_rows,
     scatter_rows,
@@ -43,9 +41,7 @@ __all__ = [
     "wait_all",
     "DpuAddress",
     "SystemTopology",
-    "XferBatch",
     "XferDirection",
-    "copy_from",
     "copy_to",
     "gather_rows",
     "scatter_rows",

@@ -16,10 +16,6 @@ deadline-cancel path:
   must differ by exactly what the new routine adds, as must the
   execution's simulated seconds (the gathers' host-link time).
 
-A last scenario installs a bit-flip plan around the gather alone and
-holds the batched read-out to the per-image ``unpack_bits`` + float
-classifier loop on the same corrupted rows.
-
 One difference is by design: an image on a DPU that the runner's launch
 isolated gets label ``-1``, and host time is charged only for the images
 that were classified.  The old runner classified the DPU's rolled-back
@@ -36,8 +32,6 @@ from repro.core.lut import create_lut
 from repro.core.timing import transfer_seconds
 from repro.core.mapping_ebnn import (
     HOST_SECONDS_PER_IMAGE,
-    IMAGES_PER_DPU,
-    EbnnDpuLayout,
     EbnnPimRunner,
     EbnnRunResult,
     ebnn_dpu_cycles,
@@ -50,8 +44,7 @@ from repro.faults import FaultPlan
 from repro.host import runtime
 from repro.host.runtime import DpuSet, DpuSystem
 from repro.nn.binary import pack_image, unpack_bits
-from repro.nn.layers import fully_connected, softmax
-from repro.nn.models.ebnn import EbnnConfig, EbnnModel
+from repro.nn.models.ebnn import EbnnModel
 from repro.serve import BatchExecution, EbnnBackend, InferenceRequest
 
 #: Counters the new routine moves beyond the old loops: ``stage_wave``
@@ -466,85 +459,3 @@ def test_backend_matches_old_wave(scenario, deadline_s, monkeypatch):
     assert got.failed_dpu_ids == want.failed_dpu_ids
     expect_shed = {None: 0, 0.0: 100}.get(deadline_s, 36)
     assert len(got.shed) == expect_shed
-
-
-def _float_classify_features(model, features):
-    """``EbnnModel.classify_features`` as the per-image loop called it:
-    float32 FC weights, ``fully_connected``, ``softmax``, ``argmax``."""
-    signs = np.where(features.reshape(-1) > 0, 1.0, -1.0)
-    probs = softmax(fully_connected(signs, model.fc_weights.astype(np.float32)))
-    return int(np.argmax(probs)), probs
-
-
-#: A config whose features end in a partial byte (75 bits in 10 bytes)
-#: and whose results carry 6 padding bytes per image (16 in all).
-PARTIAL_MODEL = EbnnModel(EbnnConfig(image_size=10, filters=3))
-
-
-def _flip_region(row, clean, count, cfg, size):
-    """Where the one flipped bit of a gathered row lies."""
-    row, clean = np.frombuffer(row, np.uint8), np.frombuffer(clean, np.uint8)
-    (byte,) = np.flatnonzero(row != clean)
-    bit = int(row[byte] ^ clean[byte]).bit_length() - 1
-    slot, offset = divmod(int(byte), size)
-    if slot >= count:
-        return "unused slot"
-    if offset * 8 + bit < cfg.feature_count:
-        return "features"
-    return "pad bits" if offset < cfg.feature_bytes else "padding"
-
-
-@pytest.mark.parametrize(
-    "model,n_dpus,plan_seeds",
-    [(MODEL, 4, range(3)), (PARTIAL_MODEL, 8, range(16))],
-    ids=["served", "partial-byte"],
-)
-def test_read_out_matches_per_image_loop_under_bit_flips(
-    model, n_dpus, plan_seeds, monkeypatch,
-):
-    """A bit-flip plan corrupts each DPU's gathered ``results`` row;
-    the batched read-out labels what the per-image ``unpack_bits`` +
-    classifier loop labels on the same corrupted rows.  The flips hit
-    feature bits, the pad bits of a partial last byte, the padding of
-    ``result_bytes_per_image`` and the unused slots of a short DPU."""
-    cfg = model.config
-    size = EbnnDpuLayout(cfg).result_bytes_per_image
-    n_images = n_dpus * IMAGES_PER_DPU - 8  # the last DPU holds 8 images
-    counts = [IMAGES_PER_DPU] * (n_dpus - 1) + [8]
-    side = cfg.image_size
-    images = generate_batch(n_images, seed=5).normalized()[:, :side, :side]
-    gather = runtime.DpuSet.gather
-    regions = set()
-
-    for plan_seed in plan_seeds:
-        gathered = []
-
-        def flipping_gather(dpu_set, symbol, length):
-            plan = FaultPlan(seed=plan_seed, bitflip_rate=1.0)
-            with faults.fault_injection(plan):
-                rows = gather(dpu_set, symbol, length)
-            gathered.append(rows)
-            for dpu, row, count in zip(dpu_set, rows, counts):
-                clean = dpu.mram.read(dpu.symbol(symbol).mram_addr, length)
-                regions.add(_flip_region(row, clean, count, cfg, size))
-            return rows
-
-        monkeypatch.setattr(runtime.DpuSet, "gather", flipping_gather)
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(n_dpus))
-        with faults.fault_injection(None):
-            result = EbnnPimRunner(system, model).run(images)
-        monkeypatch.undo()
-
-        (rows,) = gathered
-        want = []
-        for row, count in zip(rows, counts):
-            for i in range(count):
-                bits = unpack_bits(row[i * size : (i + 1) * size], cfg.feature_count)
-                features = bits.reshape(cfg.filters, cfg.pooled_out, cfg.pooled_out)
-                want.append(_float_classify_features(model, features)[0])
-        assert result.predictions.tolist() == want
-
-    expected = {"features", "unused slot"}
-    if size > cfg.feature_bytes:
-        expected |= {"padding", "pad bits"}
-    assert regions == expected

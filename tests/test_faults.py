@@ -20,7 +20,6 @@ from repro.errors import (
     DpuHangError,
     LaunchError,
     SymbolError,
-    TransferError,
 )
 from repro.faults import FaultKind, FaultPlan
 from repro.host import transfer as xfer
@@ -100,10 +99,10 @@ class TestFaultPlan:
 
     def test_decision_depends_only_on_dpu_and_attempt(self):
         """The contract a caller that decides a launch once relies on:
-        launches, flipped transfers and other DPUs' decisions between
-        two asks do not change a (DPU, attempt)'s decision."""
+        launches, transfers and other DPUs' decisions between two asks
+        do not change a (DPU, attempt)'s decision."""
         plan = FaultPlan(
-            seed=3, fault_rate=0.3, hang_rate=0.2, bitflip_rate=1.0,
+            seed=3, fault_rate=0.3, hang_rate=0.2,
             targets={2: "hang"}, target_attempts=2,
         )
         sites = [(d, t) for d in range(8) for t in range(3)]
@@ -114,34 +113,11 @@ class TestFaultPlan:
         _, dpu_set = make_set(8)
         with faults.fault_injection(plan):
             for _ in range(2):
-                dpu_set.broadcast("seed", bytes(8))  # every transfer flips
+                dpu_set.broadcast("seed", bytes(8))
                 dpu_set.launch(n_tasklets=1, fault_policy="isolate")
         for d in range(8, 64):
             plan.exec_fault(d, 0)
-        assert plan._xfer_seq and [
-            plan.exec_fault(d, t) for d, t in sites
-        ] == before
-
-    def test_bitflip_is_deterministic_single_bit(self):
-        payload = bytes(range(64))
-
-        def corrupted():
-            plan = FaultPlan(seed=9, bitflip_rate=1.0)
-            return plan.corrupt(payload, dpu_id=5)
-
-        first, second = corrupted(), corrupted()
-        assert first == second
-        assert first != payload
-        diff = int.from_bytes(first, "big") ^ int.from_bytes(payload, "big")
-        assert bin(diff).count("1") == 1
-
-    def test_bitflip_sequence_advances_per_dpu(self):
-        plan = FaultPlan(seed=9, bitflip_rate=1.0)
-        payload = bytes(16)
-        first = plan.corrupt(payload, dpu_id=1)
-        second = plan.corrupt(payload, dpu_id=1)
-        assert first != payload and second != payload
-        assert first != second  # independent draws per transfer
+        assert [plan.exec_fault(d, t) for d, t in sites] == before
 
     def test_memoized_draws_equal_fresh_ones(self):
         def fresh(seed, label, *ids):
@@ -154,9 +130,9 @@ class TestFaultPlan:
         for seed in (11, 12, 11):
             plan.seed = seed
             for _ in range(2):  # the second pass is served from the memo
-                assert [plan._u("fault", d, t) for d, t in sites] == [
-                    fresh(seed, "fault", d, t) for d, t in sites
-                ]
+                assert [
+                    faults._uniform(seed, "fault", (d, t)) for d, t in sites
+                ] == [fresh(seed, "fault", d, t) for d, t in sites]
             decisions = [plan.exec_fault(d, t) is not None for d, t in sites]
             assert decisions == [
                 fresh(seed, "fault", d, t) < 0.3 for d, t in sites
@@ -178,7 +154,6 @@ class TestFaultPlan:
         assert plan.fault_rate == 0.25
         assert plan.seed == 42
         assert plan.default_policy == "isolate"
-        assert plan.bitflip_rate == 0.0  # never env-enabled
 
     def test_plan_from_env_disabled_without_rates(self, monkeypatch):
         for name in ("REPRO_FAULT_RATE", "REPRO_FAULT_HANG_RATE"):
@@ -447,7 +422,8 @@ class TestAcceptanceCriterion:
 
 
 class TestPushPartialFailure:
-    """Satellites 2+3: validate up front, account all-or-nothing."""
+    """A push validates every DPU before it touches any, and accounts
+    all or nothing."""
 
     def make_pair(self):
         system = DpuSystem(UPMEM_ATTRIBUTES.scaled(4))
@@ -455,27 +431,28 @@ class TestPushPartialFailure:
         dpu_set.load(mix_image())
         return system, dpu_set
 
-    def test_short_buffer_touches_no_dpu(self, transfers):
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(4))
-        dpu_set = system.allocate(2)
-        dpu_set.load(DpuImage.from_symbol_layout(
+    @staticmethod
+    def wide_image():
+        return DpuImage.from_symbol_layout(
             "wide", program=assemble(MIX_SOURCE, name="wide"),
-            layout=[("buf", 16)],
-        ))
-        batch = xfer.XferBatch()
-        batch.prepare(dpu_set[0], bytes([0xAA] * 16))
-        batch.prepare(dpu_set[1], bytes([0xBB] * 8))  # too short for 16
-        with pytest.raises(TransferError, match="shorter"):
-            batch.push(xfer.XferDirection.TO_DPU, "buf", length=16)
+            layout=[("seed", 16)],
+        )
+
+    def test_oversized_row_touches_no_dpu(self, transfers):
+        system, dpu_set = self.make_pair()
+        dpu_set[0].load(self.wide_image())
+        rows = [bytes([0xAA] * 16), bytes([0xBB] * 16)]  # DPU 1 holds 8
+        with pytest.raises(SymbolError, match="outside symbol"):
+            xfer.scatter_rows(dpu_set.dpus, "seed", rows)
         # DPU 0 was NOT written before the error surfaced...
-        assert dpu_set[0].read_symbol("buf", 16) == bytes(16)
+        assert dpu_set[0].read_symbol("seed", 16) == bytes(16)
         # ...and nothing was accounted.
         counted = transfers()
         assert counted["to_dpu"] == 0 and counted["pushes"] == 0
-        # The batch is still intact: a corrected retry just works.
-        batch.push(xfer.XferDirection.TO_DPU, "buf", length=8)
-        assert dpu_set[0].read_symbol("buf", 8) == bytes([0xAA] * 8)
-        assert dpu_set[1].read_symbol("buf", 8) == bytes([0xBB] * 8)
+        # A corrected push just works.
+        xfer.scatter_rows(dpu_set.dpus, "seed", [row[:8] for row in rows])
+        assert dpu_set[0].read_symbol("seed", 8) == bytes([0xAA] * 8)
+        assert dpu_set[1].read_symbol("seed", 8) == bytes([0xBB] * 8)
         counted = transfers()
         assert counted["to_dpu"] == 16 and counted["pushes"] == 1
         system.free(dpu_set)
@@ -488,11 +465,10 @@ class TestPushPartialFailure:
             layout=[("blob", 16)],
         )
         dpu_set[1].load(other)
-        batch = xfer.XferBatch()
-        batch.prepare(dpu_set[0], bytes([0xCC] * 8))
-        batch.prepare(dpu_set[1], bytes([0xDD] * 8))
         with pytest.raises(SymbolError, match="seed"):
-            batch.push(xfer.XferDirection.TO_DPU, "seed")
+            xfer.scatter_rows(
+                dpu_set.dpus, "seed", [bytes([0xCC] * 8), bytes([0xDD] * 8)]
+            )
         assert dpu_set[0].read_symbol("seed", 8) == bytes(8)
         counted = transfers()
         assert counted["to_dpu"] == 0 and counted["pushes"] == 0
@@ -512,57 +488,12 @@ class TestPushPartialFailure:
 
     def test_gather_stats_all_or_nothing(self, transfers):
         system, dpu_set = self.make_pair()
-        batch = xfer.XferBatch()
-        batch.prepare(dpu_set[0], bytearray(8))
-        batch.prepare(dpu_set[1], bytearray(4))  # short for a FROM_DPU pull
-        with pytest.raises(TransferError, match="shorter"):
-            batch.push(xfer.XferDirection.FROM_DPU, "seed", length=8)
+        dpu_set[0].load(self.wide_image())  # DPU 1 is short for a 16 B pull
+        with pytest.raises(SymbolError, match="outside symbol"):
+            xfer.gather_rows(dpu_set.dpus, "seed", 16)
         counted = transfers()
         assert counted["from_dpu"] == 0 and counted["pushes"] == 0
         system.free(dpu_set)
-
-
-class TestBitflipTransfers:
-    def test_broadcast_flips_one_bit_per_dpu(self):
-        system, dpu_set = self.fresh_pair()
-        payload = bytes([0x55] * 8)
-        with faults.fault_injection(FaultPlan(seed=3, bitflip_rate=1.0)):
-            dpu_set.broadcast("seed", payload)
-        for dpu in dpu_set:
-            stored = dpu.read_symbol("seed", 8)
-            diff = int.from_bytes(stored, "big") ^ int.from_bytes(payload, "big")
-            assert bin(diff).count("1") == 1
-        system.free(dpu_set)
-
-    def test_same_seed_same_flips(self):
-        def run():
-            system, dpu_set = self.fresh_pair()
-            with faults.fault_injection(FaultPlan(seed=3, bitflip_rate=1.0)):
-                dpu_set.broadcast("seed", bytes([0x55] * 8))
-            stored = [dpu.read_symbol("seed", 8) for dpu in dpu_set]
-            system.free(dpu_set)
-            return stored
-
-        assert run() == run()
-
-    def test_gather_flips_on_read(self):
-        system, dpu_set = self.fresh_pair()
-        dpu_set.broadcast("seed", bytes(8))
-        with faults.fault_injection(FaultPlan(seed=3, bitflip_rate=1.0)):
-            rows = dpu_set.gather("seed", 8)
-        for row in rows:
-            assert bin(int.from_bytes(row, "big")).count("1") == 1
-        # MRAM itself is unchanged: the flip happened on the link.
-        for dpu in dpu_set:
-            assert dpu.read_symbol("seed", 8) == bytes(8)
-        system.free(dpu_set)
-
-    @staticmethod
-    def fresh_pair():
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(4))
-        dpu_set = system.allocate(2)
-        dpu_set.load(mix_image())
-        return system, dpu_set
 
 
 class TestFaultTelemetry:

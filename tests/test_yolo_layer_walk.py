@@ -2,20 +2,18 @@
 
 :func:`repro.core.mapping_yolo.run_gemm_layer` decides a layer's launch
 once, charges every wave from that decision and executes the layer once:
-its transfers are accounted without moving bytes, one GEMM runs per
-B/metadata group, and each DPU's layer image (``a_row | b | c_row |
-meta``) is written with one MRAM write.  These tests keep the per-wave
-loop it replaced (stage once, then scatter, launch and gather on every
-wave) as the oracle and hold the walk to it bit for bit, over group
-sizes 1, 3, 8 and 64, no fault plan and the retry, isolate and raise
-policies, with and without transfer bit flips, traced and untraced,
-over waves that replay several fault events each, and over an image
-that spans four MRAM pages:
+its transfers are accounted without moving bytes, one GEMM runs over
+every row, and each DPU's layer image (``a_row | b | c_row | meta``) is
+written with one MRAM write.  These tests keep the per-wave loop it
+replaced (stage once, then scatter, launch and gather on every wave) as
+the oracle and hold the walk to it bit for bit, over group sizes 1, 3,
+8 and 64, no fault plan and the retry, isolate and raise policies,
+traced and untraced, over waves that replay several fault events each,
+and over an image that spans four MRAM pages:
 
 * C and every wave's report, or the raised error and its DPU ids;
 * every ``GLOBAL_METRICS`` value (launches, transfers, faults, ...) and
   the system's simulated clock;
-* the plan's per-DPU transfer sequence, so later flips draw alike;
 * every staged DPU's memory and ``last_result``, starting from stale
   contents an earlier layer could have left;
 * when traced, every span (name, category, track, attributes, simulated
@@ -54,8 +52,7 @@ from repro.nn.gemm import GemmShape
 #: in a short wave.
 GROUPS = [(1, 3), (3, 8), (8, 20), (64, 150)]
 
-#: Fault policies under test; ``None`` is a layer with no fault plan
-#: (or, with bit flips, a plan that only flips bits).
+#: Fault policies under test; ``None`` is a layer with no fault plan.
 POLICIES = [None, "retry", "isolate", "raise"]
 
 #: MRAM bytes per DPU filled with stale contents and compared afterwards.
@@ -188,7 +185,6 @@ def _observe(
         "reports": [vars(r) for r in reports],
         "metrics": registry["metrics"],
         "clock": system.clock.now,
-        "xfer_seq": dict(fault_plan._xfer_seq) if fault_plan else None,
         "memory": [dpu.mram.read(0, region) for dpu in dpus],
         "last_results": [dpu.last_result for dpu in dpus],
         "spans": _spans(tracer) if traced else None,
@@ -215,40 +211,36 @@ def _compare(
     return got
 
 
-def _matrix_plan(policy, bitflip_rate, kind="fault"):
+def _matrix_plan(policy, kind="fault"):
     """Fail the group's middle DPU (its first attempt under retry,
-    always otherwise) and flip transfer bits at ``bitflip_rate``."""
+    always otherwise); no plan when ``policy`` is None."""
 
     def make(dpus):
-        if policy is None and not bitflip_rate:
+        if policy is None:
             return None
         bad = dpus[len(dpus) // 2].dpu_id
         return FaultPlan(
             seed=6,
-            bitflip_rate=bitflip_rate,
-            targets={} if policy is None else {bad: kind},
+            targets={bad: kind},
             target_attempts=1 if policy == "retry" else 10,
-            default_policy=policy or "raise",
+            default_policy=policy,
         )
 
     return make
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("bitflip_rate", [0.0, 0.05])
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("n_dpus,m", GROUPS)
-def test_walk_matches_per_wave_layer(n_dpus, m, policy, bitflip_rate, traced):
+def test_walk_matches_per_wave_layer(n_dpus, m, policy, traced):
     got = _compare(
-        n_dpus, m, _matrix_plan(policy, bitflip_rate),
-        traced=traced, fault_policy=policy,
+        n_dpus, m, _matrix_plan(policy), traced=traced, fault_policy=policy,
     )
     expected = {
         None: "ok", "retry": "ok",
         "isolate": LayerFailedError, "raise": DpuFaultError,
     }[policy]
-    if not bitflip_rate:
-        assert got["result"][0] is expected or got["result"][0] == expected
+    assert got["result"][0] is expected or got["result"][0] == expected
 
 
 def _replay_plan(policy):
@@ -288,72 +280,11 @@ def test_replayed_multi_event_waves_match(policy, traced):
         assert metrics["launch.retries"]["state"] == 0
 
 
-def test_matrix_flips_every_transfer_kind():
-    """The 64-DPU flip case corrupts B, A rows and C readbacks, so the
-    walk's grouping and its host-side A and C flips are all exercised."""
-    got = _compare(64, 150, _matrix_plan(None, 0.05), traced=True)
-    assert got["result"][0] == "ok"
-    kinds, pending = [], 0
-    for _, name, category, _, attributes, _, _ in got["spans"]:
-        if name == "dpu.bitflip":
-            pending += 1
-        elif category == "transfer":
-            kinds += [(name, attributes["direction"])] * pending
-            pending = 0
-    assert ("transfer.broadcast", "to_dpu") in kinds
-    assert ("transfer.push", "to_dpu") in kinds
-    assert ("transfer.push", "from_dpu") in kinds
-    # B, metadata, then one scatter and one gather per wave a DPU is in.
-    seq = got["xfer_seq"]
-    assert seq[0] == 2 + 2 * 3 and seq[63] == 2 + 2 * 2
-
-
-#: Under this seed every transfer flips a bit, and only DPU 3's flip
-#: lands in its metadata's shape (N, K).
-META_SEED, META_DPU = 16, 3
-
-
-@pytest.mark.parametrize("policy,target,expected", [
-    (None, None, MappingError),
-    ("retry", META_DPU, MappingError),       # it runs on its retry
-    ("isolate", META_DPU, LayerFailedError),  # it never runs
-    ("isolate", 5, MappingError),
-    ("raise", META_DPU, DpuFaultError),      # DPUs 0-2 run, then it fails
-    ("raise", 5, MappingError),              # it runs before DPU 5 fails
-])
-def test_flipped_metadata_raises_where_it_runs(policy, target, expected):
-    """A flipped metadata shape raises MappingError at the first launch
-    that runs its DPU, as the kernel did; a DPU that never runs is no
-    error."""
-
-    def make(dpus):
-        return FaultPlan(
-            seed=META_SEED, bitflip_rate=1.0,
-            targets={} if target is None else {target: "fault"},
-            target_attempts=1 if policy == "retry" else 10,
-            default_policy=policy or "raise",
-        )
-
-    got = _compare(8, 20, make, fault_policy=policy)
-    assert got["result"][0] is expected
-
-
-def test_metadata_seed_flips_one_shape():
-    plan = FaultPlan(seed=META_SEED, bitflip_rate=1.0)
-    shapes = []
-    for dpu_id in range(8):
-        plan.draw_flip(2 * 40 * 24, dpu_id=dpu_id)  # B
-        byte, _ = plan.draw_flip(24, dpu_id=dpu_id)  # metadata
-        if 4 <= byte < 12:
-            shapes.append(dpu_id)
-    assert shapes == [META_DPU]
-
-
 @pytest.mark.parametrize("policy", ["retry", "isolate", "raise"])
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
 def test_hung_dpu_matches_per_wave_layer(policy, traced):
     got = _compare(
-        8, 20, _matrix_plan(policy, 0.0, kind="hang"),
+        8, 20, _matrix_plan(policy, kind="hang"),
         traced=traced, fault_policy=policy,
     )
     expected = {
@@ -365,7 +296,7 @@ def test_hung_dpu_matches_per_wave_layer(policy, traced):
 
 def test_all_failed_wave_matches_per_wave_layer():
     """A single-DPU group whose DPU always fails: no report, no launch."""
-    got = _compare(1, 3, _matrix_plan("isolate", 0.05), fault_policy="isolate")
+    got = _compare(1, 3, _matrix_plan("isolate"), fault_policy="isolate")
     assert got["result"][0] is LayerFailedError
     assert got["metrics"]["dpu.launches"]["state"] == 0
 
@@ -426,17 +357,13 @@ def test_walk_counts_every_row_as_a_launch_of_its_own():
 WIDE = {"n": 4096, "k": 27}
 
 
-@pytest.mark.parametrize("bitflip_rate", [0.0, 0.05, 1.0])
 @pytest.mark.parametrize("n_dpus", [1, 2])
-def test_walk_matches_across_mram_pages(n_dpus, bitflip_rate):
+def test_walk_matches_across_mram_pages(n_dpus):
     meta = YoloDpuLayout(GemmShape(m=2, **WIDE)).build_image().symbols["meta"]
     region = meta.mram_addr + meta.size
     assert region == 237_648
-    got = _compare(
-        n_dpus, 2, _matrix_plan(None, bitflip_rate), region=region, **WIDE
-    )
-    if not bitflip_rate:
-        assert got["result"][0] == "ok"
+    got = _compare(n_dpus, 2, _matrix_plan(None), region=region, **WIDE)
+    assert got["result"][0] == "ok"
 
 
 def _rejected_launch_layer(
@@ -457,16 +384,15 @@ def _rejected_launch_layer(
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("bitflip_rate", [0.0, 1.0])
 @pytest.mark.parametrize("n_tasklets", [0, 25])
-def test_rejected_launch_leaves_the_broadcasts(n_tasklets, bitflip_rate, traced):
+def test_rejected_launch_leaves_the_broadcasts(n_tasklets, traced):
     """A tasklet count the DPUs reject raises LaunchError once B and the
-    metadata went out: they stay in MRAM, flipped bits included, and
-    the clock and metrics count them."""
+    metadata went out: they stay in MRAM, and the clock and metrics
+    count them."""
     got, want = [
         _observe(
             functools.partial(layer_fn, n_tasklets=n_tasklets), 3, 8,
-            _matrix_plan(None, bitflip_rate),
+            _matrix_plan(None),
             traced=traced, fault_policy=None, first_id=0,
         )
         for layer_fn in (run_gemm_layer, _rejected_launch_layer)
@@ -481,7 +407,7 @@ def test_rejected_launch_leaves_the_broadcasts(n_tasklets, bitflip_rate, traced)
 
 
 def _retry_plan(dpus):
-    """Rate-drawn faults that every retry recovers, and no bit flips."""
+    """Rate-drawn faults that every retry recovers."""
     return FaultPlan(seed=1, fault_rate=0.03, default_policy="retry")
 
 
@@ -490,15 +416,15 @@ def _retry_plan(dpus):
                          ids=["no-plan", "retry-plan"])
 @pytest.mark.parametrize("n_dpus,m", GROUPS)
 def test_fault_free_layer_does_no_per_row_work(n_dpus, m, make_plan, traced):
-    """With no bit flip possible, a layer multiplies every row in one
-    GEMM, flips no bit and leaves the staged images with one batched
-    MRAM write and no other, and still equals the per-wave oracle."""
+    """A layer multiplies every row in one GEMM and leaves the staged
+    images with one batched MRAM write and no other, and still equals
+    the per-wave oracle."""
     from repro.core import mapping_yolo
     from repro.dpu import memory
 
     counted = [
-        (mapping_yolo, "gemm_fast"), (faults, "flip_bit"),
-        (mapping_yolo, "write_rows"), (memory.Mram, "write"),
+        (mapping_yolo, "gemm_fast"), (mapping_yolo, "write_rows"),
+        (memory.Mram, "write"),
     ]
     calls = dict.fromkeys([name for _, name in counted], 0)
 
@@ -521,7 +447,7 @@ def test_fault_free_layer_does_no_per_row_work(n_dpus, m, make_plan, traced):
         )
         for layer_fn in (layer, _per_wave_layer)
     ]
-    assert calls == {"gemm_fast": 1, "flip_bit": 0, "write_rows": 1, "write": 0}
+    assert calls == {"gemm_fast": 1, "write_rows": 1, "write": 0}
     for key in want:
         assert got[key] == want[key], key
     assert got["result"][0] == "ok"
