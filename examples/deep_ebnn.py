@@ -18,7 +18,6 @@ from repro.datasets import generate_batch
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel, Operation, Precision
 from repro.dpu.kernel import KernelContext
-from repro.dpu.memory import Mram, Wram
 from repro.nn.binary import (
     binarize,
     binary_conv2d,
@@ -45,9 +44,7 @@ def make_bn(n, seed):
 def block_cost_cycles(conv_macs: int, pooled: int, lut_bytes: int,
                       n_tasklets: int = 16) -> float:
     """DPU cycles of one binary conv-pool-LUT block (the mapping recipe)."""
-    ctx = KernelContext(
-        Mram(), Wram(), n_tasklets=n_tasklets, opt_level=OptLevel.O3
-    )
+    ctx = KernelContext(n_tasklets=n_tasklets, opt_level=OptLevel.O3)
     ctx.charge_instructions(7 * conv_macs)   # loads + XNOR chain per MAC
     ctx.charge_instructions(9 * pooled)      # max-pool
     ctx.charge_streamed_dma(lut_bytes)       # stage the block's LUT

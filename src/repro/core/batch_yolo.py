@@ -28,7 +28,6 @@ from repro.core.mapping_yolo import (
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import OptLevel
 from repro.dpu.kernel import KernelContext
-from repro.dpu.memory import Mram, Wram
 from repro.errors import MappingError
 from repro.nn.models.darknet import Yolov3Model
 
@@ -76,9 +75,7 @@ def whole_image_dpu_cycles(
     Each layer costs its full M filter rows on this single DPU; the same
     cost recipe as the row mapping keeps the two schemes comparable.
     """
-    ctx = KernelContext(
-        Mram(), Wram(), n_tasklets=n_tasklets, opt_level=opt_level
-    )
+    ctx = KernelContext(n_tasklets=n_tasklets, opt_level=opt_level)
     for plan in model.plans:
         shape = plan.gemm
         policy = AccumulatorPolicy.for_shape(shape)

@@ -29,7 +29,12 @@ import numpy as np
 from repro import telemetry
 from repro.core.lut import LookupTable, create_lut
 from repro.dpu.attributes import UpmemAttributes
-from repro.dpu.costs import Operation, OptLevel, Precision
+from repro.dpu.costs import (
+    DMA_MAX_TRANSFER_BYTES,
+    Operation,
+    OptLevel,
+    Precision,
+)
 from repro.dpu.kernel import (
     GLOBAL_KERNELS,
     KernelContext,
@@ -100,6 +105,18 @@ class EbnnDpuLayout:
         return align_up(-(-bits // 8))
 
     def build_image(self, name: str = "ebnn") -> DpuImage:
+        """The kernel image of this layout, whose image batch must fit
+        one DMA staging transfer (Section 4.1.3)."""
+        if self.images_per_dpu < 1:
+            raise MappingError(
+                f"images_per_dpu must be >= 1, got {self.images_per_dpu}"
+            )
+        if self.images_bytes > DMA_MAX_TRANSFER_BYTES:
+            raise MappingError(
+                f"{self.images_per_dpu} images need {self.images_bytes} "
+                f"bytes of staging; the DMA transfer cap is "
+                f"{DMA_MAX_TRANSFER_BYTES} (Section 4.1.3)"
+            )
         return DpuImage.from_symbol_layout(
             name,
             kernel_name="ebnn_conv_pool",
@@ -170,7 +187,7 @@ def charge_ebnn_costs(
     ctx.set_work_units(n_images)
 
 
-@GLOBAL_KERNELS.register("ebnn_conv_pool", set_wide=True)
+@GLOBAL_KERNELS.register("ebnn_conv_pool")
 def ebnn_conv_pool_kernel(
     dpus,
     *,
@@ -364,22 +381,12 @@ class EbnnPimRunner:
         n_tasklets: int = EBNN_TASKLETS,
         opt_level: OptLevel = OptLevel.O3,
     ) -> None:
-        if images_per_dpu < 1:
-            raise MappingError(
-                f"images_per_dpu must be >= 1, got {images_per_dpu}"
-            )
         self.system = system
         self.model = model
         self.use_lut = use_lut
         self.n_tasklets = n_tasklets
         self.opt_level = opt_level
         self.layout = EbnnDpuLayout(model.config, images_per_dpu)
-        staged = images_per_dpu * self.layout.image_bytes
-        if staged > 2048:
-            raise MappingError(
-                f"{images_per_dpu} images need {staged} bytes of staging; "
-                f"the DMA transfer cap is 2048 (Section 4.1.3)"
-            )
         self.image = self.layout.build_image()
 
     def run(self, images: np.ndarray) -> EbnnRunResult:

@@ -166,7 +166,7 @@ class YoloDpuLayout:
         )
 
 
-@GLOBAL_KERNELS.register("yolo_gemm_row", set_wide=True)
+@GLOBAL_KERNELS.register("yolo_gemm_row")
 def yolo_gemm_row_kernel(
     dpus,
     *,

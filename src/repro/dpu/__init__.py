@@ -18,11 +18,6 @@ from repro.dpu.costs import (
     mram_access_cycles,
 )
 from repro.dpu.device import Dpu, DpuImage, Symbol
-from repro.dpu.encoding import (
-    EncodedProgram,
-    decode_program,
-    encode_program,
-)
 from repro.dpu.fastpath import FastInterpreter
 from repro.dpu.interpreter import (
     INTERP_MODES,
@@ -46,9 +41,7 @@ from repro.dpu.pipeline import (
     max_stack_bytes,
     threading_speedup,
 )
-from repro.dpu.disassembler import disassemble
 from repro.dpu.profiler import PerfCounter, SubroutineProfile
-from repro.dpu.tracing import Trace, TracingInterpreter, trace_program
 
 __all__ = [
     "ANNOUNCED_FREQUENCY_HZ",
@@ -64,9 +57,6 @@ __all__ = [
     "Dpu",
     "DpuImage",
     "Symbol",
-    "EncodedProgram",
-    "decode_program",
-    "encode_program",
     "ExecutionResult",
     "FastInterpreter",
     "INTERP_MODES",
@@ -94,8 +84,4 @@ __all__ = [
     "threading_speedup",
     "PerfCounter",
     "SubroutineProfile",
-    "disassemble",
-    "Trace",
-    "TracingInterpreter",
-    "trace_program",
 ]

@@ -1,14 +1,16 @@
 """The DPU device: memories, loaded image, launch entry points.
 
-One :class:`Dpu` owns an MRAM, a WRAM and a DMA engine, and can run either
+One :class:`Dpu` owns an MRAM, a WRAM and a DMA engine, and runs whatever
+image ``dpu_load`` put in its IRAM, like a physical DPU:
 
-* an assembled :class:`~repro.dpu.isa.Program` through the instruction
-  interpreter (exact, used for microbenchmarks), or
-* a registered Python kernel (fast, used for CNN workloads), which runs
-  set-wide over every DPU of a launch (:func:`launch_kernel`),
+* an assembled :class:`~repro.dpu.isa.Program` runs on the one DPU
+  through the instruction interpreter (exact, used for
+  microbenchmarks; :meth:`Dpu.launch`);
+* a registered Python kernel (fast, used for CNN workloads) runs
+  set-wide, in one call over every DPU of a set's launch
+  (:func:`launch_kernel`, reached through ``DpuSet``).
 
-mirroring how a physical DPU runs whatever image ``dpu_load`` put in its
-IRAM.  MRAM *symbols* — named, sized regions — are how the host addresses
+MRAM *symbols* — named, sized regions — are how the host addresses
 DPU memory in the UPMEM SDK (``dpu_copy_to(set, "symbol", ...)``); an image
 declares its symbols and the device resolves them for the host runtime.
 """
@@ -31,7 +33,7 @@ from repro.dpu.memory import DmaEngine, Mram, Wram
 from repro.errors import DpuError, LaunchError, SymbolError
 
 _M_DPU_EXECS = telemetry.GLOBAL_METRICS.counter(
-    "dpu.execs", "single-DPU launches (one per Dpu.launch)"
+    "dpu.execs", "DPU executions (one per DPU a launch ran)"
 )
 _M_DPU_INSTRUCTIONS = telemetry.GLOBAL_METRICS.counter(
     "dpu.instructions", "instructions (or kernel issue slots) retired"
@@ -221,13 +223,14 @@ class Dpu:
         opt_level: OptLevel = OptLevel.O0,
         fault_attempt: int | None = None,
         **kernel_params,
-    ) -> ExecutionResult | KernelResult:
-        """Run the loaded image to completion and return its result.
+    ) -> ExecutionResult:
+        """Run the loaded program image to completion through the
+        instruction interpreter and return its result.
 
-        Program images run through the instruction interpreter and take
-        no ``kernel_params`` (:class:`LaunchError`); kernel images run the
-        cycle-accounted Python kernel as a one-DPU :func:`launch_kernel`,
-        which receives them.
+        A program takes no ``kernel_params`` (:class:`LaunchError`).  A
+        kernel image runs set-wide only, through ``DpuSet.launch``,
+        ``launch_async`` or ``charge`` (:func:`launch_kernel`), and
+        raises :class:`LaunchError` here.
 
         ``fault_attempt`` is the injection gate: set-level launches pass
         the attempt number so an installed :class:`repro.faults.FaultPlan`
@@ -235,7 +238,12 @@ class Dpu:
         and are never injected.
         """
         self.check_launch(n_tasklets)
-        if self.image.program is not None and kernel_params:
+        if self.image.program is None:
+            raise LaunchError(
+                f"kernel image {self.image.name!r} runs set-wide; launch "
+                f"it through a DpuSet"
+            )
+        if kernel_params:
             raise LaunchError(
                 f"program image {self.image.name!r} takes no kernel params, "
                 f"got {sorted(kernel_params)}"
@@ -245,17 +253,6 @@ class Dpu:
             plan = faults.current_plan()
             if plan is not None:
                 event = plan.exec_fault(self.dpu_id, fault_attempt)
-        if self.image.program is None:
-            if event is not None:
-                # Kernel images have no instruction stream to trap inside;
-                # the fault fires before the kernel touches any state.
-                event.raise_now()
-            results = launch_kernel(
-                [self], n_tasklets=n_tasklets, opt_level=opt_level,
-                kernel_params=kernel_params,
-            )
-            record_kernel_results([self], results, n_tasklets)
-            return results[0]
         interpreter = make_interpreter(
             self.image.program,
             self.wram,
@@ -370,7 +367,7 @@ def launch_kernel(
     """
     if not dpus:
         return []
-    kernel = GLOBAL_KERNELS.set_kernel(dpus[0].image.kernel_name)
+    kernel = GLOBAL_KERNELS.get(dpus[0].image.kernel_name)
     return kernel(
         dpus, n_tasklets=n_tasklets, opt_level=opt_level, **kernel_params
     )

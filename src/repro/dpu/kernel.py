@@ -2,26 +2,22 @@
 
 Full instruction-level interpretation (``repro.dpu.interpreter``) is exact
 but too slow for CNN-scale workloads, so the mapping layers express their
-DPU programs as *Python kernels*: functions that perform the computation on
-the DPU's memories functionally (numpy) while charging issue slots, runtime
-subroutine calls and DMA transfers through a :class:`KernelContext`.  Both
+DPU programs as *Python kernels*: functions that perform the computation
+on the DPUs' MRAM functionally (numpy) and charge issue slots, runtime
+subroutine calls and DMA transfers to a :class:`KernelContext`.  Both
 paths draw costs from the same calibrated tables
 (:mod:`repro.dpu.costs` / :mod:`repro.dpu.runtime_calls`), so a kernel's
 timing is consistent with what the interpreter would report for the
 equivalent instruction stream.
 
-A kernel is written for the SIMT model of Section 3.1: it describes the
-work of the *whole DPU*; the context spreads the charged slots evenly over
+A kernel runs *set-wide*, the SPMD launch of Section 3.1 where every DPU
+runs the same image on its own data: one call receives all the DPUs of a
+launch and returns one :class:`KernelResult` per DPU.  It computes the
+whole set at once (one GEMM for a layer's rows) and charges its cost
+recipe once per distinct cost (:func:`charged_result`).  The context
+describes the work of a *whole DPU* and spreads the charged slots over
 the resident tasklets (the straggler rule of
 :func:`repro.dpu.pipeline.balanced_execution_cycles`).
-
-Every registered kernel runs *set-wide*: one call receives all the DPUs of
-a launch, each on its own memories, and returns one :class:`KernelResult`
-per DPU — the SPMD launch of Section 3.1, where every DPU runs the same
-image on its own data.  A mapping kernel registered with
-``set_wide=True`` computes the whole set at once (one GEMM for a layer's
-rows, one charge per distinct cost); a plain per-DPU kernel
-``kernel(ctx, **params)`` is looped over the set by :func:`per_dpu`.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from typing import Callable
 
 from repro.dpu import costs, runtime_calls
 from repro.dpu.costs import Operation, OptLevel, Precision
-from repro.dpu.memory import DmaEngine, Mram, Wram, streamed_transfer_cycles
+from repro.dpu.memory import streamed_transfer_cycles
 from repro.dpu.pipeline import balanced_execution_cycles, execution_cycles
 from repro.dpu.profiler import SubroutineProfile
 from repro.errors import DpuError
@@ -84,51 +80,28 @@ class KernelResult:
 
 
 class KernelContext:
-    """Accounting and memory-access surface handed to a Python kernel."""
+    """The cost accumulator a kernel charges its work to.
+
+    It holds no memory: a kernel reads and writes each DPU's MRAM itself and charges the cost of that work here, once per
+    distinct cost (:func:`charged_result`).
+    """
 
     def __init__(
         self,
-        mram: Mram,
-        wram: Wram,
         *,
         n_tasklets: int = 1,
         opt_level: OptLevel = OptLevel.O0,
-        symbols: dict | None = None,
     ) -> None:
         if n_tasklets < 1:
             raise DpuError(f"tasklet count must be >= 1, got {n_tasklets}")
-        self.mram = mram
-        self.wram = wram
-        self.symbols = symbols or {}
         self.n_tasklets = n_tasklets
         self.opt_level = opt_level
-        self.dma = DmaEngine(mram, wram, enforce_alignment=False)
         self.profile = SubroutineProfile()
         self._issue_slots = 0
-        self._extra_dma_cycles = 0
-        self._extra_dma_bytes = 0
+        self._dma_cycles = 0
+        self._dma_bytes = 0
         self._work_units: int | None = None
         self._cost_model = costs.cost_model(opt_level)
-
-    def symbol(self, name: str):
-        """Resolve an MRAM symbol declared by the loaded image."""
-        try:
-            return self.symbols[name]
-        except KeyError:
-            raise DpuError(f"kernel references unknown symbol {name!r}") from None
-
-    def read_symbol_array(self, name: str, dtype, count: int, offset: int = 0):
-        """Read an array from a named MRAM region (host-layout helper)."""
-        import numpy as np
-
-        sym = self.symbol(name)
-        dt = np.dtype(dtype)
-        return self.mram.read_array(sym.mram_addr + offset, dt, count)
-
-    def write_symbol_array(self, name: str, values, offset: int = 0) -> None:
-        """Write an array to a named MRAM region."""
-        sym = self.symbol(name)
-        self.mram.write_array(sym.mram_addr + offset, values)
 
     # ------------------------------------------------------------------ #
     # cost charging
@@ -162,9 +135,9 @@ class KernelContext:
     def charge_call(self, name: str, count: int = 1) -> None:
         """Charge ``count`` runtime-subroutine entries without executing them.
 
-        Bulk-accounting twin of :meth:`call` for kernels whose functional
-        math runs vectorized (numpy) while the cost model still needs the
-        per-call subroutine occurrences (Fig. 3.2 / 4.3 profiles).
+        A kernel's functional math runs vectorized (numpy) while the cost
+        model still needs the per-call subroutine occurrences (Fig. 3.2 /
+        4.3 profiles).
         """
         if count < 0:
             raise DpuError(f"negative call count: {count}")
@@ -175,18 +148,6 @@ class KernelContext:
         self._issue_slots += n_instr * count
         self.profile.record(name, n_instr, count)
 
-    def call(self, name: str, *args: int) -> int:
-        """Invoke a compiler-rt subroutine functionally and charge it."""
-        entry = runtime_calls.get(name)
-        if len(args) != entry.arity:
-            raise DpuError(
-                f"{name} expects {entry.arity} arguments, got {len(args)}"
-            )
-        n_instr = entry.instructions(self.opt_level)
-        self._issue_slots += n_instr
-        self.profile.record(name, n_instr)
-        return entry.fn(*args)
-
     def charge_wram_access(self, count: int = 1) -> None:
         """Charge WRAM loads/stores (one issue slot each, Section 3.2.1)."""
         self.charge_instructions(count)
@@ -195,29 +156,18 @@ class KernelContext:
     # DMA
     # ------------------------------------------------------------------ #
 
-    def dma_read(self, mram_addr: int, wram_addr: int, n_bytes: int) -> None:
-        """MRAM -> WRAM transfer (functional + Eq. 3.4 charge)."""
-        self.dma.mram_to_wram(mram_addr, wram_addr, n_bytes)
-
-    def dma_write(self, wram_addr: int, mram_addr: int, n_bytes: int) -> None:
-        """WRAM -> MRAM transfer (functional + Eq. 3.4 charge)."""
-        self.dma.wram_to_mram(wram_addr, mram_addr, n_bytes)
-
     def charge_streamed_dma(self, total_bytes: int) -> None:
-        """Charge DMA time for a large buffer streamed in 2 KB chunks.
-
-        Used when a kernel processes data in place without a functional
-        staging copy (the data already sits where numpy can reach it).
-        """
-        self._extra_dma_cycles += streamed_transfer_cycles(total_bytes)
-        self._extra_dma_bytes += total_bytes
+        """Charge DMA time for a buffer streamed in 2 KB chunks (Eq. 3.4
+        per chunk)."""
+        self._dma_cycles += streamed_transfer_cycles(total_bytes)
+        self._dma_bytes += total_bytes
 
     def charge_dma_cycles(self, cycles: int, n_bytes: int = 0) -> None:
         """Charge raw DMA cycles (e.g. per-element read-modify-write beats)."""
         if cycles < 0 or n_bytes < 0:
             raise DpuError(f"negative DMA charge: {cycles} cycles / {n_bytes} B")
-        self._extra_dma_cycles += cycles
-        self._extra_dma_bytes += n_bytes
+        self._dma_cycles += cycles
+        self._dma_bytes += n_bytes
 
     # ------------------------------------------------------------------ #
     # results
@@ -229,11 +179,11 @@ class KernelContext:
 
     @property
     def dma_cycles(self) -> int:
-        return self.dma.total_cycles + self._extra_dma_cycles
+        return self._dma_cycles
 
     @property
     def dma_bytes(self) -> int:
-        return self.dma.total_bytes + self._extra_dma_bytes
+        return self._dma_bytes
 
     def set_work_units(self, n_units: int) -> None:
         """Declare the tasklet distribution granularity of this kernel.
@@ -270,34 +220,11 @@ class KernelContext:
         )
 
 
-#: A per-DPU kernel: receives the context plus host-provided launch parameters.
-Kernel = Callable[..., None]
-
-#: A set-wide kernel: ``kernel(dpus, *, n_tasklets, opt_level, **params)``
-#: runs one launch on every DPU of ``dpus`` (each with its image loaded)
-#: and returns their :class:`KernelResult` s in order.  DPUs that did
+#: A kernel: ``kernel(dpus, *, n_tasklets, opt_level, **params)`` runs
+#: one launch on every DPU of ``dpus`` (each with its image loaded) and
+#: returns their :class:`KernelResult` s in order.  DPUs that did
 #: identical work may share one result object.
 SetKernel = Callable[..., list[KernelResult]]
-
-
-def per_dpu(kernel: Kernel) -> SetKernel:
-    """Adapt a per-DPU kernel to the set-wide contract by looping over DPUs."""
-
-    def run(dpus, *, n_tasklets: int, opt_level: OptLevel, **params):
-        results = []
-        for dpu in dpus:
-            ctx = KernelContext(
-                dpu.mram,
-                dpu.wram,
-                n_tasklets=n_tasklets,
-                opt_level=opt_level,
-                symbols=dpu.image.symbols,
-            )
-            kernel(ctx, **params)
-            results.append(ctx.result())
-        return results
-
-    return run
 
 
 def charged_result(
@@ -306,14 +233,12 @@ def charged_result(
     n_tasklets: int,
     opt_level: OptLevel,
 ) -> KernelResult:
-    """The result of a kernel that only charges costs (no memory access).
+    """The result of the cost recipe ``charge``.
 
-    Set-wide kernels use it to charge a cost recipe once and hand the
-    result to every DPU whose work it describes.
+    Kernels use it to charge a recipe once and hand the result to every
+    DPU whose work it describes.
     """
-    ctx = KernelContext(
-        Mram(), Wram(), n_tasklets=n_tasklets, opt_level=opt_level
-    )
+    ctx = KernelContext(n_tasklets=n_tasklets, opt_level=opt_level)
     charge(ctx)
     return ctx.result()
 
@@ -321,7 +246,7 @@ def charged_result(
 def symbol_bytes(dpu, name: str, n_bytes: int) -> bytes:
     """The first ``n_bytes`` of a DPU's MRAM symbol, read DPU-side.
 
-    The set-wide kernels' read path: unlike the host's
+    A kernel's read path: unlike the host's
     :meth:`Dpu.read_symbol <repro.dpu.device.Dpu.read_symbol>` it is not
     a host transfer.
     """
@@ -329,43 +254,24 @@ def symbol_bytes(dpu, name: str, n_bytes: int) -> bytes:
 
 
 class KernelRegistry:
-    """Named kernels the host can "load" onto a DPU (the dpu-clang stand-in)."""
+    """Named kernels the host can "load" onto a DPU set (the dpu-clang
+    stand-in)."""
 
     def __init__(self) -> None:
-        self._kernels: dict[str, Kernel | SetKernel] = {}
-        self._set_kernels: dict[str, SetKernel] = {}
+        self._kernels: dict[str, SetKernel] = {}
 
-    def register(
-        self,
-        name: str,
-        kernel: Kernel | SetKernel | None = None,
-        *,
-        set_wide: bool = False,
-    ):
-        """Register a kernel, usable directly or as a decorator.
-
-        A per-DPU kernel takes ``(ctx, **params)``; with ``set_wide=True``
-        the kernel follows the :data:`SetKernel` contract instead.
-        """
+    def register(self, name: str, kernel: SetKernel | None = None):
+        """Register a kernel, usable directly or as a decorator."""
 
         def add(fn):
             self._kernels[name] = fn
-            self._set_kernels[name] = fn if set_wide else per_dpu(fn)
             return fn
 
         return add(kernel) if kernel is not None else add
 
-    def get(self, name: str) -> Kernel | SetKernel:
-        """The kernel function as registered."""
+    def get(self, name: str) -> SetKernel:
         try:
             return self._kernels[name]
-        except KeyError:
-            raise DpuError(f"no kernel registered under {name!r}") from None
-
-    def set_kernel(self, name: str) -> SetKernel:
-        """The kernel under its set-wide contract (per-DPU kernels adapted)."""
-        try:
-            return self._set_kernels[name]
         except KeyError:
             raise DpuError(f"no kernel registered under {name!r}") from None
 

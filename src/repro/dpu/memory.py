@@ -326,10 +326,9 @@ class DmaEngine:
     running totals so kernels and experiments can account DMA time.
     """
 
-    def __init__(self, mram: Mram, wram: Wram, *, enforce_alignment: bool = True) -> None:
+    def __init__(self, mram: Mram, wram: Wram) -> None:
         self.mram = mram
         self.wram = wram
-        self.enforce_alignment = enforce_alignment
         self.total_cycles = 0
         self.total_bytes = 0
         self.transfer_count = 0
@@ -342,16 +341,15 @@ class DmaEngine:
                 f"DMA transfer of {n_bytes} bytes exceeds the "
                 f"{costs.DMA_MAX_TRANSFER_BYTES}-byte per-transfer limit"
             )
-        if self.enforce_alignment:
-            for name, value in (
-                ("MRAM address", mram_addr),
-                ("WRAM address", wram_addr),
-                ("size", n_bytes),
-            ):
-                if value % DMA_ALIGNMENT != 0:
-                    raise DpuAlignmentError(
-                        f"DMA {name} {value} is not {DMA_ALIGNMENT}-byte aligned"
-                    )
+        for name, value in (
+            ("MRAM address", mram_addr),
+            ("WRAM address", wram_addr),
+            ("size", n_bytes),
+        ):
+            if value % DMA_ALIGNMENT != 0:
+                raise DpuAlignmentError(
+                    f"DMA {name} {value} is not {DMA_ALIGNMENT}-byte aligned"
+                )
 
     def _charge(self, n_bytes: int) -> int:
         cycles = costs.mram_access_cycles(n_bytes)

@@ -29,7 +29,6 @@ from repro.core.mapping_yolo import (
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
 from repro.dpu.kernel import KernelContext
-from repro.dpu.memory import Mram, Wram
 from repro.experiments.base import ExperimentResult, register
 from repro.nn.gemm import GemmShape
 from repro.nn.models.darknet import Yolov3Model
@@ -45,9 +44,7 @@ _TASKLET_SWEEP = (1, 2, 4, 6, 8, 11, 12, 14, 16, 20, 24)
 def _ebnn_profile(use_lut: bool) -> KernelContext:
     config = EbnnConfig()
     layout = EbnnDpuLayout(config)
-    ctx = KernelContext(
-        Mram(), Wram(), n_tasklets=EBNN_TASKLETS, opt_level=OptLevel.O0
-    )
+    ctx = KernelContext(n_tasklets=EBNN_TASKLETS, opt_level=OptLevel.O0)
     charge_ebnn_costs(ctx, config, layout, IMAGES_PER_DPU, use_lut=use_lut)
     return ctx
 

@@ -19,9 +19,10 @@ Design rules:
   fault sites.
 * **Only set-level launches are injectable.**  ``DpuSet.launch``
   consults the plan for each (DPU, attempt) — for a program image by
-  passing a ``fault_attempt`` to :meth:`Dpu.launch`; direct single-DPU
-  launches pass ``None`` and never consult the plan, so unit-level code
-  keeps exact behavior even when a smoke plan is installed process-wide.
+  passing a ``fault_attempt`` to :meth:`Dpu.launch`, for a kernel image
+  in ``DpuSet.decide``; direct single-DPU program launches pass ``None``
+  and never consult the plan, so unit-level code keeps exact behavior
+  even when a smoke plan is installed process-wide.
 
 Environment knobs (read once at import, for CI smoke injection)::
 

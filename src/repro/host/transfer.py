@@ -63,6 +63,7 @@ def copy_to(
     symbol_offset: int = 0,
 ) -> None:
     """``dpu_copy_to``: broadcast one buffer to a symbol on every DPU."""
+    _check_dpus(dpus)
     raw = _as_bytes(data)
     validate_transfer(len(raw), symbol_offset)
     addrs = _symbol_addrs(dpus, symbol_name, symbol_offset, len(raw))
@@ -84,6 +85,7 @@ def scatter_rows(
     before any is written, and the push is accounted only once every
     row is written.
     """
+    _check_dpus(dpus)
     if len(rows) != len(dpus):
         raise TransferError(
             f"{len(rows)} rows for {len(dpus)} DPUs; counts must match"
@@ -105,8 +107,7 @@ def gather_rows(
 ) -> list[bytes]:
     """Read the same symbol back from every DPU (one row each): the
     ``dpu_push_xfer`` gather."""
-    if not dpus:
-        raise TransferError("push_xfer over no DPUs")
+    _check_dpus(dpus)
     validate_transfer(length)
     addrs = _symbol_addrs(dpus, symbol_name, 0, length)
     rows = [dpu.mram.read(addr, length) for dpu, addr in zip(dpus, addrs)]
@@ -122,11 +123,16 @@ def account_rows(
     per DPU) over ``dpus`` as :meth:`DpuSet.charge` launches them, or
     with ``kind="broadcast"`` of :func:`copy_to`, without moving bytes.
     The pushes are accounted at once, in one span."""
-    if not dpus:
-        raise TransferError("push_xfer over no DPUs")
+    _check_dpus(dpus)
     validate_transfer(length)
     _check_symbol(dpus, symbol_name, 0, length)
     _account(dpus, kind, direction, length, rows)
+
+
+def _check_dpus(dpus: list[Dpu]) -> None:
+    """Reject a transfer over no DPUs before anything is touched."""
+    if not dpus:
+        raise TransferError("transfer over no DPUs")
 
 
 def _check_symbol(

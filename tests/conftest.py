@@ -9,7 +9,7 @@ import pytest
 
 from repro import telemetry
 from repro.core.mapping_ebnn import IMAGES_PER_DPU
-from repro.dpu.kernel import GLOBAL_KERNELS
+from repro.dpu.kernel import GLOBAL_KERNELS, charged_result
 
 # Importing repro.core registers the production kernels (ebnn_conv_pool,
 # yolo_gemm_row) for every test session.
@@ -19,12 +19,18 @@ import repro.core  # noqa: F401
 if "test_double" not in GLOBAL_KERNELS.names():
 
     @GLOBAL_KERNELS.register("test_double")
-    def _double_kernel(ctx, *, count=0):
-        """Doubles ``count`` int32 values at the ``data`` symbol."""
-        if count:
-            values = ctx.read_symbol_array("data", np.int32, count)
-            ctx.write_symbol_array("data", values * 2)
-        ctx.charge_instructions(4 * count)
+    def _double_kernel(dpus, *, n_tasklets, opt_level, count=0):
+        """Doubles ``count`` int32 values at each DPU's ``data`` symbol."""
+        for dpu in dpus:
+            if count:
+                addr = dpu.symbol("data").mram_addr
+                values = dpu.mram.read_array(addr, np.int32, count)
+                dpu.mram.write_array(addr, values * 2)
+        result = charged_result(
+            lambda ctx: ctx.charge_instructions(4 * count),
+            n_tasklets=n_tasklets, opt_level=opt_level,
+        )
+        return [result] * len(dpus)
 
 
 @pytest.fixture

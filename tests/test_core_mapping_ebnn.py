@@ -18,6 +18,7 @@ from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
 from repro.host.runtime import DpuSystem
 from repro.nn.models.ebnn import EbnnConfig, EbnnModel
+from repro.serve import EbnnBackend
 from repro.errors import MappingError
 
 SMALL_SYSTEM = UPMEM_ATTRIBUTES.scaled(8)
@@ -204,6 +205,17 @@ class TestValidation:
     def test_bad_images_per_dpu(self, system, model):
         with pytest.raises(MappingError):
             EbnnPimRunner(system, model, images_per_dpu=0)
+
+    @pytest.mark.parametrize("images_per_dpu", [0, 20])
+    def test_runner_and_backend_check_staging_alike(
+        self, system, model, images_per_dpu
+    ):
+        """No image batch, or 20 images in 2080 bytes, fits one staging
+        transfer: the offline runner and the serving backend both refuse."""
+        with pytest.raises(MappingError, match="images_per_dpu|2048"):
+            EbnnPimRunner(system, model, images_per_dpu=images_per_dpu)
+        with pytest.raises(MappingError, match="images_per_dpu|2048"):
+            EbnnBackend(model, images_per_dpu=images_per_dpu)
 
     def test_paper_constants(self):
         assert IMAGES_PER_DPU == 16

@@ -175,7 +175,7 @@ class TestLayout:
 
     def test_row_kernel_functional(self):
         """The registered kernel computes Algorithm 2's row exactly."""
-        from repro.dpu.device import Dpu
+        from repro.dpu.device import Dpu, launch_kernel
 
         shape = GemmShape(m=1, n=8, k=4)
         layout = YoloDpuLayout(shape)
@@ -189,7 +189,10 @@ class TestLayout:
         dpu.write_symbol_array(
             "meta", np.array([1, 8, 4, 1, 32, 0], dtype=np.int32)
         )
-        dpu.launch(layout=layout)
+        launch_kernel(
+            [dpu], n_tasklets=1, opt_level=OptLevel.O0,
+            kernel_params={"layout": layout},
+        )
         c_row = dpu.read_symbol_array("c_row", np.int32, 8)
         expected = gemm_fast(1, a_row.reshape(1, -1), b)[0]
         assert np.array_equal(c_row, expected)

@@ -1,8 +1,8 @@
 """Cross-module invariants: the contracts that tie the layers together.
 
 These are the properties that must hold *between* subsystems — interpreter
-vs. closed-form pipeline model, kernel accounting vs. interpreter charges,
-encoding vs. execution — so a change in one layer cannot silently skew
+vs. closed-form pipeline model, kernel accounting vs. interpreter charges
+— so a change in one layer cannot silently skew
 another.
 """
 
@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dpu.assembler import assemble
 from repro.dpu.costs import OptLevel
-from repro.dpu.encoding import decode_program, encode_program
 from repro.dpu.interpreter import run_program
 from repro.dpu.kernel import KernelContext
-from repro.dpu.memory import Mram, Wram
 from repro.dpu.pipeline import execution_cycles
 from repro.dpu import runtime_calls
 
@@ -38,7 +36,7 @@ class TestInterpreterMatchesPipelineModel:
         source = "li r1, 3\nli r2, 4\n" + "call __mulsi3\n" * n_calls + "halt"
         result, _ = run_program(assemble(source), opt_level=OptLevel.O0)
 
-        ctx = KernelContext(Mram(), Wram(), n_tasklets=1, opt_level=OptLevel.O0)
+        ctx = KernelContext(n_tasklets=1, opt_level=OptLevel.O0)
         ctx.charge_instructions(3 + 1)  # the two li's + halt... (see below)
         ctx.charge_call("__mulsi3", n_calls)
         # interpreter: (2 li + halt + n_calls * call_cost) slots
@@ -49,48 +47,32 @@ class TestInterpreterMatchesPipelineModel:
         assert result.profile.occurrences("__mulsi3") == n_calls
 
 
-class TestEncodingPreservesExecution:
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_random_arith_programs(self, seed):
-        """Random straight-line programs run identically after a
-        binary round trip."""
-        rng = np.random.default_rng(seed)
-        ops = ["add", "sub", "and", "or", "xor", "mul8"]
-        lines = [f"li r{i}, {rng.integers(0, 255)}" for i in range(1, 6)]
-        for _ in range(10):
-            op = ops[rng.integers(0, len(ops))]
-            rd, rs, rt = rng.integers(1, 6, size=3)
-            lines.append(f"{op} r{rd}, r{rs}, r{rt}")
-        lines += ["li r10, 0"]
-        lines += [f"sw r{i}, r10, {4 * i}" for i in range(1, 6)]
-        lines += ["halt"]
-        program = assemble("\n".join(lines))
-        round_tripped = decode_program(encode_program(program))
-
-        _, wram_a = run_program(program)
-        _, wram_b = run_program(round_tripped)
-        for i in range(1, 6):
-            assert wram_a.read_u32(4 * i) == wram_b.read_u32(4 * i)
-
-
 class TestKernelAndDeviceAgree:
     def test_device_kernel_result_is_context_result(self):
-        """Dpu.launch on a kernel returns exactly the context's result."""
-        from repro.dpu.device import Dpu, DpuImage
-        from repro.dpu.kernel import GLOBAL_KERNELS
+        """A set launch of a kernel reports exactly the context's result."""
+        from repro.dpu.attributes import UPMEM_ATTRIBUTES
+        from repro.dpu.device import DpuImage
+        from repro.dpu.kernel import GLOBAL_KERNELS, charged_result
+        from repro.host.runtime import DpuSystem
 
         name = "invariant_probe"
         if name not in GLOBAL_KERNELS.names():
             @GLOBAL_KERNELS.register(name)
-            def probe(ctx, *, slots):
-                ctx.charge_instructions(slots)
+            def probe(dpus, *, n_tasklets, opt_level, slots):
+                return [
+                    charged_result(
+                        lambda ctx: ctx.charge_instructions(slots),
+                        n_tasklets=n_tasklets, opt_level=opt_level,
+                    )
+                    for _ in dpus
+                ]
 
-        dpu = Dpu()
-        dpu.load(DpuImage(name="probe", kernel_name=name))
-        result = dpu.launch(n_tasklets=4, slots=400)
+        dpu_set = DpuSystem(UPMEM_ATTRIBUTES.scaled(1)).allocate(1)
+        dpu_set.load(DpuImage(name="probe", kernel_name=name))
+        report = dpu_set.launch(n_tasklets=4, slots=400)
+        result = dpu_set[0].last_result
         assert result.issue_slots == 400
-        assert result.cycles == execution_cycles(100, 4)
+        assert result.cycles == report.cycles == execution_cycles(100, 4)
 
 
 class TestQuantizedGemmInvariants:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.dpu.assembler import assemble
+from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.device import Dpu, DpuImage, Symbol
 from repro.errors import DpuError, LaunchError, SymbolError
+from repro.host.runtime import DpuSystem
 
 # The shared "test_double" kernel is registered in conftest.py.
 
@@ -69,24 +71,47 @@ class TestProgramLaunch:
             dpu.launch(n_tasklets=0)
 
 
+def kernel_image():
+    return DpuImage.from_symbol_layout(
+        "k", kernel_name="test_double", layout=[("data", 64)]
+    )
+
+
 class TestKernelLaunch:
     def make_loaded_dpu(self):
         dpu = Dpu()
-        image = DpuImage.from_symbol_layout(
-            "k", kernel_name="test_double", layout=[("data", 64)]
-        )
-        dpu.load(image)
+        dpu.load(kernel_image())
         return dpu
 
+    def make_loaded_set(self):
+        """A one-DPU set: kernels launch through a set only."""
+        dpu_set = DpuSystem(UPMEM_ATTRIBUTES.scaled(1)).allocate(1)
+        dpu_set.load(kernel_image())
+        return dpu_set
+
     def test_kernel_reads_and_writes_symbols(self):
-        dpu = self.make_loaded_dpu()
+        dpu_set = self.make_loaded_set()
+        (dpu,) = dpu_set
         values = np.arange(8, dtype=np.int32)
         dpu.write_symbol_array("data", values)
-        result = dpu.launch(count=8)
+        report = dpu_set.launch(count=8)
         assert np.array_equal(
             dpu.read_symbol_array("data", np.int32, 8), values * 2
         )
-        assert result.issue_slots == 32
+        assert dpu.last_result.issue_slots == 32
+        assert report.cycles == dpu.last_cycles()
+
+    def test_dpu_launch_rejects_a_kernel_image(self):
+        """A kernel image runs set-wide: a one-DPU launch refuses it
+        before any memory or result changes."""
+        dpu = self.make_loaded_dpu()
+        dpu.write_symbol_array("data", np.arange(8, dtype=np.int32))
+        with pytest.raises(LaunchError, match="runs set-wide"):
+            dpu.launch(count=8)
+        assert np.array_equal(
+            dpu.read_symbol_array("data", np.int32, 8), np.arange(8)
+        )
+        assert dpu.last_result is None
 
     def test_unknown_kernel_rejected_at_load(self):
         dpu = Dpu()
@@ -105,10 +130,11 @@ class TestKernelLaunch:
             Dpu().symbol("data")
 
     def test_last_cycles_and_seconds(self):
-        dpu = self.make_loaded_dpu()
+        dpu_set = self.make_loaded_set()
+        (dpu,) = dpu_set
         assert dpu.last_cycles() == 0.0
         dpu.write_symbol_array("data", np.zeros(8, dtype=np.int32))
-        dpu.launch(count=8)
+        dpu_set.launch(count=8)
         assert dpu.last_cycles() > 0
         assert dpu.last_seconds() == pytest.approx(
             dpu.last_cycles() / 350e6

@@ -325,13 +325,6 @@ class TestDmaEngine:
         with pytest.raises(DpuAlignmentError):
             dma.mram_to_wram(0, 0, 6)
 
-    def test_alignment_can_be_relaxed(self):
-        mram, wram = Mram(), Wram()
-        dma = DmaEngine(mram, wram, enforce_alignment=False)
-        mram.write(2, b"ok")
-        dma.mram_to_wram(2, 2, 2)
-        assert wram.read(2, 2) == b"ok"
-
     def test_zero_size_rejected(self):
         dma, _, _ = self.make()
         with pytest.raises(DpuMemoryError):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.dpu.assembler import assemble
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
-from repro.dpu.device import Dpu, DpuImage
+from repro.dpu.costs import OptLevel
+from repro.dpu.device import Dpu, DpuImage, launch_kernel
 from repro.dpu.interpreter import Interpreter
 from repro.dpu.memory import DmaEngine, Iram, Mram, Wram
 from repro.host.runtime import DpuSystem
@@ -120,7 +121,10 @@ class TestHostErrors:
         )
         dpu.load(image)
         with pytest.raises(TypeError):
-            dpu.launch(bogus_param=1)
+            launch_kernel(
+                [dpu], n_tasklets=1, opt_level=OptLevel.O0,
+                kernel_params={"bogus_param": 1},
+            )
 
 
 class TestMappingErrors:

@@ -41,6 +41,12 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "PIM == CPU baseline" in out
 
+    def test_ebnn_training(self, capsys):
+        run_example("ebnn_training.py")
+        out = capsys.readouterr().out
+        assert "train accuracy 100.0%" in out
+        assert "identical to the host model: True" in out
+
     def test_deep_ebnn(self, capsys):
         run_example("deep_ebnn.py")
         out = capsys.readouterr().out

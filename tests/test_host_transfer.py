@@ -109,6 +109,30 @@ class TestRowHelpers:
             transfer.gather_rows([], "data", 8)
 
 
+#: Each transfer helper over no DPUs.
+NO_DPU_TRANSFERS = {
+    "copy_to": lambda: transfer.copy_to([], "data", b"\xab" * 8),
+    "scatter_rows": lambda: transfer.scatter_rows([], "data", []),
+    "gather_rows": lambda: transfer.gather_rows([], "data", 8),
+    "account_rows": lambda: transfer.account_rows(
+        [], "data", 8, XferDirection.TO_DPU
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_DPU_TRANSFERS))
+def test_transfer_over_no_dpus_moves_nothing(name, transfers):
+    """Every helper rejects an empty DPU list with the same error,
+    before it counts a byte, opens a span or moves the clock."""
+    with telemetry.tracing() as tracer:
+        with pytest.raises(TransferError, match="^transfer over no DPUs$"):
+            NO_DPU_TRANSFERS[name]()
+    assert transfers() == {
+        "to_dpu": 0, "from_dpu": 0, "broadcasts": 0, "pushes": 0,
+    }
+    assert len(tracer) == 0 and tracer.sim_now == 0.0
+
+
 def _mixed_image_set(k, other_layout):
     """Four DPUs holding ``data`` at address 0; DPU ``k`` holds another image."""
     dpus = make_dpus(4, symbol_size=16)

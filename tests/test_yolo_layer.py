@@ -30,6 +30,7 @@ from repro.core.mapping_yolo import (
 from repro.core.timing import transfer_seconds
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
+from repro.dpu.device import launch_kernel
 from repro.errors import DpuFaultError, LaunchError
 from repro.faults import FaultPlan
 from repro.host.runtime import DpuSet, DpuSystem
@@ -237,8 +238,8 @@ def _image():
 def _parent_runner_layer(system, timings, alpha=1):
     """The offline runner's layer before the shared routine.
 
-    One allocation per layer, B staged once, and one direct
-    :meth:`Dpu.launch` per row.  It lowers the float input first and
+    One allocation per layer, B staged once, and one one-DPU
+    :func:`launch_kernel` per row.  It lowers the float input first and
     quantizes the im2col matrix, the order :func:`lower_layer_input`
     replaced, so it is the bit-identity oracle for that too.
     """
@@ -272,9 +273,9 @@ def _parent_runner_layer(system, timings, alpha=1):
                 scatter_rows(wave, "a_row", [a_q[r] for r in rows])
                 wave_cycles = 0.0
                 for dpu in wave:
-                    result = dpu.launch(
-                        n_tasklets=YOLO_TASKLETS, opt_level=OPT,
-                        layout=layout,
+                    (result,) = launch_kernel(
+                        [dpu], n_tasklets=YOLO_TASKLETS, opt_level=OPT,
+                        kernel_params={"layout": layout},
                     )
                     wave_cycles = max(wave_cycles, float(result.cycles))
                 cycles += wave_cycles
