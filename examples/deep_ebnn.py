@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.lut import create_lut
 from repro.datasets import generate_batch
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
-from repro.dpu.costs import OptLevel, Operation, Precision
+from repro.dpu.costs import OptLevel
 from repro.dpu.kernel import KernelContext
 from repro.nn.binary import (
     binarize,

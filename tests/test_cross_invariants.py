@@ -7,7 +7,6 @@ another.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dpu.assembler import assemble

@@ -12,10 +12,8 @@ from repro.dpu.memory import DmaEngine, Iram, Mram, Wram
 from repro.host.runtime import DpuSystem
 from repro.errors import (
     AllocationError,
-    DpuFaultError,
     DpuLimitError,
     DpuMemoryError,
-    LaunchError,
     SymbolError,
     TransferError,
 )

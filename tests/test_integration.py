@@ -14,6 +14,7 @@ from repro.dpu.costs import OptLevel
 from repro.host.runtime import DpuSystem
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.models.ebnn import EbnnModel
+from tests.test_yolo_split import split_layer_cycles
 
 
 class TestEbnnFullPipeline:
@@ -85,19 +86,25 @@ class TestYoloFullPipeline:
         assert timing.total_seconds > 0
 
     def test_estimate_and_functional_cycle_models_agree(self):
-        """Closed-form layer estimates equal the kernel's charges."""
+        """Closed-form layer estimates equal the kernel's charges: with
+        layer 0's columns tiled across idle DPUs on 64 DPUs, and as
+        Algorithm 2 on 4 DPUs, too few to tile it."""
         model = Yolov3Model(64, width_scale=0.08, seed=3)
         scene = generate_scene(64, seed=10)
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(64))
-        runner = YoloPimRunner(system, model, opt_level=OptLevel.O3)
-        runner.run(scene)
-        functional = runner.timing()
-        estimated = yolo_network_timing(
-            model, opt_level=OptLevel.O3, n_tasklets=11,
-            attributes=UPMEM_ATTRIBUTES.scaled(64),
-        )
-        for f_layer, e_layer in zip(functional.layers, estimated.layers):
-            assert f_layer.cycles == pytest.approx(e_layer.cycles, rel=1e-6)
+        for n_dpus in (64, 4):
+            system = DpuSystem(UPMEM_ATTRIBUTES.scaled(n_dpus))
+            runner = YoloPimRunner(system, model, opt_level=OptLevel.O3)
+            runner.run(scene)
+            functional = [layer.cycles for layer in runner.timing().layers]
+            estimated = split_layer_cycles(model, n_dpus)
+            algorithm2 = [layer.cycles for layer in yolo_network_timing(
+                model, opt_level=OptLevel.O3, n_tasklets=11,
+                attributes=UPMEM_ATTRIBUTES.scaled(n_dpus),
+            ).layers]
+            assert (estimated == algorithm2) is (n_dpus == 4)
+            assert len(functional) == len(estimated) == model.conv_layer_count
+            for f_cycles, e_cycles in zip(functional, estimated):
+                assert f_cycles == pytest.approx(e_cycles, rel=1e-6)
 
 
 class TestChapterBridge:

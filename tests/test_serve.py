@@ -28,6 +28,7 @@ from repro.serve import (
     generate_load,
     run_offline,
 )
+from tests.test_yolo_split import split_layer_cycles
 
 PAYLOADS = default_payloads()
 
@@ -382,28 +383,36 @@ class TestSimulatedClock:
 
     def test_uncontended_yolo_matches_the_closed_form(self, transfers):
         """One request alone on an N-DPU pool: the layers' closed-form
-        DPU time plus the host-link time of the bytes it moved."""
-        n_dpus = 8
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(n_dpus))
-        backend = YoloBackend()
-        pool = DpuPool(system, [backend], dpus_per_model=n_dpus)
-        server = InferenceServer(pool, policy=BatchPolicy(max_batch=1))
-        before = transfers()
-        request = InferenceRequest(
-            0, "yolo", PAYLOADS["yolo"](0), arrival_s=1e-3
-        )
-        (response,) = server.run([request]).responses
-        after = transfers()
-        moved = sum(
-            after[d] - before[d] for d in ("to_dpu", "from_dpu")
-        )
-        closed_form = yolo_network_timing(
-            backend.model, attributes=UPMEM_ATTRIBUTES.scaled(n_dpus)
-        ).total_seconds
-        assert response.ok and moved > 0
-        assert response.latency_s == pytest.approx(
-            closed_form + transfer_seconds(moved), rel=0, abs=1e-12
-        )
+        DPU time plus the host-link time of the bytes it moved.  On 8
+        DPUs layer 0's columns are tiled across idle DPUs; 3 DPUs are
+        too few to tile it, so there the closed form is Algorithm 2's."""
+        for n_dpus in (3, 8):
+            attributes = UPMEM_ATTRIBUTES.scaled(n_dpus)
+            system = DpuSystem(attributes)
+            backend = YoloBackend()
+            pool = DpuPool(system, [backend], dpus_per_model=n_dpus)
+            server = InferenceServer(pool, policy=BatchPolicy(max_batch=1))
+            before = transfers()
+            request = InferenceRequest(
+                0, "yolo", PAYLOADS["yolo"](0), arrival_s=1e-3
+            )
+            (response,) = server.run([request]).responses
+            after = transfers()
+            moved = sum(
+                after[d] - before[d] for d in ("to_dpu", "from_dpu")
+            )
+            closed_form = sum(map(
+                attributes.cycles_to_seconds,
+                split_layer_cycles(backend.model, n_dpus),
+            ))
+            algorithm2 = yolo_network_timing(
+                backend.model, attributes=attributes
+            ).total_seconds
+            assert (closed_form == algorithm2) is (n_dpus == 3)
+            assert response.ok and moved > 0
+            assert response.latency_s == pytest.approx(
+                closed_form + transfer_seconds(moved), rel=0, abs=1e-12
+            )
 
     def test_single_ebnn_latency_adds_up(self, transfers):
         """The batcher's delay, the launch, the transfers and one image's
