@@ -27,20 +27,6 @@ from repro.core.planner import (
     MappingPlanner,
     Scheme,
 )
-from repro.core.offload import (
-    FunctionProfile,
-    OffloadPlan,
-    ebnn_application_profile,
-    partition,
-    yolo_application_profile,
-)
-from repro.core.timing import (
-    HOST_LINK_BYTES_PER_SECOND,
-    LatencyBreakdown,
-    breakdown_from_cycles,
-    speedup,
-    transfer_seconds,
-)
 
 __all__ = [
     "LookupTable",
@@ -66,14 +52,4 @@ __all__ = [
     "MappingPlan",
     "MappingPlanner",
     "Scheme",
-    "FunctionProfile",
-    "OffloadPlan",
-    "ebnn_application_profile",
-    "partition",
-    "yolo_application_profile",
-    "HOST_LINK_BYTES_PER_SECOND",
-    "LatencyBreakdown",
-    "breakdown_from_cycles",
-    "speedup",
-    "transfer_seconds",
 ]

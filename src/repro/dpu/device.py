@@ -222,13 +222,11 @@ class Dpu:
         n_tasklets: int = 1,
         opt_level: OptLevel = OptLevel.O0,
         fault_attempt: int | None = None,
-        **kernel_params,
     ) -> ExecutionResult:
         """Run the loaded program image to completion through the
         instruction interpreter and return its result.
 
-        A program takes no ``kernel_params`` (:class:`LaunchError`).  A
-        kernel image runs set-wide only, through ``DpuSet.launch``,
+        A kernel image runs set-wide only, through ``DpuSet.launch``,
         ``launch_async`` or ``charge`` (:func:`launch_kernel`), and
         raises :class:`LaunchError` here.
 
@@ -242,11 +240,6 @@ class Dpu:
             raise LaunchError(
                 f"kernel image {self.image.name!r} runs set-wide; launch "
                 f"it through a DpuSet"
-            )
-        if kernel_params:
-            raise LaunchError(
-                f"program image {self.image.name!r} takes no kernel params, "
-                f"got {sorted(kernel_params)}"
             )
         event = None
         if fault_attempt is not None:
@@ -339,16 +332,6 @@ class Dpu:
                 dma_cycles=result.dma_cycles,
                 dma_bytes=result.dma_bytes,
             )
-
-    def last_cycles(self) -> float:
-        """Cycles of the most recent launch (0.0 if never launched)."""
-        if self.last_result is None:
-            return 0.0
-        return self.last_result.cycles
-
-    def last_seconds(self) -> float:
-        """Wall-clock seconds of the most recent launch at DPU frequency."""
-        return self.attributes.cycles_to_seconds(self.last_cycles())
 
 
 def launch_kernel(

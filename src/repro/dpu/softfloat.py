@@ -14,7 +14,6 @@ purely functional so it can also serve as a reference model.
 
 from __future__ import annotations
 
-import math
 import struct
 
 _SIGN_MASK = 0x8000_0000
@@ -291,13 +290,6 @@ def f32_to_i32(bits: int) -> int:
     if sign:
         magnitude = -magnitude
     return max(_INT32_MIN, min(_INT32_MAX, magnitude))
-
-
-def f32_from_float(value: float) -> int:
-    """Round a Python float to binary32 and return the bit pattern."""
-    if math.isnan(value):
-        return _QNAN
-    return float_to_bits(value)
 
 
 #: Canonical quiet NaN produced by every invalid operation.

@@ -11,7 +11,8 @@ launch attempt faults or hangs.
 Design rules:
 
 * **No-op when disabled.**  Like the tracer, the plan lives in a module
-  global (:func:`current_plan`); instrumented code pays one global read
+  global (:func:`current_plan`), set by :func:`install_plan` or, for a
+  block, :func:`fault_injection`; instrumented code pays one global read
   when no plan is installed.
 * **Deterministic and epoch-free.**  Every decision is a pure function
   of ``(seed, kind, victim ids)`` via SHA-256 — not of wall time, launch
@@ -207,7 +208,7 @@ class FaultPlan:
 
 
 # ---------------------------------------------------------------------- #
-# plan installation (the tracer's install/uninstall pattern)
+# plan installation
 # ---------------------------------------------------------------------- #
 
 _ACTIVE: FaultPlan | None = None
@@ -219,11 +220,6 @@ def install_plan(plan: FaultPlan | None) -> FaultPlan | None:
     previous = _ACTIVE
     _ACTIVE = plan
     return previous
-
-
-def uninstall_plan() -> FaultPlan | None:
-    """Remove the active plan (returns it); injection becomes a no-op."""
-    return install_plan(None)
 
 
 def current_plan() -> FaultPlan | None:

@@ -15,7 +15,6 @@ from repro.host.runtime import (
     DpuSet,
     DpuSystem,
     LaunchReport,
-    wait_all,
 )
 from repro.host.topology import DpuAddress, SystemTopology
 from repro.host.transfer import (
@@ -38,7 +37,6 @@ __all__ = [
     "DpuSet",
     "DpuSystem",
     "LaunchReport",
-    "wait_all",
     "DpuAddress",
     "SystemTopology",
     "XferDirection",

@@ -16,8 +16,8 @@ Each :class:`DpuSystem` owns one :class:`~repro.dpu.clock.SimClock`,
 held by every DPU it creates.  A synchronous launch advances it by the
 launch's seconds.  An asynchronous launch (``launch_async``) does not: its
 handle records the instant it completes, ``now + seconds`` at issue, and
-``wait()`` and ``wait_all`` advance the clock to the latest such instant —
-N overlapping launches cost max, not sum, however they are waited on.
+``wait()`` advances the clock to that instant unless it has already
+passed — N overlapping launches cost max, not sum, in any order of waits.
 """
 
 from __future__ import annotations
@@ -377,11 +377,14 @@ class DpuSet:
                     kernel_params=kernel_params,
                 ),
             )
+        if kernel_params:
+            raise LaunchError(
+                f"program image {self.image.name!r} takes no kernel params, "
+                f"got {sorted(kernel_params)}"
+            )
         policy, retries = _resolve_policy(fault_policy, max_retries)
         return self._spanned(
-            lambda: self._launch_now(
-                n_tasklets, opt_level, kernel_params, policy, retries
-            ),
+            lambda: self._launch_now(n_tasklets, opt_level, policy, retries),
             len(self.dpus), n_tasklets, opt_level,
         )
 
@@ -420,7 +423,6 @@ class DpuSet:
         self,
         n_tasklets: int,
         opt_level: OptLevel,
-        kernel_params: dict,
         fault_policy: str,
         max_retries: int,
     ) -> LaunchReport:
@@ -428,16 +430,14 @@ class DpuSet:
             # Hot path; exceptions propagate raw, as they always have.
             per_dpu = [
                 float(dpu.launch(
-                    n_tasklets=n_tasklets, opt_level=opt_level,
-                    fault_attempt=0, **kernel_params,
+                    n_tasklets=n_tasklets, opt_level=opt_level, fault_attempt=0,
                 ).cycles)
                 for dpu in self.dpus
             ]
             return self._report(per_dpu, n_tasklets, fault_policy, [])
         runs = [
             self._execute_tolerant(
-                index, dpu, n_tasklets, opt_level, kernel_params,
-                fault_policy, max_retries,
+                index, dpu, n_tasklets, opt_level, fault_policy, max_retries
             )
             for index, dpu in enumerate(self.dpus)
         ]
@@ -475,8 +475,7 @@ class DpuSet:
         return report
 
     def _execute_tolerant(
-        self, index, dpu, n_tasklets, opt_level, kernel_params, policy,
-        max_retries,
+        self, index, dpu, n_tasklets, opt_level, policy, max_retries
     ) -> tuple[DpuOutcome, ExecutionResult | None]:
         """Run one DPU under a tolerant policy: its outcome and result.
 
@@ -489,7 +488,7 @@ class DpuSet:
             try:
                 result = dpu.launch(
                     n_tasklets=n_tasklets, opt_level=opt_level,
-                    fault_attempt=attempt, **kernel_params,
+                    fault_attempt=attempt,
                 )
             except DpuError as exc:
                 dpu.restore(pristine)
@@ -525,15 +524,13 @@ class AsyncLaunch:
 
     The simulator executes eagerly (simulated time is the only clock that
     matters), but the handle preserves the SDK's contract: the report is
-    only observable through :meth:`wait`, and several outstanding launches
-    can be synchronized together with :func:`wait_all`, whose combined
-    time is the slowest set — the rank-level overlap a host exploits.
+    only observable through :meth:`wait`.
 
     Simulated-time discipline: issuing the launch did **not** move the
     clock; the handle records the instant the launch completes, and
-    :meth:`wait` and :func:`wait_all` advance the clock to it (an instant
-    already passed costs nothing), so N overlapping launches cost ``max``
-    rather than ``sum`` of their durations, in any order of waits.
+    :meth:`wait` advances the clock to it (an instant already passed
+    costs nothing), so N overlapping launches cost ``max`` rather than
+    ``sum`` of their durations, in any order of waits.
     """
 
     def __init__(
@@ -587,9 +584,13 @@ class AsyncLaunch:
                 n_dpus=len(self._dpu_set.dpus),
             )
 
-    def _collect(self) -> LaunchReport:
-        """Mark the handle synchronized and advance the clock to the
-        instant the launch completes."""
+    def wait(self) -> LaunchReport:
+        """``dpu_sync``: block until the launch completes, advancing the
+        clock to the instant it completes.
+
+        Repeated waits return the same report; the clock is already past
+        the launch, so they cost nothing.
+        """
         if self.cancelled:
             raise LaunchError(
                 "wait on a cancelled launch; its results were discarded "
@@ -598,52 +599,6 @@ class AsyncLaunch:
         self.done = True
         self._dpu_set.clock.advance_to(self._completes)
         return self._report
-
-    def wait(self) -> LaunchReport:
-        """``dpu_sync``: block until the launch completes.
-
-        Repeated waits return the same report; the clock is already past
-        the launch, so they cost nothing.
-        """
-        return self._collect()
-
-
-def wait_all(handles: list[AsyncLaunch]) -> LaunchReport:
-    """Synchronize several asynchronous launches (sets ran in parallel).
-
-    All handles must have been launched with the same ``n_tasklets``; a
-    combined report cannot honestly carry a single tasklet count
-    otherwise, so a mismatch raises instead of silently mislabeling.
-
-    The clock advances to the latest instant any handle completes: the
-    sets overlapped, so the combined launch time is the max over the
-    handles, never their sum.
-    """
-    if not handles:
-        raise LaunchError("wait_all on an empty handle list")
-    with telemetry.span(
-        "dpu.wait_all", n_handles=len(handles),
-        n_dpus=sum(len(h._dpu_set) for h in handles),
-    ):
-        reports = [handle._collect() for handle in handles]
-    tasklet_counts = {r.n_tasklets for r in reports}
-    if len(tasklet_counts) > 1:
-        raise LaunchError(
-            "wait_all over launches with mixed tasklet counts "
-            f"{sorted(tasklet_counts)}; wait on each handle separately "
-            "to keep per-set reports"
-        )
-    slowest = max(reports, key=lambda r: r.cycles)
-    combined = LaunchReport(
-        cycles=slowest.cycles,
-        seconds=slowest.seconds,
-        per_dpu_cycles=[c for r in reports for c in r.per_dpu_cycles],
-        n_dpus=sum(r.n_dpus for r in reports),
-        n_tasklets=slowest.n_tasklets,
-        fault_policy=slowest.fault_policy,
-        outcomes=[o for r in reports for o in r.outcomes],
-    )
-    return combined
 
 
 class DpuSystem:
@@ -677,16 +632,9 @@ class DpuSystem:
             self._dpus[dpu_id] = dpu
         return dpu
 
-    def allocate(self, n_dpus: int, *, policy: str = "pack") -> DpuSet:
-        """``dpu_alloc``: reserve ``n_dpus`` DPUs as a set.
-
-        ``policy`` chooses the placement:
-
-        * ``"pack"`` — consecutive ids (fills DIMMs in order; minimizes
-          the number of ranks the host must touch per transfer),
-        * ``"spread"`` — round-robin across DIMMs (maximizes aggregate
-          host-link bandwidth for scatter/gather-heavy workloads).
-        """
+    def allocate(self, n_dpus: int) -> DpuSet:
+        """``dpu_alloc``: reserve ``n_dpus`` DPUs as a set, the lowest
+        free ids first (fills DIMMs in order)."""
         if n_dpus <= 0:
             raise AllocationError(f"must allocate a positive DPU count, got {n_dpus}")
         if n_dpus > self.n_free:
@@ -694,15 +642,8 @@ class DpuSystem:
                 f"requested {n_dpus} DPUs but only {self.n_free} of "
                 f"{self.n_dpus} are free"
             )
-        if policy == "pack":
-            free = (i for i in range(self.n_dpus) if i not in self._allocated)
-            ids = [next(free) for _ in range(n_dpus)]
-        elif policy == "spread":
-            ids = self._spread_ids(n_dpus)
-        else:
-            raise AllocationError(
-                f"unknown allocation policy {policy!r}; use 'pack' or 'spread'"
-            )
+        free = (i for i in range(self.n_dpus) if i not in self._allocated)
+        ids = [next(free) for _ in range(n_dpus)]
         self._allocated.update(ids)
         _M_ALLOCATIONS.inc()
         _M_IN_USE.set(len(self._allocated))
@@ -712,32 +653,9 @@ class DpuSystem:
                 "dpu.alloc",
                 category="host",
                 n_dpus=n_dpus,
-                policy=policy,
                 first_id=ids[0],
             )
         return DpuSet([self._dpu(i) for i in ids], self.attributes)
-
-    def _spread_ids(self, n_dpus: int) -> list[int]:
-        """Free DPU ids taken round-robin across DIMMs."""
-        per_dimm = self.attributes.dpus_per_dimm
-        n_dimms = max(1, self.attributes.n_dimms)
-        ids: list[int] = []
-        offset = 0
-        while len(ids) < n_dpus and offset < per_dimm:
-            for dimm in range(n_dimms):
-                candidate = dimm * per_dimm + offset
-                if candidate < self.n_dpus and candidate not in self._allocated:
-                    ids.append(candidate)
-                    if len(ids) == n_dpus:
-                        break
-            offset += 1
-        if len(ids) < n_dpus:  # fall back to any remaining free ids
-            for i in range(self.n_dpus):
-                if i not in self._allocated and i not in ids:
-                    ids.append(i)
-                    if len(ids) == n_dpus:
-                        break
-        return ids
 
     def free(self, dpu_set: DpuSet) -> None:
         """``dpu_free``: return a set's DPUs to the pool.

@@ -127,22 +127,15 @@ class EbnnBackend(ModelBackend):
         self,
         model: EbnnModel | None = None,
         *,
-        use_lut: bool = True,
         images_per_dpu: int = IMAGES_PER_DPU,
-        n_tasklets: int = EBNN_TASKLETS,
-        opt_level: OptLevel = OptLevel.O3,
     ) -> None:
         self.model = model if model is not None else EbnnModel()
-        self.use_lut = use_lut
-        self.n_tasklets = n_tasklets
-        self.opt_level = opt_level
         self.layout = EbnnDpuLayout(self.model.config, images_per_dpu)
         self.image = self.layout.build_image("serve_ebnn")
 
     def warm(self, dpu_set: DpuSet) -> None:
         dpu_set.load(self.image)
-        if self.use_lut:
-            stage_lut(dpu_set, self.model, self.layout)
+        stage_lut(dpu_set, self.model, self.layout)
 
     def run_batch(
         self,
@@ -164,12 +157,12 @@ class EbnnBackend(ModelBackend):
             )
             try:
                 handle = view.launch_async(
-                    n_tasklets=self.n_tasklets,
-                    opt_level=self.opt_level,
+                    n_tasklets=EBNN_TASKLETS,
+                    opt_level=OptLevel.O3,
                     fault_policy=fault_policy,
                     model=self.model,
                     layout=self.layout,
-                    use_lut=self.use_lut,
+                    use_lut=True,
                 )
             except LaunchError:
                 # Under a tolerant policy this is the all-DPUs-failed
@@ -218,21 +211,14 @@ class YoloBackend(ModelBackend):
 
     name = "yolo"
 
-    def __init__(
-        self,
-        model: Yolov3Model | None = None,
-        *,
-        n_tasklets: int = YOLO_TASKLETS,
-        opt_level: OptLevel = OptLevel.O3,
-        alpha: int = 1,
-    ) -> None:
+    #: The GEMM's alpha (C = alpha * A @ B) on every served layer.
+    alpha = 1
+
+    def __init__(self, model: Yolov3Model | None = None) -> None:
         self.model = (
             model if model is not None
             else Yolov3Model(64, width_scale=0.05, seed=21)
         )
-        self.n_tasklets = n_tasklets
-        self.opt_level = opt_level
-        self.alpha = alpha
         #: Per layer: quantized weights, their parameters and weight_bound.
         self._weights: dict[int, tuple[np.ndarray, QuantParams, int]] = {}
 
@@ -297,7 +283,7 @@ class YoloBackend(ModelBackend):
         )
         c_rows, _ = run_gemm_layer(
             active, attributes, plan, a_q, b_q, divisor, self.alpha,
-            n_tasklets=self.n_tasklets, opt_level=self.opt_level,
+            n_tasklets=YOLO_TASKLETS, opt_level=OptLevel.O3,
             fault_policy=fault_policy,
         )
         scale = a_params.scale * b_params.scale * divisor / self.alpha

@@ -46,8 +46,6 @@ from repro.telemetry.spans import (
     current_tracer,
     install_tracer,
     span,
-    start_tracing,
-    stop_tracing,
     tracing,
     uninstall_tracer,
 )
@@ -60,8 +58,6 @@ __all__ = [
     "current_tracer",
     "install_tracer",
     "span",
-    "start_tracing",
-    "stop_tracing",
     "tracing",
     "uninstall_tracer",
     "DEFAULT_BUCKETS",

@@ -393,23 +393,18 @@ class MetricsRegistry:
 
     @staticmethod
     def _node_snapshot(metric: _Metric) -> dict:
-        node = {
-            "kind": metric.kind,
+        return {
             "state": metric._snapshot_state(),
             "children": {
                 key: MetricsRegistry._node_snapshot(child)
                 for key, child in metric._children.items()
             },
         }
-        if isinstance(metric, Histogram):
-            node["buckets"] = metric.buckets
-        return node
 
     @staticmethod
     def _node_delta(metric: _Metric, before: dict | None) -> dict:
         before_children = before["children"] if before else {}
-        node = {
-            "kind": metric.kind,
+        return {
             "state": type(metric)._delta_state(
                 metric._snapshot_state(),
                 before["state"] if before else None,
@@ -419,9 +414,6 @@ class MetricsRegistry:
                 for key, child in metric._children.items()
             },
         }
-        if isinstance(metric, Histogram):
-            node["buckets"] = metric.buckets
-        return node
 
     @staticmethod
     def _node_merge(metric: _Metric, delta: dict) -> None:
@@ -430,14 +422,15 @@ class MetricsRegistry:
             MetricsRegistry._node_merge(metric.labels(**dict(key)), child_delta)
 
     def snapshot(self) -> dict:
-        """A picklable snapshot of every metric (labelled children included)."""
+        """A snapshot of every metric (labelled children included)."""
         return {
             name: self._node_snapshot(metric)
             for name, metric in self._metrics.items()
         }
 
     def delta_since(self, snapshot: dict) -> dict:
-        """What changed since ``snapshot``, in a mergeable, picklable form.
+        """What changed since ``snapshot``, in a form :meth:`merge_delta`
+        takes.
 
         Metrics registered after the snapshot appear with their full value.
         """
@@ -447,26 +440,13 @@ class MetricsRegistry:
         }
 
     def merge_delta(self, delta: dict) -> None:
-        """Fold a :meth:`delta_since` result into this registry.
+        """Fold a :meth:`delta_since` result of this registry back in.
 
         Counters and gauges add; histograms add counts/sums per bucket and
-        widen min/max.  Metrics unknown to this registry are registered
-        first, so nothing the delta observed is silently dropped.
+        widen min/max.
         """
         for name, node in delta.items():
-            metric = self._metrics.get(name)
-            if metric is None:
-                if node["kind"] == "counter":
-                    metric = self.counter(name)
-                elif node["kind"] == "gauge":
-                    metric = self.gauge(name)
-                elif node["kind"] == "histogram":
-                    metric = self.histogram(name, buckets=tuple(node["buckets"]))
-                else:
-                    raise MetricsError(
-                        f"cannot merge unknown metric kind {node['kind']!r}"
-                    )
-            self._node_merge(metric, node)
+            self._node_merge(self._metrics[name], node)
 
     # ------------------------------------------------------------------ #
     # dumps

@@ -245,16 +245,6 @@ def uninstall_tracer() -> Tracer | None:
     return tracer
 
 
-def start_tracing() -> Tracer:
-    """Install and return a fresh tracer."""
-    return install_tracer(Tracer())
-
-
-def stop_tracing() -> Tracer | None:
-    """Alias of :func:`uninstall_tracer` reading naturally at call sites."""
-    return uninstall_tracer()
-
-
 class tracing:
     """Context manager enabling tracing for a block::
 

@@ -99,7 +99,7 @@ class TestKernelLaunch:
             dpu.read_symbol_array("data", np.int32, 8), values * 2
         )
         assert dpu.last_result.issue_slots == 32
-        assert report.cycles == dpu.last_cycles()
+        assert report.cycles == dpu.last_result.cycles
 
     def test_dpu_launch_rejects_a_kernel_image(self):
         """A kernel image runs set-wide: a one-DPU launch refuses it
@@ -107,7 +107,7 @@ class TestKernelLaunch:
         dpu = self.make_loaded_dpu()
         dpu.write_symbol_array("data", np.arange(8, dtype=np.int32))
         with pytest.raises(LaunchError, match="runs set-wide"):
-            dpu.launch(count=8)
+            dpu.launch()
         assert np.array_equal(
             dpu.read_symbol_array("data", np.int32, 8), np.arange(8)
         )
@@ -128,17 +128,6 @@ class TestKernelLaunch:
     def test_no_image_symbol_access(self):
         with pytest.raises(SymbolError):
             Dpu().symbol("data")
-
-    def test_last_cycles_and_seconds(self):
-        dpu_set = self.make_loaded_set()
-        (dpu,) = dpu_set
-        assert dpu.last_cycles() == 0.0
-        dpu.write_symbol_array("data", np.zeros(8, dtype=np.int32))
-        dpu_set.launch(count=8)
-        assert dpu.last_cycles() > 0
-        assert dpu.last_seconds() == pytest.approx(
-            dpu.last_cycles() / 350e6
-        )
 
     def test_symbol_offset_access(self):
         dpu = self.make_loaded_dpu()

@@ -29,8 +29,8 @@ import pytest
 
 from repro import faults, telemetry
 from repro.core.lut import create_lut
-from repro.core.timing import transfer_seconds
 from repro.core.mapping_ebnn import (
+    EBNN_TASKLETS,
     HOST_SECONDS_PER_IMAGE,
     EbnnPimRunner,
     EbnnRunResult,
@@ -38,11 +38,13 @@ from repro.core.mapping_ebnn import (
 )
 from repro.datasets import generate_batch
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
+from repro.dpu.costs import OptLevel
 from repro.dpu.profiler import SubroutineProfile
 from repro.errors import DpuError, LaunchError
 from repro.faults import FaultPlan
 from repro.host import runtime
 from repro.host.runtime import DpuSet, DpuSystem
+from repro.host.transfer import transfer_seconds
 from repro.nn.binary import pack_image, unpack_bits
 from repro.nn.models.ebnn import EbnnModel
 from repro.serve import BatchExecution, EbnnBackend, InferenceRequest
@@ -203,12 +205,12 @@ class OldBackend(EbnnBackend):
 
         try:
             handle = view.launch_async(
-                n_tasklets=self.n_tasklets,
-                opt_level=self.opt_level,
+                n_tasklets=EBNN_TASKLETS,
+                opt_level=OptLevel.O3,
                 fault_policy=fault_policy,
                 model=self.model,
                 layout=layout,
-                use_lut=self.use_lut,
+                use_lut=True,
             )
         except LaunchError:
             execution.failed.extend(wave)

@@ -6,7 +6,7 @@ import pytest
 from repro.dpu.assembler import assemble
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.device import DpuImage
-from repro.host.runtime import DpuSystem, wait_all
+from repro.host.runtime import DpuSystem
 from repro.errors import LaunchError
 
 SMALL = UPMEM_ATTRIBUTES.scaled(8)
@@ -41,24 +41,6 @@ class TestAsyncLaunch:
         report = handle.wait()
         assert handle.done
         assert report.cycles == 11 * 11
-
-    def test_wait_all_takes_the_slowest(self):
-        system = DpuSystem(SMALL)
-        fast_set = system.allocate(2)
-        slow_set = system.allocate(2)
-        fast_set.load(image(5))
-        slow_set.load(image(500))
-        combined = wait_all([
-            fast_set.launch_async(),
-            slow_set.launch_async(),
-        ])
-        assert combined.cycles == 501 * 11
-        assert combined.n_dpus == 4
-        assert len(combined.per_dpu_cycles) == 4
-
-    def test_wait_all_empty_rejected(self):
-        with pytest.raises(LaunchError):
-            wait_all([])
 
     def test_async_respects_launch_validation(self):
         system = DpuSystem(SMALL)
@@ -95,34 +77,6 @@ class TestOverlapModel:
             total_seconds_overlapped(1.0, 1.0, 1.5)
 
 
-class TestWaitAllTaskletMismatch:
-    def test_mixed_tasklet_counts_rejected(self):
-        system = DpuSystem(SMALL)
-        set_a = system.allocate(2)
-        set_b = system.allocate(2)
-        set_a.load(image(10))
-        set_b.load(image(10))
-        handles = [
-            set_a.launch_async(n_tasklets=1),
-            set_b.launch_async(n_tasklets=4),
-        ]
-        with pytest.raises(LaunchError, match="mixed tasklet counts"):
-            wait_all(handles)
-
-    def test_matching_tasklet_counts_combine(self):
-        system = DpuSystem(SMALL)
-        set_a = system.allocate(2)
-        set_b = system.allocate(2)
-        set_a.load(image(10))
-        set_b.load(image(10))
-        combined = wait_all([
-            set_a.launch_async(n_tasklets=4),
-            set_b.launch_async(n_tasklets=4),
-        ])
-        assert combined.n_tasklets == 4
-        assert combined.n_dpus == 4
-
-
 class TestAsyncSimTime:
     """Waiting moves the clock to the launch's completion instant, once."""
 
@@ -151,45 +105,6 @@ class TestAsyncSimTime:
             handle.wait()
             handle.wait()
             assert tracer.sim_now == pytest.approx(report.seconds)
-
-    def test_wait_all_advances_by_slowest_not_sum(self):
-        """Two overlapping async launches cost max(), never sum()."""
-        system = DpuSystem(SMALL)
-        fast_set = system.allocate(2)
-        slow_set = system.allocate(2)
-        fast_set.load(image(5))
-        slow_set.load(image(500))
-        with self.telemetry.tracing() as tracer:
-            handles = [fast_set.launch_async(), slow_set.launch_async()]
-            assert tracer.sim_now == 0.0
-            combined = wait_all(handles)
-            slow_seconds = SMALL.cycles_to_seconds(501.0 * 11)
-            assert combined.seconds == pytest.approx(slow_seconds)
-            assert tracer.sim_now == pytest.approx(slow_seconds)
-
-    def test_wait_all_then_wait_does_not_double_advance(self):
-        system = DpuSystem(SMALL)
-        set_a = system.allocate(2)
-        set_b = system.allocate(2)
-        set_a.load(image(10))
-        set_b.load(image(10))
-        with self.telemetry.tracing() as tracer:
-            handles = [set_a.launch_async(), set_b.launch_async()]
-            combined = wait_all(handles)
-            for handle in handles:
-                handle.wait()  # already synchronized: must be a no-op
-            assert tracer.sim_now == pytest.approx(combined.seconds)
-
-    def test_wait_then_wait_all_does_not_double_advance(self):
-        system = DpuSystem(SMALL)
-        dpu_set = system.allocate(2)
-        dpu_set.load(image(50))
-        with self.telemetry.tracing() as tracer:
-            handle = dpu_set.launch_async()
-            report = handle.wait()
-            wait_all([handle])  # already synchronized: must cost nothing
-            assert tracer.sim_now == pytest.approx(report.seconds)
-            assert system.clock.now == pytest.approx(report.seconds)
 
     def test_overlapping_handles_waited_in_turn_cost_max(self):
         system = DpuSystem(SMALL)

@@ -1,54 +1,19 @@
-"""Tests for allocation policies and the energy extension."""
+"""Tests for allocation and the energy extension."""
 
 import pytest
 
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.host.runtime import DpuSystem
-from repro.host.topology import SystemTopology
 from repro.pimmodel.energy import energy_row, energy_table, most_efficient
 from repro.pimmodel.architectures import UPMEM, PPIM
 from repro.pimmodel.workloads import EBNN, YOLOV3
-from repro.errors import AllocationError
 
 
 class TestAllocationPolicies:
     def test_pack_is_consecutive(self):
         system = DpuSystem(UPMEM_ATTRIBUTES)
-        ids = [dpu.dpu_id for dpu in system.allocate(8, policy="pack")]
+        ids = [dpu.dpu_id for dpu in system.allocate(8)]
         assert ids == list(range(8))
-
-    def test_spread_uses_distinct_dimms(self):
-        system = DpuSystem(UPMEM_ATTRIBUTES)
-        topology = SystemTopology(UPMEM_ATTRIBUTES)
-        dpu_set = system.allocate(8, policy="spread")
-        dimms = {topology.address_of(dpu.dpu_id).dimm for dpu in dpu_set}
-        assert len(dimms) == 8  # one per DIMM
-
-    def test_spread_wraps_after_all_dimms(self):
-        system = DpuSystem(UPMEM_ATTRIBUTES)
-        topology = SystemTopology(UPMEM_ATTRIBUTES)
-        dpu_set = system.allocate(25, policy="spread")  # 20 DIMMs + 5
-        dimms = [topology.address_of(dpu.dpu_id).dimm for dpu in dpu_set]
-        assert len(set(dimms[:20])) == 20
-        assert len(dpu_set) == 25
-
-    def test_policies_never_overlap(self):
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(256))
-        a = system.allocate(10, policy="spread")
-        b = system.allocate(10, policy="pack")
-        ids_a = {dpu.dpu_id for dpu in a}
-        ids_b = {dpu.dpu_id for dpu in b}
-        assert not ids_a & ids_b
-
-    def test_spread_falls_back_when_fragmented(self):
-        system = DpuSystem(UPMEM_ATTRIBUTES.scaled(16))
-        system.allocate(12)
-        late = system.allocate(4, policy="spread")
-        assert len(late) == 4
-
-    def test_unknown_policy(self):
-        with pytest.raises(AllocationError, match="unknown allocation policy"):
-            DpuSystem(UPMEM_ATTRIBUTES).allocate(1, policy="random")
 
 
 class TestEnergy:

@@ -373,42 +373,6 @@ class TestFreedSet:
         assert again.launch().n_dpus == 2
 
 
-class TestSpreadPolicy:
-    def test_round_robin_across_dimms(self):
-        # 16 DPUs, 8 per DIMM -> 2 DIMMs; spread alternates between them.
-        from repro.dpu.attributes import UpmemAttributes
-
-        system = DpuSystem(UpmemAttributes(n_dpus=16, dpus_per_dimm=8))
-        dpu_set = system.allocate(4, policy="spread")
-        assert [dpu.dpu_id for dpu in dpu_set] == [0, 8, 1, 9]
-
-    def test_fallback_when_round_robin_grid_is_short(self):
-        # 20 DPUs but only 2 DIMMs x 8 slots reachable round-robin: the
-        # last 4 ids exist outside the dimm grid and come from the
-        # fallback scan.
-        from repro.dpu.attributes import UpmemAttributes
-
-        system = DpuSystem(UpmemAttributes(n_dpus=20, dpus_per_dimm=8))
-        dpu_set = system.allocate(20, policy="spread")
-        ids = [dpu.dpu_id for dpu in dpu_set]
-        assert sorted(ids) == list(range(20))
-        assert ids[-4:] == [16, 17, 18, 19]  # appended by the fallback
-
-    def test_fallback_skips_already_allocated(self):
-        from repro.dpu.attributes import UpmemAttributes
-
-        system = DpuSystem(UpmemAttributes(n_dpus=20, dpus_per_dimm=8))
-        first = system.allocate(3, policy="pack")  # takes ids 0, 1, 2
-        rest = system.allocate(17, policy="spread")
-        ids = {dpu.dpu_id for dpu in rest}
-        assert not ids & {dpu.dpu_id for dpu in first}
-        assert len(ids) == 17
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(AllocationError, match="unknown allocation policy"):
-            DpuSystem(SMALL).allocate(1, policy="scatter")
-
-
 class TestDoubleFree:
     def test_double_free_raises(self):
         system = DpuSystem(SMALL)

@@ -6,8 +6,8 @@ import pytest
 from repro import telemetry
 from repro.dpu.device import Dpu, DpuImage
 from repro.host import transfer
-from repro.host.transfer import XferDirection
-from repro.errors import SymbolError, TransferError
+from repro.host.transfer import XferDirection, transfer_seconds
+from repro.errors import MappingError, SymbolError, TransferError
 
 
 def make_dpus(n=3, symbol_size=64):
@@ -278,3 +278,10 @@ class TestSymbolResolution:
         assert twin is not dpus[0].image and twin == dpus[0].image
         dpus[2].load(twin)
         assert transfer._symbol_addrs(dpus, "data", 16, 8) == [16] * 4
+
+
+class TestHelpers:
+    def test_transfer_seconds(self):
+        assert transfer_seconds(16_000_000_000) == pytest.approx(1.0)
+        with pytest.raises(MappingError):
+            transfer_seconds(-1)

@@ -7,7 +7,6 @@ from repro.baselines.cpu import CpuBaseline
 from repro.core.lut import create_lut, lut_matches_float_path
 from repro.core.mapping_ebnn import EbnnPimRunner
 from repro.core.mapping_yolo import YoloPimRunner, yolo_network_timing
-from repro.core.offload import ebnn_application_profile, partition
 from repro.datasets import generate_batch, generate_scene
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
@@ -18,37 +17,29 @@ from tests.test_yolo_split import split_layer_cycles
 
 
 class TestEbnnFullPipeline:
-    """Profiling -> partition -> LUT -> PIM execution -> host softmax."""
+    """LUT -> PIM execution -> host softmax."""
 
     def test_paper_methodology_end_to_end(self):
         model = EbnnModel()
         config = model.config
 
-        # 1. Profile the application and partition (Section 3.1 / 4.1).
-        plan = partition(
-            ebnn_application_profile(
-                config.conv_macs_per_image(), config.bn_outputs_per_image()
-            )
-        )
-        assert plan.dpu_functions == ["binary_conv_pool"]
-
-        # 2. Build the Algorithm 1 LUT on the host and verify it.
+        # 1. Build the Algorithm 1 LUT on the host and verify it.
         lut = create_lut(model.bn, *config.conv_range)
         assert lut_matches_float_path(lut, model.bn)
 
-        # 3. Run the batch through the PIM system.
+        # 2. Run the batch through the PIM system.
         system = DpuSystem(UPMEM_ATTRIBUTES.scaled(4))
         batch = generate_batch(20, seed=42)
         runner = EbnnPimRunner(system, model, use_lut=True)
         result = runner.run(batch.normalized())
 
-        # 4. PIM output equals the CPU baseline exactly.
+        # 3. PIM output equals the CPU baseline exactly.
         baseline = CpuBaseline(model)
         assert np.array_equal(
             result.predictions, baseline.predict_batch(batch.normalized())
         )
 
-        # 5. And the timing pieces compose.
+        # 4. And the timing pieces compose.
         assert result.dpu_seconds > 0
         assert result.total_seconds > result.dpu_seconds
 

@@ -9,11 +9,11 @@ import pytest
 from repro import faults, telemetry
 from repro.core.mapping_ebnn import HOST_SECONDS_PER_IMAGE, ebnn_dpu_cycles
 from repro.core.mapping_yolo import yolo_network_timing
-from repro.core.timing import transfer_seconds
 from repro.datasets.mnist import generate_batch
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.errors import ServeError
 from repro.host.runtime import DpuSystem
+from repro.host.transfer import transfer_seconds
 from repro.serve import (
     BatchPolicy,
     DpuPool,

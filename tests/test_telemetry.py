@@ -302,7 +302,7 @@ class TestMetricsDeltaProtocol:
         counter.labels(kind="a").inc(2)
         delta = registry.delta_since(before)
         assert delta["test.parallel.roundtrip"]["state"] == 5
-        counter.inc(1)  # parent-side activity after the snapshot
+        counter.inc(1)  # activity after the delta was taken
         value = counter.value
         registry.merge_delta(delta)
         assert counter.value == value + 5
@@ -336,14 +336,13 @@ class TestMetricsDeltaProtocol:
         assert histogram.min == 3.0
         assert histogram.max == 3.0
 
-    def test_merge_registers_unknown_metrics(self):
+    def test_merge_one_metric_delta(self):
         registry = telemetry.GLOBAL_METRICS
         name = "test.parallel.fresh"
         counter = registry.counter(name, "test")
         before = registry.snapshot()
         counter.inc(3)
         delta = registry.delta_since(before)
-        # A worker may observe metrics the parent has never created.
         registry.merge_delta({name: delta[name]})
         assert counter.value == 6
 
@@ -515,26 +514,3 @@ class TestCli:
         assert "dpu.launches" in stdout
         doc = json.loads(json_path.read_text())
         assert doc["dpu.launches"]["value"] >= 1
-
-
-class TestLatencyBreakdownEmit:
-    def test_breakdown_lands_on_active_span(self):
-        from repro.core.timing import breakdown_from_cycles
-
-        with telemetry.tracing() as tracer:
-            with tracer.span("inference"):
-                breakdown = breakdown_from_cycles(
-                    350e6, transfer_bytes=16_000_000_000, host_seconds=0.5
-                )
-        (span,) = tracer.find("inference")
-        assert span.attributes["dpu_seconds"] == pytest.approx(1.0)
-        assert span.attributes["transfer_seconds"] == pytest.approx(1.0)
-        assert span.attributes["total_seconds"] == pytest.approx(
-            breakdown.total_seconds
-        )
-
-    def test_emit_without_tracer_is_safe(self):
-        from repro.core.timing import breakdown_from_cycles
-
-        breakdown = breakdown_from_cycles(700, transfer_bytes=64)
-        assert breakdown.total_seconds > 0

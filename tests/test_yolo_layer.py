@@ -28,14 +28,13 @@ from repro.core.mapping_yolo import (
     run_gemm_layer,
     weight_bound,
 )
-from repro.core.timing import transfer_seconds
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
 from repro.dpu.device import launch_kernel
 from repro.errors import DpuFaultError, LaunchError
 from repro.faults import FaultPlan
 from repro.host.runtime import DpuSet, DpuSystem
-from repro.host.transfer import scatter_rows
+from repro.host.transfer import scatter_rows, transfer_seconds
 from repro.nn.gemm import GemmShape
 from repro.nn.im2col import im2col
 from repro.nn.models.darknet import Yolov3Model

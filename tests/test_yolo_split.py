@@ -36,12 +36,12 @@ from repro.core.mapping_yolo import (
     gemm_layer_cycles,
     run_gemm_layer,
 )
-from repro.core.timing import transfer_seconds
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
 from repro.errors import DpuError, DpuFaultError, LaunchError
 from repro.faults import FaultPlan
 from repro.host.runtime import DpuSet, DpuSystem
+from repro.host.transfer import transfer_seconds
 from repro.nn.gemm import GemmShape, gemm_fast
 from tests.test_yolo_layer_walk import _fresh_metrics
 
