@@ -16,12 +16,14 @@ Scheme summary (Sections 4.1.3-4.1.4):
   time of one DPU (Section 4.1.3).
 
 The cost recipe (:func:`charge_ebnn_costs`) is the single source of truth
-for eBNN DPU cycles: the functional kernel and the closed-form sweeps both
-charge through it.
+for eBNN DPU cycles: the functional kernel, the serving backend's price
+of a wave before it runs (:func:`ebnn_costs`) and the closed-form sweeps
+all charge through it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,6 @@ from repro.dpu.costs import (
     Precision,
 )
 from repro.dpu.kernel import (
-    GLOBAL_KERNELS,
     KernelContext,
     KernelResult,
     charged_result,
@@ -46,7 +47,7 @@ from repro.dpu.device import DpuImage
 from repro.dpu.profiler import SubroutineProfile
 from repro.errors import MappingError
 from repro.host.alignment import align_up
-from repro.host.runtime import DpuSet, DpuSystem, LaunchReport
+from repro.host.runtime import DpuSet, DpuSystem, LaunchDecision, LaunchReport
 from repro.nn.binary import pack_images
 from repro.nn.models.ebnn import EbnnConfig, EbnnModel
 
@@ -119,7 +120,6 @@ class EbnnDpuLayout:
             )
         return DpuImage.from_symbol_layout(
             name,
-            kernel_name="ebnn_conv_pool",
             layout=[
                 ("images", self.images_bytes),
                 ("results", self.results_bytes),
@@ -187,7 +187,32 @@ def charge_ebnn_costs(
     ctx.set_work_units(n_images)
 
 
-@GLOBAL_KERNELS.register("ebnn_conv_pool")
+def ebnn_costs(
+    counts: list[int],
+    layout: EbnnDpuLayout,
+    *,
+    use_lut: bool,
+    n_tasklets: int,
+    opt_level: OptLevel,
+) -> list[KernelResult]:
+    """The charged result of a DPU holding each of ``counts`` images.
+
+    The cost depends only on the image count, so it is charged once per
+    distinct count.  The kernel returns these results, and the serving
+    backend prices a wave with them before it runs.
+    """
+    charged: dict[int, KernelResult] = {}
+    for n_images in counts:
+        if n_images not in charged:
+            charged[n_images] = charged_result(
+                lambda ctx: charge_ebnn_costs(
+                    ctx, layout.config, layout, n_images, use_lut=use_lut
+                ),
+                n_tasklets=n_tasklets, opt_level=opt_level,
+            )
+    return [charged[n_images] for n_images in counts]
+
+
 def ebnn_conv_pool_kernel(
     dpus,
     *,
@@ -202,8 +227,8 @@ def ebnn_conv_pool_kernel(
     Each DPU reads its packed images and image count from its MRAM,
     computes the binary features of all its images at once (via the LUT
     read back from its MRAM, or the float BN path), and writes packed
-    feature bits to its ``results`` symbol.  The cost depends only on the
-    image count, so it is charged once per distinct count.
+    feature bits to its ``results`` symbol.  Its results are
+    :func:`ebnn_costs` of the image counts.
     """
     config = model.config
     side = config.image_size
@@ -245,17 +270,10 @@ def ebnn_conv_pool_kernel(
         )
         block[:, : feature_bytes.shape[1]] = feature_bytes
         dpu.mram.write_array(dpu.symbol("results").mram_addr, block)
-
-    charged: dict[int, KernelResult] = {}
-    for n_images in counts:
-        if n_images not in charged:
-            charged[n_images] = charged_result(
-                lambda ctx: charge_ebnn_costs(
-                    ctx, config, layout, n_images, use_lut=use_lut
-                ),
-                n_tasklets=n_tasklets, opt_level=opt_level,
-            )
-    return [charged[n_images] for n_images in counts]
+    return ebnn_costs(
+        counts, layout, use_lut=use_lut, n_tasklets=n_tasklets,
+        opt_level=opt_level,
+    )
 
 
 #: Host-side FC+softmax time per image (a Xeon-class constant; the host
@@ -299,6 +317,25 @@ def stage_wave(
     counts = [min(per_dpu, n_staged - d * per_dpu) for d in range(n_active)]
     view.scatter("meta", np.array([[c, 0] for c in counts], dtype=np.uint32))
     return view, counts
+
+
+def launch_wave(
+    view: DpuSet, decision: LaunchDecision, model: EbnnModel,
+    layout: EbnnDpuLayout, use_lut: bool,
+) -> LaunchReport:
+    """Run a staged wave's conv-pool kernel on ``view`` as ``decision``
+    decided, in one launch; the clock advances by its seconds.
+
+    Failures surface as :meth:`DpuSet.charge` raises them: under
+    ``raise`` the failed DPU's own error, and a :class:`LaunchError`
+    when every DPU failed.
+    """
+    (report,) = view.charge(decision, len(view), functools.partial(
+        ebnn_conv_pool_kernel, n_tasklets=decision.n_tasklets,
+        opt_level=decision.opt_level, model=model, layout=layout,
+        use_lut=use_lut,
+    ))
+    return report
 
 
 def read_wave(
@@ -458,12 +495,9 @@ class EbnnPimRunner:
                 dpu_set.dpus, self.system.attributes, self.image, self.layout,
                 images,
             )
-            report = view.launch(
-                n_tasklets=self.n_tasklets,
-                opt_level=self.opt_level,
-                model=self.model,
-                layout=self.layout,
-                use_lut=self.use_lut,
+            report = launch_wave(
+                view, view.decide(self.n_tasklets, self.opt_level),
+                self.model, self.layout, self.use_lut,
             )
             predictions, host_seconds = read_wave(
                 view, counts, report, self.model, self.layout
@@ -494,16 +528,14 @@ def ebnn_dpu_cycles(
 ) -> float:
     """Closed-form DPU cycles for one eBNN batch (no functional compute).
 
-    Shares :func:`charge_ebnn_costs` with the kernel, so sweeps (Figs. 4.4
-    and 4.7) and functional runs can never drift apart.
+    Shares :func:`ebnn_costs` with the kernel, so sweeps (Figs. 4.4 and
+    4.7) and functional runs can never drift apart.
     """
-    layout = EbnnDpuLayout(config, images_per_dpu)
-    return charged_result(
-        lambda ctx: charge_ebnn_costs(
-            ctx, config, layout, n_images, use_lut=use_lut
-        ),
+    (result,) = ebnn_costs(
+        [n_images], EbnnDpuLayout(config, images_per_dpu), use_lut=use_lut,
         n_tasklets=n_tasklets, opt_level=opt_level,
-    ).cycles
+    )
+    return result.cycles
 
 
 def ebnn_image_latency_seconds(

@@ -40,7 +40,6 @@ from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.costs import Operation, OptLevel, Precision, mram_access_cycles
 from repro.dpu.device import DpuImage
 from repro.dpu.kernel import (
-    GLOBAL_KERNELS,
     KernelContext,
     KernelResult,
     charged_result,
@@ -175,7 +174,6 @@ class YoloDpuLayout:
     def build_image(self, name: str = "yolo_gemm") -> DpuImage:
         return DpuImage.from_symbol_layout(
             name,
-            kernel_name="yolo_gemm_row",
             layout=[
                 ("a_row", self.a_row_bytes),
                 ("b", self.b_bytes),
@@ -185,7 +183,6 @@ class YoloDpuLayout:
         )
 
 
-@GLOBAL_KERNELS.register("yolo_gemm_row")
 def yolo_gemm_row_kernel(
     dpus,
     *,

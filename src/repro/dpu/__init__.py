@@ -29,7 +29,7 @@ from repro.dpu.interpreter import (
     run_program,
     set_mode,
 )
-from repro.dpu.kernel import GLOBAL_KERNELS, KernelContext, KernelResult
+from repro.dpu.kernel import KernelContext, KernelResult
 from repro.dpu.memory import DmaEngine, Iram, Mram, Wram, streamed_transfer_cycles
 from repro.dpu.pipeline import (
     MAX_TASKLETS,
@@ -66,7 +66,6 @@ __all__ = [
     "make_interpreter",
     "run_program",
     "set_mode",
-    "GLOBAL_KERNELS",
     "KernelContext",
     "KernelResult",
     "DmaEngine",

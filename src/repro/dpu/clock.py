@@ -2,9 +2,9 @@
 
 A :class:`~repro.host.runtime.DpuSystem` owns one :class:`SimClock`, and
 every DPU it creates holds it, so whatever moves data or work through
-those DPUs reaches the same clock: host<->DPU transfers, synchronous
-launches, waits on asynchronous launches and host compute advance it,
-traced or not.  A DPU built on its own gets a clock of its own.
+those DPUs reaches the same clock: host<->DPU transfers, launches and
+host compute advance it, traced or not.  A DPU built on its own gets a
+clock of its own.
 
 The clock sums in exact fixed point (2**-128 s ticks), so a total does
 not depend on the order or grouping of its advances: a layer charged
@@ -30,17 +30,10 @@ class SimClock:
         self.now = 0.0
         self._ticks = 0
 
-    def after(self, seconds: float) -> int:
-        """The instant ``seconds`` from now, for :meth:`advance_to`."""
-        return self._ticks + int(seconds * _SCALE)
-
     def advance(self, seconds: float, times: int = 1) -> None:
-        """Move forward by ``times`` spans of ``seconds`` each."""
-        self.advance_to(self._ticks + times * int(seconds * _SCALE))
-
-    def advance_to(self, instant: int) -> None:
-        """Move forward to ``instant`` (see :meth:`after`); an instant
-        already passed leaves the clock where it is."""
+        """Move forward by ``times`` spans of ``seconds`` each; a span
+        that is not positive leaves the clock where it is."""
+        instant = self._ticks + times * int(seconds * _SCALE)
         if instant <= self._ticks:
             return
         before, self._ticks = self.now, instant

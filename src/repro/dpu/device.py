@@ -6,9 +6,9 @@ image ``dpu_load`` put in its IRAM, like a physical DPU:
 * an assembled :class:`~repro.dpu.isa.Program` runs on the one DPU
   through the instruction interpreter (exact, used for
   microbenchmarks; :meth:`Dpu.launch`);
-* a registered Python kernel (fast, used for CNN workloads) runs
-  set-wide, in one call over every DPU of a set's launch
-  (:func:`launch_kernel`, reached through ``DpuSet``).
+* a kernel image, one without a program (fast, used for CNN
+  workloads), runs set-wide: the mapping's Python kernel is called once
+  over every DPU of a launch, through ``DpuSet.charge``.
 
 MRAM *symbols* — named, sized regions — are how the host addresses
 DPU memory in the UPMEM SDK (``dpu_copy_to(set, "symbol", ...)``); an image
@@ -28,9 +28,9 @@ from repro.dpu.clock import SimClock
 from repro.dpu.costs import OptLevel
 from repro.dpu.interpreter import ExecutionResult, make_interpreter
 from repro.dpu.isa import Program
-from repro.dpu.kernel import GLOBAL_KERNELS, KernelResult
+from repro.dpu.kernel import KernelResult
 from repro.dpu.memory import DmaEngine, Mram, Wram
-from repro.errors import DpuError, LaunchError, SymbolError
+from repro.errors import LaunchError, SymbolError
 
 _M_DPU_EXECS = telemetry.GLOBAL_METRICS.counter(
     "dpu.execs", "DPU executions (one per DPU a launch ran)"
@@ -61,7 +61,8 @@ class Symbol:
 
 @dataclass
 class DpuImage:
-    """A loadable DPU image: an assembled program or a named kernel.
+    """A loadable DPU image: an assembled program, or without one a
+    kernel image, which the mapping's Python kernel runs set-wide.
 
     The stand-in for a dpu-clang compiled binary.  ``symbols`` declares the
     MRAM layout the host and the program agree on.
@@ -69,21 +70,13 @@ class DpuImage:
 
     name: str
     program: Program | None = None
-    kernel_name: str | None = None
     symbols: dict[str, Symbol] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if (self.program is None) == (self.kernel_name is None):
-            raise DpuError(
-                "a DpuImage needs exactly one of program / kernel_name"
-            )
 
     @staticmethod
     def from_symbol_layout(
         name: str,
         *,
         program: Program | None = None,
-        kernel_name: str | None = None,
         layout: list[tuple[str, int]] | None = None,
         base_addr: int = 0,
     ) -> "DpuImage":
@@ -98,9 +91,7 @@ class DpuImage:
             addr = (addr + 7) & ~7
             symbols[symbol_name] = Symbol(symbol_name, addr, size)
             addr += size
-        return DpuImage(
-            name=name, program=program, kernel_name=kernel_name, symbols=symbols
-        )
+        return DpuImage(name=name, program=program, symbols=symbols)
 
 
 @dataclass(frozen=True)
@@ -142,8 +133,6 @@ class Dpu:
         if image.program is not None:
             # Validate IRAM capacity eagerly, like the loader would.
             make_interpreter(image.program, self.wram, self.dma)
-        elif image.kernel_name is not None:
-            GLOBAL_KERNELS.get(image.kernel_name)
         self.image = image
 
     def symbol(self, name: str) -> Symbol:
@@ -226,8 +215,7 @@ class Dpu:
         """Run the loaded program image to completion through the
         instruction interpreter and return its result.
 
-        A kernel image runs set-wide only, through ``DpuSet.launch``,
-        ``launch_async`` or ``charge`` (:func:`launch_kernel`), and
+        A kernel image runs set-wide only, through ``DpuSet.charge``, and
         raises :class:`LaunchError` here.
 
         ``fault_attempt`` is the injection gate: set-level launches pass
@@ -238,8 +226,8 @@ class Dpu:
         self.check_launch(n_tasklets)
         if self.image.program is None:
             raise LaunchError(
-                f"kernel image {self.image.name!r} runs set-wide; launch "
-                f"it through a DpuSet"
+                f"kernel image {self.image.name!r} runs set-wide, through "
+                f"DpuSet.decide and DpuSet.charge"
             )
         event = None
         if fault_attempt is not None:
@@ -332,28 +320,6 @@ class Dpu:
                 dma_cycles=result.dma_cycles,
                 dma_bytes=result.dma_bytes,
             )
-
-
-def launch_kernel(
-    dpus: list[Dpu],
-    *,
-    n_tasklets: int,
-    opt_level: OptLevel,
-    kernel_params: dict,
-) -> list[KernelResult]:
-    """Run the kernel image loaded on ``dpus`` over all of them in one call.
-
-    The registered set-wide kernel computes every DPU's work at once;
-    the caller records it (:func:`record_kernel_results`).  Validation
-    and fault decisions are the caller's too: every DPU given here has
-    passed :meth:`Dpu.check_launch` and runs.
-    """
-    if not dpus:
-        return []
-    kernel = GLOBAL_KERNELS.get(dpus[0].image.kernel_name)
-    return kernel(
-        dpus, n_tasklets=n_tasklets, opt_level=opt_level, **kernel_params
-    )
 
 
 def record_kernel_results(

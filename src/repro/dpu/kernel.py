@@ -10,14 +10,18 @@ paths draw costs from the same calibrated tables
 timing is consistent with what the interpreter would report for the
 equivalent instruction stream.
 
-A kernel runs *set-wide*, the SPMD launch of Section 3.1 where every DPU
-runs the same image on its own data: one call receives all the DPUs of a
-launch and returns one :class:`KernelResult` per DPU.  It computes the
-whole set at once (one GEMM for a layer's rows) and charges its cost
-recipe once per distinct cost (:func:`charged_result`).  The context
-describes the work of a *whole DPU* and spreads the charged slots over
-the resident tasklets (the straggler rule of
-:func:`repro.dpu.pipeline.balanced_execution_cycles`).
+A kernel is a plain function that runs *set-wide*, the SPMD launch of
+Section 3.1 where every DPU runs the same image on its own data: one call
+receives all the DPUs of a launch (each with the kernel image, an image
+without a program, loaded) and returns one :class:`KernelResult` per DPU
+in order; DPUs that did identical work may share one result object.  A
+mapping binds the kernel to its parameters and passes it as the ``run``
+of :meth:`DpuSet.charge <repro.host.runtime.DpuSet.charge>`, the one
+way a kernel image runs.  It computes the whole set at once (one GEMM
+for a layer's rows) and charges its cost recipe once per distinct cost
+(:func:`charged_result`).  The context describes the work of a *whole
+DPU* and spreads the charged slots over the resident tasklets (the
+straggler rule of :func:`repro.dpu.pipeline.balanced_execution_cycles`).
 """
 
 from __future__ import annotations
@@ -220,13 +224,6 @@ class KernelContext:
         )
 
 
-#: A kernel: ``kernel(dpus, *, n_tasklets, opt_level, **params)`` runs
-#: one launch on every DPU of ``dpus`` (each with its image loaded) and
-#: returns their :class:`KernelResult` s in order.  DPUs that did
-#: identical work may share one result object.
-SetKernel = Callable[..., list[KernelResult]]
-
-
 def charged_result(
     charge: Callable[[KernelContext], None],
     *,
@@ -251,36 +248,3 @@ def symbol_bytes(dpu, name: str, n_bytes: int) -> bytes:
     a host transfer.
     """
     return dpu.mram.read(dpu.symbol(name).mram_addr, n_bytes)
-
-
-class KernelRegistry:
-    """Named kernels the host can "load" onto a DPU set (the dpu-clang
-    stand-in)."""
-
-    def __init__(self) -> None:
-        self._kernels: dict[str, SetKernel] = {}
-
-    def register(self, name: str, kernel: SetKernel | None = None):
-        """Register a kernel, usable directly or as a decorator."""
-
-        def add(fn):
-            self._kernels[name] = fn
-            return fn
-
-        return add(kernel) if kernel is not None else add
-
-    def get(self, name: str) -> SetKernel:
-        try:
-            return self._kernels[name]
-        except KeyError:
-            raise DpuError(f"no kernel registered under {name!r}") from None
-
-    def names(self) -> list[str]:
-        return sorted(self._kernels)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._kernels
-
-
-#: Process-wide kernel registry (mapping schemes register their kernels here).
-GLOBAL_KERNELS = KernelRegistry()

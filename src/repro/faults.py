@@ -18,12 +18,13 @@ Design rules:
   of ``(seed, kind, victim ids)`` via SHA-256 — not of wall time, launch
   count, or process identity — so the same seed reproduces the same
   fault sites.
-* **Only set-level launches are injectable.**  ``DpuSet.launch``
-  consults the plan for each (DPU, attempt) — for a program image by
-  passing a ``fault_attempt`` to :meth:`Dpu.launch`, for a kernel image
-  in ``DpuSet.decide``; direct single-DPU program launches pass ``None``
-  and never consult the plan, so unit-level code keeps exact behavior
-  even when a smoke plan is installed process-wide.
+* **Only set-level launches are injectable.**  The plan is consulted
+  for each (DPU, attempt) of a set: for a program image by
+  ``DpuSet.launch``, which passes a ``fault_attempt`` to
+  :meth:`Dpu.launch`, and for a kernel image by ``DpuSet.decide``;
+  direct single-DPU program launches pass ``None`` and never consult
+  the plan, so unit-level code keeps exact behavior even when a smoke
+  plan is installed process-wide.
 
 Environment knobs (read once at import, for CI smoke injection)::
 

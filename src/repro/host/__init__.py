@@ -11,7 +11,6 @@ from repro.host.alignment import (
     validate_transfer,
 )
 from repro.host.runtime import (
-    AsyncLaunch,
     DpuSet,
     DpuSystem,
     LaunchReport,
@@ -33,7 +32,6 @@ __all__ = [
     "pad_buffer",
     "padding_needed",
     "validate_transfer",
-    "AsyncLaunch",
     "DpuSet",
     "DpuSystem",
     "LaunchReport",

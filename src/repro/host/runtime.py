@@ -7,17 +7,16 @@ API, launch, synchronize, and read results back.
 
 Launches across a set are *parallel in simulated time*: every DPU runs the
 same image on its own data (the SIMD-across-DIMMs model of Section 3.1),
-so the set's elapsed time is the maximum over its members.  A kernel
-image runs as one set-wide computation
-(:func:`repro.dpu.device.launch_kernel`); an interpreted program runs
-DPU by DPU.  All reported latencies come from the simulated clocks.
+so the set's elapsed time is the maximum over its members.  An
+interpreted program runs DPU by DPU (:meth:`DpuSet.launch`).  A kernel
+image runs as one set-wide computation: :meth:`DpuSet.decide` decides
+every DPU's attempts without any effect, and :meth:`DpuSet.charge` calls
+the mapping's kernel on the DPUs that run and charges the result.  All
+reported latencies come from the simulated clocks.
 
 Each :class:`DpuSystem` owns one :class:`~repro.dpu.clock.SimClock`,
-held by every DPU it creates.  A synchronous launch advances it by the
-launch's seconds.  An asynchronous launch (``launch_async``) does not: its
-handle records the instant it completes, ``now + seconds`` at issue, and
-``wait()`` advances the clock to that instant unless it has already
-passed — N overlapping launches cost max, not sum, in any order of waits.
+held by every DPU it creates.  A launch advances it by the launch's
+seconds.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro import faults, telemetry
 from repro.dpu.attributes import UPMEM_ATTRIBUTES, UpmemAttributes
 from repro.dpu.clock import SimClock
 from repro.dpu.costs import OptLevel
-from repro.dpu.device import Dpu, DpuImage, launch_kernel, record_kernel_results
+from repro.dpu.device import Dpu, DpuImage, record_kernel_results
 from repro.dpu.interpreter import ExecutionResult
 from repro.host import transfer as xfer
 from repro.host.topology import SystemTopology
@@ -59,9 +58,6 @@ _M_LAUNCH_RETRIES = telemetry.GLOBAL_METRICS.counter(
 )
 _M_LAUNCH_DEGRADED = telemetry.GLOBAL_METRICS.counter(
     "launch.degraded", "set-wide launches that completed with failed DPUs"
-)
-_M_LAUNCH_CANCELLED = telemetry.GLOBAL_METRICS.counter(
-    "launch.cancelled", "asynchronous launches abandoned via cancel()"
 )
 
 
@@ -203,13 +199,14 @@ class DpuSet:
         opt_level: OptLevel = OptLevel.O0,
         fault_policy: str | None = None,
         max_retries: int | None = None,
-        **kernel_params,
     ) -> LaunchReport:
-        """``dpu_launch`` + sync: run every DPU, report the set's timing.
+        """``dpu_launch`` + sync: run the loaded program on every DPU,
+        report the set's timing.
 
-        ``kernel_params`` go to a kernel image's kernel; a program image
-        takes none (:class:`LaunchError`).  ``fault_policy`` decides what
-        happens when a DPU faults or hangs (see :mod:`repro.faults`):
+        A kernel image runs through :meth:`decide` and :meth:`charge`
+        instead, and raises :class:`LaunchError` here.
+        ``fault_policy`` decides what happens when a DPU faults or hangs
+        (see :mod:`repro.faults`):
 
         * ``"raise"`` — propagate the failure,
         * ``"isolate"`` — keep every healthy DPU's results, memory, and
@@ -221,40 +218,16 @@ class DpuSet:
         (``"raise"`` when injection is off).  The clock advances by the
         launch's seconds.
         """
-        report = self._launch(
-            n_tasklets, opt_level, kernel_params, fault_policy, max_retries
+        self._require_live("launch")
+        if self.image is None:
+            raise LaunchError("launch before load")
+        policy, retries = _resolve_policy(fault_policy, max_retries)
+        report = self._spanned(
+            lambda: self._launch_now(n_tasklets, opt_level, policy, retries),
+            len(self.dpus), n_tasklets, opt_level,
         )
         self.clock.advance(report.seconds)
         return report
-
-    def launch_async(
-        self,
-        *,
-        n_tasklets: int = 1,
-        opt_level: OptLevel = OptLevel.O0,
-        fault_policy: str | None = None,
-        max_retries: int | None = None,
-        **kernel_params,
-    ) -> "AsyncLaunch":
-        """``dpu_launch(..., DPU_ASYNCHRONOUS)``: returns a wait handle.
-
-        The clock does *not* advance at issue time — overlapping async
-        launches must not serialize simulated time.  The handle records
-        the instant the launch completes, and waiting on it advances the
-        clock to that instant.  ``fault_policy`` works as in
-        :meth:`launch`.
-
-        The handle supports :meth:`AsyncLaunch.cancel`, which abandons the
-        launch and rolls every DPU back to its pre-launch memory and DMA
-        counters, so each DPU is checkpointed here before anything
-        executes.
-        """
-        self._require_live("launch_async")
-        checkpoints = [dpu.checkpoint() for dpu in self.dpus]
-        report = self._launch(
-            n_tasklets, opt_level, kernel_params, fault_policy, max_retries
-        )
-        return AsyncLaunch(report, self, checkpoints)
 
     def decide(
         self, n_tasklets: int, opt_level: OptLevel,
@@ -307,7 +280,8 @@ class DpuSet:
         ``decision`` decided and one after another on the clock; returns
         each launch's report.
 
-        ``run`` computes the results of the DPUs that run.  Tolerant
+        ``run``, a kernel bound to its parameters, computes the results
+        of the DPUs that run (it is not called when none runs).  Tolerant
         policies record the fault events first; under ``raise`` the DPUs
         before the first failure run, then its raw :class:`DpuError`
         propagates.  Alike launches are charged at once, spans included.
@@ -339,7 +313,8 @@ class DpuSet:
                 if outcome.status != "ok":  # isolated: keeps no result
                     self.dpus[outcome.index].last_result = None
             cycles = record_kernel_results(
-                ran_dpus, run(ran_dpus), decision.n_tasklets, times
+                ran_dpus, run(ran_dpus) if ran_dpus else [],
+                decision.n_tasklets, times,
             )
             if raising:
                 events[-1].raise_now()
@@ -355,37 +330,6 @@ class DpuSet:
 
         return self._spanned(
             launch, count, decision.n_tasklets, decision.opt_level, times
-        )
-
-    def _launch(
-        self,
-        n_tasklets: int,
-        opt_level: OptLevel,
-        kernel_params: dict,
-        fault_policy: str | None,
-        max_retries: int | None,
-    ) -> LaunchReport:
-        """One launch over the whole set; the caller moves the clock."""
-        self._require_live("launch")
-        if self.image is None:
-            raise LaunchError("launch before load")
-        if self.image.kernel_name is not None:  # runs set-wide, in process
-            decision = self.decide(n_tasklets, opt_level, fault_policy, max_retries)
-            return self._charged(
-                decision, len(self.dpus), 1, lambda dpus: launch_kernel(
-                    dpus, n_tasklets=n_tasklets, opt_level=opt_level,
-                    kernel_params=kernel_params,
-                ),
-            )
-        if kernel_params:
-            raise LaunchError(
-                f"program image {self.image.name!r} takes no kernel params, "
-                f"got {sorted(kernel_params)}"
-            )
-        policy, retries = _resolve_policy(fault_policy, max_retries)
-        return self._spanned(
-            lambda: self._launch_now(n_tasklets, opt_level, policy, retries),
-            len(self.dpus), n_tasklets, opt_level,
         )
 
     def _spanned(
@@ -517,88 +461,6 @@ def _resolve_policy(fault_policy, max_retries) -> tuple[str, int]:
     elif max_retries < 0:
         raise LaunchError(f"max_retries must be >= 0, got {max_retries}")
     return policy, max_retries
-
-
-class AsyncLaunch:
-    """Handle for a launch issued in the SDK's asynchronous mode.
-
-    The simulator executes eagerly (simulated time is the only clock that
-    matters), but the handle preserves the SDK's contract: the report is
-    only observable through :meth:`wait`.
-
-    Simulated-time discipline: issuing the launch did **not** move the
-    clock; the handle records the instant the launch completes, and
-    :meth:`wait` advances the clock to it (an instant already passed
-    costs nothing), so N overlapping launches cost ``max`` rather than
-    ``sum`` of their durations, in any order of waits.
-    """
-
-    def __init__(
-        self, report: LaunchReport, dpu_set: DpuSet, checkpoints: list
-    ) -> None:
-        self._report = report
-        self._dpu_set = dpu_set
-        self._checkpoints = checkpoints
-        self._completes = dpu_set.clock.after(report.seconds)
-        self.done = False
-        self.cancelled = False
-
-    @property
-    def pending_seconds(self) -> float:
-        """Simulated duration of the launch, observable before sync.
-
-        Deadline-aware hosts (the serving backends) use this to decide
-        whether waiting is worth it or the launch should be cancelled;
-        reading it does not synchronize the handle or advance the clock.
-        """
-        return self._report.seconds
-
-    def cancel(self) -> None:
-        """Abandon the in-flight launch and roll its effects back.
-
-        Every DPU of the set is restored to the checkpoint taken at issue
-        time (the rollback a tolerant fault policy uses for a failed
-        attempt), ``last_result`` is cleared, and the clock is never
-        advanced — as far as simulated time is concerned, the launch
-        never ran.  Cancelling twice is a no-op; cancelling after
-        :meth:`wait` raises, because the results were already observed.
-        """
-        if self.done:
-            raise LaunchError(
-                "cancel after wait: the launch was already synchronized "
-                "and its results observed"
-            )
-        if self.cancelled:
-            return
-        for dpu, checkpoint in zip(self._dpu_set.dpus, self._checkpoints):
-            dpu.restore(checkpoint)
-            dpu.last_result = None
-        self._dpu_set.last_report = None
-        self.cancelled = True
-        _M_LAUNCH_CANCELLED.inc()
-        tracer = telemetry.current_tracer()
-        if tracer is not None:
-            tracer.add_span(
-                "dpu.cancel",
-                category="host",
-                n_dpus=len(self._dpu_set.dpus),
-            )
-
-    def wait(self) -> LaunchReport:
-        """``dpu_sync``: block until the launch completes, advancing the
-        clock to the instant it completes.
-
-        Repeated waits return the same report; the clock is already past
-        the launch, so they cost nothing.
-        """
-        if self.cancelled:
-            raise LaunchError(
-                "wait on a cancelled launch; its results were discarded "
-                "and the DPUs rolled back to pre-launch state"
-            )
-        self.done = True
-        self._dpu_set.clock.advance_to(self._completes)
-        return self._report
 
 
 class DpuSystem:

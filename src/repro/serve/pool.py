@@ -37,6 +37,8 @@ from repro.core.mapping_ebnn import (
     HOST_SECONDS_PER_IMAGE,
     IMAGES_PER_DPU,
     EbnnDpuLayout,
+    ebnn_costs,
+    launch_wave,
     read_wave,
     stage_lut,
     stage_wave,
@@ -65,6 +67,9 @@ _M_POOL_QUARANTINED = telemetry.GLOBAL_METRICS.counter(
 _M_POOL_HEALED = telemetry.GLOBAL_METRICS.counter(
     "pool.healed", "replacement DPUs allocated and warmed by the pool"
 )
+_M_WAVES_SHED = telemetry.GLOBAL_METRICS.counter(
+    "launch.cancelled", "eBNN waves shed before their launch"
+)
 
 
 @dataclass
@@ -73,8 +78,8 @@ class BatchExecution:
 
     ``outputs`` maps request id to the model output for every request
     that completed.  ``shed`` requests were abandoned before execution
-    because every member of their launch had already missed its deadline
-    (the launch was cancelled and memory rolled back).  ``failed``
+    because every member of their launch would have missed its deadline
+    (the launch never ran).  ``failed``
     requests lived on fault-isolated DPUs; ``failed_dpu_ids`` names those
     DPUs so the pool can quarantine them.  ``seconds`` is how far the
     batch advanced the DPUs' simulated clock.
@@ -117,8 +122,10 @@ class EbnnBackend(ModelBackend):
     set-wide and read out by the offline
     :class:`~repro.core.mapping_ebnn.EbnnPimRunner`'s own routines
     (:func:`~repro.core.mapping_ebnn.stage_wave`,
+    :func:`~repro.core.mapping_ebnn.launch_wave`,
     :func:`~repro.core.mapping_ebnn.read_wave`), so outputs are
-    bit-identical however the batcher grouped the requests.
+    bit-identical however the batcher grouped the requests.  A wave that
+    no request could finish in time is shed before its launch.
     """
 
     name = "ebnn"
@@ -156,13 +163,14 @@ class EbnnBackend(ModelBackend):
                 [np.asarray(r.payload) for r in wave],
             )
             try:
-                handle = view.launch_async(
-                    n_tasklets=EBNN_TASKLETS,
-                    opt_level=OptLevel.O3,
-                    fault_policy=fault_policy,
-                    model=self.model,
-                    layout=self.layout,
-                    use_lut=True,
+                decision = view.decide(EBNN_TASKLETS, OptLevel.O3, fault_policy)
+                at = now + (clock.now - start)
+                if self._hopeless(wave, decision, counts, attributes, at):
+                    _M_WAVES_SHED.inc()
+                    execution.shed.extend(wave)
+                    continue
+                report = launch_wave(
+                    view, decision, self.model, self.layout, use_lut=True
                 )
             except LaunchError:
                 # Under a tolerant policy this is the all-DPUs-failed
@@ -170,22 +178,6 @@ class EbnnBackend(ModelBackend):
                 execution.failed.extend(wave)
                 execution.failed_dpu_ids.update(d.dpu_id for d in view)
                 continue
-            # Deadline shedding: when every request of the wave would
-            # finish past its deadline, the work is worthless — abandon
-            # the launch and roll the DPUs back instead of charging its
-            # simulated time (its staging transfers stay charged).
-            completion = (
-                now + (clock.now - start) + handle.pending_seconds
-                + HOST_SECONDS_PER_IMAGE * len(wave)
-            )
-            if all(
-                r.deadline_s is not None and completion > r.deadline_s
-                for r in wave
-            ):
-                handle.cancel()
-                execution.shed.extend(wave)
-                continue
-            report = handle.wait()
             labels, _ = read_wave(view, counts, report, self.model, self.layout)
             for request, label in zip(wave, labels):
                 if label < 0:  # its DPU failed
@@ -195,6 +187,26 @@ class EbnnBackend(ModelBackend):
             execution.failed_dpu_ids.update(o.dpu_id for o in report.failed)
         execution.seconds = clock.now - start
         return execution
+
+    def _hopeless(self, wave, decision, counts, attributes, at) -> bool:
+        """Would every request of ``wave``, launched at ``at`` as
+        ``decision`` decided, finish past its deadline?  Then the work
+        is worthless: the wave is shed, and only its staging transfers
+        stay charged.  Its seconds are those of its slowest DPU that
+        runs, priced from the image counts.  A launch that raises, or
+        that fails every DPU, is not shed but fails as it would.
+        """
+        if any(r.deadline_s is None for r in wave) or not decision.ran:
+            return False
+        if decision.policy == "raise" and decision.events:
+            return False
+        costs = ebnn_costs(
+            [counts[i] for i in decision.ran], self.layout, use_lut=True,
+            n_tasklets=decision.n_tasklets, opt_level=decision.opt_level,
+        )
+        seconds = attributes.cycles_to_seconds(max(c.cycles for c in costs))
+        completion = at + seconds + HOST_SECONDS_PER_IMAGE * len(wave)
+        return all(completion > r.deadline_s for r in wave)
 
 
 class YoloBackend(ModelBackend):

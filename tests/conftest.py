@@ -1,36 +1,46 @@
 """Shared pytest fixtures and test kernels.
 
-Registering the test kernel here (rather than in one test module) keeps
-every test file independently runnable.
+Defining the test kernel and the launch helper here (rather than in one
+test module) keeps every test file independently runnable.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro import telemetry
 from repro.core.mapping_ebnn import IMAGES_PER_DPU
-from repro.dpu.kernel import GLOBAL_KERNELS, charged_result
-
-# Importing repro.core registers the production kernels (ebnn_conv_pool,
-# yolo_gemm_row) for every test session.
-import repro.core  # noqa: F401
+from repro.dpu.costs import OptLevel
+from repro.dpu.kernel import charged_result
 
 
-if "test_double" not in GLOBAL_KERNELS.names():
+def double_kernel(dpus, *, n_tasklets, opt_level, count=0):
+    """Doubles ``count`` int32 values at each DPU's ``data`` symbol."""
+    for dpu in dpus:
+        if count:
+            addr = dpu.symbol("data").mram_addr
+            values = dpu.mram.read_array(addr, np.int32, count)
+            dpu.mram.write_array(addr, values * 2)
+    result = charged_result(
+        lambda ctx: ctx.charge_instructions(4 * count),
+        n_tasklets=n_tasklets, opt_level=opt_level,
+    )
+    return [result] * len(dpus)
 
-    @GLOBAL_KERNELS.register("test_double")
-    def _double_kernel(dpus, *, n_tasklets, opt_level, count=0):
-        """Doubles ``count`` int32 values at each DPU's ``data`` symbol."""
-        for dpu in dpus:
-            if count:
-                addr = dpu.symbol("data").mram_addr
-                values = dpu.mram.read_array(addr, np.int32, count)
-                dpu.mram.write_array(addr, values * 2)
-        result = charged_result(
-            lambda ctx: ctx.charge_instructions(4 * count),
-            n_tasklets=n_tasklets, opt_level=opt_level,
-        )
-        return [result] * len(dpus)
+
+def launch_kernel(
+    dpu_set, kernel, *, n_tasklets=1, opt_level=OptLevel.O0,
+    fault_policy=None, max_retries=None, **params,
+):
+    """One launch of ``kernel`` over the whole loaded set, the way a
+    mapping runs its kernel image: :meth:`DpuSet.decide`, then
+    :meth:`DpuSet.charge` of one row per DPU.  Returns its report."""
+    decision = dpu_set.decide(n_tasklets, opt_level, fault_policy, max_retries)
+    (report,) = dpu_set.charge(decision, len(dpu_set), functools.partial(
+        kernel, n_tasklets=n_tasklets, opt_level=opt_level, **params
+    ))
+    return report
 
 
 @pytest.fixture

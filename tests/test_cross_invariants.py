@@ -51,24 +51,22 @@ class TestKernelAndDeviceAgree:
         """A set launch of a kernel reports exactly the context's result."""
         from repro.dpu.attributes import UPMEM_ATTRIBUTES
         from repro.dpu.device import DpuImage
-        from repro.dpu.kernel import GLOBAL_KERNELS, charged_result
+        from repro.dpu.kernel import charged_result
         from repro.host.runtime import DpuSystem
+        from tests.conftest import launch_kernel
 
-        name = "invariant_probe"
-        if name not in GLOBAL_KERNELS.names():
-            @GLOBAL_KERNELS.register(name)
-            def probe(dpus, *, n_tasklets, opt_level, slots):
-                return [
-                    charged_result(
-                        lambda ctx: ctx.charge_instructions(slots),
-                        n_tasklets=n_tasklets, opt_level=opt_level,
-                    )
-                    for _ in dpus
-                ]
+        def probe(dpus, *, n_tasklets, opt_level, slots):
+            return [
+                charged_result(
+                    lambda ctx: ctx.charge_instructions(slots),
+                    n_tasklets=n_tasklets, opt_level=opt_level,
+                )
+                for _ in dpus
+            ]
 
         dpu_set = DpuSystem(UPMEM_ATTRIBUTES.scaled(1)).allocate(1)
-        dpu_set.load(DpuImage(name="probe", kernel_name=name))
-        report = dpu_set.launch(n_tasklets=4, slots=400)
+        dpu_set.load(DpuImage(name="probe"))
+        report = launch_kernel(dpu_set, probe, n_tasklets=4, slots=400)
         result = dpu_set[0].last_result
         assert result.issue_slots == 400
         assert result.cycles == report.cycles == execution_cycles(100, 4)

@@ -6,27 +6,15 @@ import pytest
 from repro.dpu.assembler import assemble
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.device import Dpu, DpuImage, Symbol
-from repro.errors import DpuError, LaunchError, SymbolError
+from repro.errors import LaunchError, SymbolError
 from repro.host.runtime import DpuSystem
-
-# The shared "test_double" kernel is registered in conftest.py.
+from tests.conftest import double_kernel, launch_kernel
 
 
 class TestDpuImage:
-    def test_needs_exactly_one_payload(self):
-        with pytest.raises(DpuError):
-            DpuImage(name="bad")
-        with pytest.raises(DpuError):
-            DpuImage(
-                name="bad",
-                program=assemble("halt"),
-                kernel_name="test_double",
-            )
-
     def test_symbol_layout_packing(self):
         image = DpuImage.from_symbol_layout(
             "img",
-            kernel_name="test_double",
             layout=[("a", 10), ("b", 8)],
         )
         assert image.symbols["a"].mram_addr == 0
@@ -73,7 +61,7 @@ class TestProgramLaunch:
 
 def kernel_image():
     return DpuImage.from_symbol_layout(
-        "k", kernel_name="test_double", layout=[("data", 64)]
+        "k", layout=[("data", 64)]
     )
 
 
@@ -94,7 +82,7 @@ class TestKernelLaunch:
         (dpu,) = dpu_set
         values = np.arange(8, dtype=np.int32)
         dpu.write_symbol_array("data", values)
-        report = dpu_set.launch(count=8)
+        report = launch_kernel(dpu_set, double_kernel, count=8)
         assert np.array_equal(
             dpu.read_symbol_array("data", np.int32, 8), values * 2
         )
@@ -112,11 +100,6 @@ class TestKernelLaunch:
             dpu.read_symbol_array("data", np.int32, 8), np.arange(8)
         )
         assert dpu.last_result is None
-
-    def test_unknown_kernel_rejected_at_load(self):
-        dpu = Dpu()
-        with pytest.raises(DpuError):
-            dpu.load(DpuImage(name="x", kernel_name="not_registered"))
 
     def test_symbol_errors(self):
         dpu = self.make_loaded_dpu()

@@ -1,30 +1,10 @@
 """Tests for repro.dpu.kernel (Python kernels with cycle accounting)."""
 
-import numpy as np
 import pytest
 
 from repro.dpu.costs import Operation, OptLevel, Precision
-from repro.dpu.device import Dpu, DpuImage, launch_kernel
-from repro.dpu.kernel import (
-    GLOBAL_KERNELS,
-    KernelContext,
-    KernelRegistry,
-    charged_result,
-    subroutine_for,
-)
+from repro.dpu.kernel import KernelContext, subroutine_for
 from repro.errors import DpuError
-
-
-def negate_kernel(dpus, *, n_tasklets, opt_level):
-    """Negates the first int32 at each DPU's ``data`` symbol."""
-    for dpu in dpus:
-        addr = dpu.symbol("data").mram_addr
-        dpu.mram.write_array(addr, -dpu.mram.read_array(addr, np.int32, 1))
-    result = charged_result(
-        lambda ctx: ctx.charge_instructions(1),
-        n_tasklets=n_tasklets, opt_level=opt_level,
-    )
-    return [result] * len(dpus)
 
 
 class TestChargeAccounting:
@@ -135,47 +115,3 @@ class TestElapsedCycles:
         assert result.n_tasklets == 2
         assert result.compute_cycles == result.cycles - result.dma_cycles
 
-
-class TestKernelRegistry:
-    def test_register_and_get(self):
-        registry = KernelRegistry()
-        kernel = registry.register("my_kernel")(negate_kernel)
-        assert kernel is negate_kernel
-        assert registry.get("my_kernel") is negate_kernel
-        assert "my_kernel" in registry.names()
-
-    def test_register_direct(self):
-        registry = KernelRegistry()
-        registry.register("k", negate_kernel)
-        assert registry.get("k") is negate_kernel
-
-    def test_launch_kernel_runs_the_registered_kernel_set_wide(self):
-        """One call over every DPU, each on its own MRAM."""
-        name = "test_negate"
-        if name not in GLOBAL_KERNELS:
-            GLOBAL_KERNELS.register(name, negate_kernel)
-        image = DpuImage.from_symbol_layout(
-            "neg", kernel_name=name, layout=[("data", 8)]
-        )
-        dpus = [Dpu(i) for i in range(3)]
-        for i, dpu in enumerate(dpus):
-            dpu.load(image)
-            dpu.write_symbol_array("data", np.array([i + 1, 0], np.int32))
-        results = launch_kernel(
-            dpus, n_tasklets=2, opt_level=OptLevel.O3, kernel_params={}
-        )
-        negated = [dpu.read_symbol_array("data", np.int32, 1)[0] for dpu in dpus]
-        assert negated == [-1, -2, -3]
-        assert [r.issue_slots for r in results] == [1, 1, 1]
-        assert all(r.n_tasklets == 2 for r in results)
-
-    def test_unknown_kernel(self):
-        with pytest.raises(DpuError):
-            KernelRegistry().get("missing")
-
-    def test_global_registry_has_mapping_kernels(self):
-        import repro.core  # noqa: F401  (registers the kernels)
-
-        names = GLOBAL_KERNELS.names()
-        assert "ebnn_conv_pool" in names
-        assert "yolo_gemm_row" in names

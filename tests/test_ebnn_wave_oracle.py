@@ -7,7 +7,7 @@ These tests keep the two loops they replaced, each with its own packing,
 scatter and per-image ``read_symbol`` read-out, as oracles and hold the
 new routine to them bit for bit under no fault plan, the raise, isolate
 and retry policies, a launch whose every DPU fails, and the backend's
-deadline-cancel path:
+deadline shedding:
 
 * labels, the backend's :class:`BatchExecution`, every
   :class:`LaunchReport` and the runner's :class:`SubroutineProfile`;
@@ -16,12 +16,17 @@ deadline-cancel path:
   must differ by exactly what the new routine adds, as must the
   execution's simulated seconds (the gathers' host-link time).
 
-One difference is by design: an image on a DPU that the runner's launch
-isolated gets label ``-1``, and host time is charged only for the images
-that were classified.  The old runner classified the DPU's rolled-back
-``results`` and charged every image.
+Two differences are by design.  An image on a DPU that the runner's
+launch isolated gets label ``-1``, and host time is charged only for the
+images that were classified; the old runner classified the DPU's
+rolled-back ``results`` and charged every image.  And the backend sheds
+a late wave before its launch, where the old one launched it, then
+cancelled it and rolled the DPUs back: the oracle rolls back the metrics
+the cancelled launch recorded too, which must be only
+:data:`SHED_METRICS`.
 """
 
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -34,6 +39,7 @@ from repro.core.mapping_ebnn import (
     HOST_SECONDS_PER_IMAGE,
     EbnnPimRunner,
     EbnnRunResult,
+    ebnn_conv_pool_kernel,
     ebnn_dpu_cycles,
 )
 from repro.datasets import generate_batch
@@ -48,6 +54,7 @@ from repro.host.transfer import transfer_seconds
 from repro.nn.binary import pack_image, unpack_bits
 from repro.nn.models.ebnn import EbnnModel
 from repro.serve import BatchExecution, EbnnBackend, InferenceRequest
+from tests.conftest import launch_kernel
 
 #: Counters the new routine moves beyond the old loops: ``stage_wave``
 #: loads the image on every wave (and the runner once more per run, to
@@ -58,6 +65,12 @@ EXTRA_COUNTERS = [
     ("transfer.pushes", None),
     ("transfer.bytes", (("direction", "from_dpu"),)),
 ]
+
+#: What a launch records and a wave shed before its launch does not.
+SHED_METRICS = {
+    "dpu.launches", "dpu.execs", "dpu.instructions", "launch.seconds",
+    "launch.cycles", "dpu.faults", "launch.degraded", "launch.retries",
+}
 
 SYMBOLS = ("images", "meta", "results")
 
@@ -120,7 +133,8 @@ class OldRunner(EbnnPimRunner):
             lut_raw = self.lut.to_bytes().ljust(layout.lut_bytes, b"\0")
             dpu_set.broadcast("lut", np.frombuffer(lut_raw, dtype=np.uint8))
 
-        report = dpu_set.launch(
+        report = launch_kernel(
+            dpu_set, ebnn_conv_pool_kernel,
             n_tasklets=self.n_tasklets,
             opt_level=self.opt_level,
             model=self.model,
@@ -158,8 +172,14 @@ class OldRunner(EbnnPimRunner):
 
 class OldBackend(EbnnBackend):
     """The backend as it was: the warm image hand-set on each wave's
-    set, and results read image by image.  Its service time is the
-    clock's advance, as the new backend's is."""
+    set, a late wave launched and then cancelled, and results read image
+    by image.  Its service time is the clock's advance, as the new
+    backend's is.  ``waited`` collects the report of every launch it
+    kept, and ``shed_metrics`` what each cancelled launch recorded."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.waited, self.shed_metrics = [], []
 
     def run_batch(self, members, attributes, requests, now, fault_policy):
         per_dpu = self.layout.images_per_dpu
@@ -203,31 +223,44 @@ class OldBackend(EbnnBackend):
             [np.array([len(c), 0], dtype=np.uint32) for c in chunks],
         )
 
+        # The asynchronous launch: every DPU checkpointed at issue, and
+        # the kernel run and charged without moving the clock.
+        checkpoints = [dpu.checkpoint() for dpu in view]
+        registry = telemetry.GLOBAL_METRICS
+        saved, before = registry.delta_since({}), registry.snapshot()
+        kernel = functools.partial(
+            ebnn_conv_pool_kernel, n_tasklets=EBNN_TASKLETS,
+            opt_level=OptLevel.O3, model=self.model, layout=layout,
+            use_lut=True,
+        )
         try:
-            handle = view.launch_async(
-                n_tasklets=EBNN_TASKLETS,
-                opt_level=OptLevel.O3,
-                fault_policy=fault_policy,
-                model=self.model,
-                layout=layout,
-                use_lut=True,
-            )
+            decision = view.decide(EBNN_TASKLETS, OptLevel.O3, fault_policy)
+            report = view._charged(decision, len(view), 1, kernel)
         except LaunchError:
             execution.failed.extend(wave)
             execution.failed_dpu_ids.update(d.dpu_id for d in view)
             return
 
         host_seconds = HOST_SECONDS_PER_IMAGE * len(wave)
-        completion = now + handle.pending_seconds + host_seconds
+        completion = now + report.seconds + host_seconds
         if wave and all(
             r.deadline_s is not None and completion > r.deadline_s
             for r in wave
         ):
-            handle.cancel()
+            # Cancelled: the DPUs, and here the metrics, rolled back.
+            for dpu, checkpoint in zip(view, checkpoints):
+                dpu.restore(checkpoint)
+                dpu.last_result = None
+            view.last_report = None
+            self.shed_metrics.append(registry.delta_since(before))
+            registry.reset()
+            registry.merge_delta(saved)
+            registry.counter("launch.cancelled").inc()
             execution.shed.extend(wave)
             return
 
-        report = handle.wait()
+        view.clock.advance(report.seconds)  # the wait
+        self.waited.append(vars(report))
         ok_indices = (
             {o.index for o in report.outcomes if o.ok}
             if report.outcomes else set(range(n_active))
@@ -289,20 +322,21 @@ def _fresh_metrics():
 
 def _observe(run, dpus_of, scenario, monkeypatch):
     """Run ``run()`` under the scenario's plan; returns what it returned
-    (or raised), every launch report, the gathers and the memory."""
+    (or raised), every charged launch's report, the gathers and the
+    memory."""
     reports, gathers = [], []
-    wait, gather = runtime.AsyncLaunch.wait, runtime.DpuSet.gather
+    charge, gather = runtime.DpuSet.charge, runtime.DpuSet.gather
 
-    def recording_wait(handle):
-        report = wait(handle)
-        reports.append(vars(report))
-        return report
+    def recording_charge(dpu_set, decision, rows, run):
+        charged = charge(dpu_set, decision, rows, run)
+        reports.extend(vars(report) for report in charged)
+        return charged
 
     def recording_gather(dpu_set, symbol, length):
         gathers.append(len(dpu_set) * length)
         return gather(dpu_set, symbol, length)
 
-    monkeypatch.setattr(runtime.AsyncLaunch, "wait", recording_wait)
+    monkeypatch.setattr(runtime.DpuSet, "charge", recording_charge)
     monkeypatch.setattr(runtime.DpuSet, "gather", recording_gather)
     with _fresh_metrics() as registry, faults.fault_injection(_plan(scenario)):
         try:
@@ -335,6 +369,17 @@ def _without_extras(metrics):
             children.pop(child, None)
             metrics[name]["children"] = children
     return metrics
+
+
+def _touched(delta):
+    """The names of the metrics a delta moves."""
+
+    def moved(node):
+        state = node["state"]
+        count = state["count"] if isinstance(state, dict) else state
+        return bool(count) or any(map(moved, node["children"].values()))
+
+    return {name for name, node in delta.items() if moved(node)}
 
 
 def _check_extras(got, want, gathers, extra_loads):
@@ -404,25 +449,29 @@ WAVE_SECONDS = UPMEM_ATTRIBUTES.cycles_to_seconds(
     ebnn_dpu_cycles(MODEL.config)
 )
 
-#: (id, fault scenario, every request's deadline).
+#: (id, fault scenario, every request's deadline, waves shed).
 BACKEND_SCENARIOS = [
-    ("clean", "clean", None),
-    ("raise", "raise", None),
-    ("isolate", "isolate", None),
-    ("retry", "retry", None),
-    ("all-failed", "all-failed", None),
-    ("cancel-all", "clean", 0.0),
+    ("clean", "clean", None, 0),
+    ("raise", "raise", None, 0),
+    ("isolate", "isolate", None, 0),
+    ("retry", "retry", None, 0),
+    ("all-failed", "all-failed", None, 0),
+    ("cancel-all", "clean", 0.0, 2),
     # The first wave runs and the second is cancelled.
-    ("cancel-second", "clean", 1.5 * WAVE_SECONDS),
-    ("isolate-cancel-second", "isolate", 1.5 * WAVE_SECONDS),
+    ("cancel-second", "clean", 1.5 * WAVE_SECONDS, 1),
+    ("isolate-cancel-second", "isolate", 1.5 * WAVE_SECONDS, 1),
+    # Every request is late, yet a launch that raises, or that fails
+    # every DPU, fails as it would have, rather than being shed.
+    ("raise-late", "raise", 0.0, 0),
+    ("all-failed-late", "all-failed", 0.0, 0),
 ]
 
 
 @pytest.mark.parametrize(
-    "scenario,deadline_s", [row[1:] for row in BACKEND_SCENARIOS],
+    "scenario,deadline_s,n_shed", [row[1:] for row in BACKEND_SCENARIOS],
     ids=[row[0] for row in BACKEND_SCENARIOS],
 )
-def test_backend_matches_old_wave(scenario, deadline_s, monkeypatch):
+def test_backend_matches_old_wave(scenario, deadline_s, n_shed, monkeypatch):
     n_requests, n_dpus = 100, 4  # waves of 64 and 36 images
 
     def observe(backend_cls):
@@ -430,7 +479,7 @@ def test_backend_matches_old_wave(scenario, deadline_s, monkeypatch):
         members = system.allocate(n_dpus)
         backend = backend_cls(MODEL)
         backend.warm(members)
-        return _observe(
+        return backend, *_observe(
             lambda: backend.run_batch(
                 members.dpus, system.attributes,
                 _requests(n_requests, deadline_s), 0.0, None,
@@ -439,11 +488,17 @@ def test_backend_matches_old_wave(scenario, deadline_s, monkeypatch):
             scenario, monkeypatch,
         )
 
-    got, got_reports, gathers, got_metrics, got_memory = observe(EbnnBackend)
-    want, want_reports, _, want_metrics, want_memory = observe(OldBackend)
+    _, got, got_reports, gathers, got_metrics, got_memory = observe(
+        EbnnBackend
+    )
+    old, want, _, _, want_metrics, want_memory = observe(OldBackend)
     assert got_memory == want_memory
-    assert got_reports == want_reports
-    assert len(gathers) == len(want_reports)
+    assert got_reports == old.waited
+    assert len(gathers) == len(old.waited)
+    assert len(old.shed_metrics) == n_shed
+    for shed in old.shed_metrics:
+        touched = _touched(shed)
+        assert "dpu.launches" in touched and touched <= SHED_METRICS
     if isinstance(want, tuple):  # raised in the first wave
         assert got == want
         _check_extras(got_metrics, want_metrics, gathers, 1)
@@ -459,5 +514,4 @@ def test_backend_matches_old_wave(scenario, deadline_s, monkeypatch):
         ids = [r.request_id for r in getattr(got, name)]
         assert ids == [r.request_id for r in getattr(want, name)], name
     assert got.failed_dpu_ids == want.failed_dpu_ids
-    expect_shed = {None: 0, 0.0: 100}.get(deadline_s, 36)
-    assert len(got.shed) == expect_shed
+    assert len(got.shed) == [0, 36, 100][n_shed]

@@ -5,11 +5,11 @@ import pytest
 
 from repro.dpu.assembler import assemble
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
-from repro.dpu.costs import OptLevel
-from repro.dpu.device import Dpu, DpuImage, launch_kernel
+from repro.dpu.device import Dpu, DpuImage
 from repro.dpu.interpreter import Interpreter
 from repro.dpu.memory import DmaEngine, Iram, Mram, Wram
 from repro.host.runtime import DpuSystem
+from tests.conftest import double_kernel, launch_kernel
 from repro.errors import (
     AllocationError,
     DpuLimitError,
@@ -91,7 +91,7 @@ class TestHostErrors:
         from repro.host.transfer import copy_to
 
         image = DpuImage.from_symbol_layout(
-            "s", kernel_name="test_double", layout=[("data", 8)]
+            "s", layout=[("data", 8)]
         )
         dpu = Dpu()
         dpu.load(image)
@@ -103,7 +103,7 @@ class TestHostErrors:
         from repro.host.transfer import copy_to, scatter_rows
 
         image = DpuImage.from_symbol_layout(
-            "s", kernel_name="test_double", layout=[("data", 16)]
+            "s", layout=[("data", 16)]
         )
         dpu = Dpu()
         dpu.load(image)
@@ -113,16 +113,11 @@ class TestHostErrors:
         assert dpu.read_symbol("data", 8)[:3] == b"abc"
 
     def test_launch_kernel_missing_params(self):
-        dpu = Dpu()
-        image = DpuImage.from_symbol_layout(
-            "k", kernel_name="test_double", layout=[("data", 32)]
-        )
-        dpu.load(image)
+        dpu_set = DpuSystem(UPMEM_ATTRIBUTES.scaled(1)).allocate(1)
+        dpu_set.load(DpuImage.from_symbol_layout("k", layout=[("data", 32)]))
         with pytest.raises(TypeError):
-            launch_kernel(
-                [dpu], n_tasklets=1, opt_level=OptLevel.O0,
-                kernel_params={"bogus_param": 1},
-            )
+            launch_kernel(dpu_set, double_kernel, bogus_param=1)
+        assert dpu_set.clock.now == 0.0
 
 
 class TestMappingErrors:

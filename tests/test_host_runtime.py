@@ -12,9 +12,10 @@ from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
 from repro.dpu import device
 from repro.dpu.device import Dpu, DpuImage
-from repro.dpu.kernel import GLOBAL_KERNELS, charged_result
+from repro.dpu.kernel import charged_result
 from repro.host.runtime import DpuSet, DpuSystem
 from repro.errors import AllocationError, DpuError, DpuFaultError, LaunchError
+from tests.conftest import double_kernel, launch_kernel
 
 SMALL = UPMEM_ATTRIBUTES.scaled(16)
 
@@ -96,20 +97,16 @@ class TestSetOperations:
         with pytest.raises(LaunchError):
             system.allocate(1).launch()
 
-    @pytest.mark.parametrize("policy", ["raise", "isolate"])
-    @pytest.mark.parametrize("params", [{"count": 4}, {"workers": 1}])
-    def test_program_launch_rejects_kernel_params(self, policy, params):
-        """Only a kernel image takes kernel params; a program image
-        refuses them before any DPU runs instead of dropping them."""
+    def test_launch_rejects_a_kernel_image(self):
+        """A kernel image runs through decide and charge; a launch
+        refuses it before any DPU runs or the clock moves."""
         system = DpuSystem(SMALL)
         dpu_set = system.allocate(2)
-        dpu_set.load(program_image())
-        for launch in (dpu_set.launch, dpu_set.launch_async):
-            with pytest.raises(LaunchError, match="takes no kernel params"):
-                launch(fault_policy=policy, **params)
-        for dpu in dpu_set:
-            assert dpu.last_result is None
-            assert dpu.wram.read_u32(0) == 0
+        dpu_set.load(kernel_image())
+        with pytest.raises(LaunchError, match="decide and DpuSet.charge"):
+            dpu_set.launch()
+        assert all(dpu.last_result is None for dpu in dpu_set)
+        assert system.clock.now == 0.0
 
     def test_set_time_is_max_over_dpus(self):
         system = DpuSystem(SMALL)
@@ -128,9 +125,7 @@ class TestSetOperations:
     def test_broadcast_scatter_gather(self):
         system = DpuSystem(SMALL)
         dpu_set = system.allocate(2)
-        image = DpuImage.from_symbol_layout(
-            "sym", kernel_name="test_double", layout=[("data", 32)]
-        )
+        image = kernel_image()
         dpu_set.load(image)
         dpu_set.broadcast("data", b"SAMEDATA")
         assert {bytes(r) for r in dpu_set.gather("data", 8)} == {b"SAMEDATA"}
@@ -141,10 +136,8 @@ class TestSetOperations:
         assert rows[0] != rows[1]
 
 
-def kernel_image(name="sym", kernel_name="test_double"):
-    return DpuImage.from_symbol_layout(
-        name, kernel_name=kernel_name, layout=[("data", 32)]
-    )
+def kernel_image(name="sym"):
+    return DpuImage.from_symbol_layout(name, layout=[("data", 32)])
 
 
 class TestSetLevelChecks:
@@ -152,23 +145,28 @@ class TestSetLevelChecks:
 
     def test_load_validates_the_image_once(self, monkeypatch):
         dpu_set = DpuSystem(SMALL).allocate(8)
-        looked_up = []
-        get = GLOBAL_KERNELS.get
+        validated = []
+        make = device.make_interpreter
         monkeypatch.setattr(
-            GLOBAL_KERNELS, "get", lambda name: looked_up.append(name) or get(name)
+            device, "make_interpreter",
+            lambda program, *args: validated.append(program)
+            or make(program, *args),
         )
-        image = kernel_image()
+        image = program_image()
         dpu_set.load(image)
-        assert looked_up == ["test_double"]
+        assert validated == [image.program]
         assert all(dpu.image is image for dpu in dpu_set)
 
-    def test_unregistered_kernel_leaves_every_image(self):
+    def test_rejected_image_leaves_every_image(self):
         dpu_set = DpuSystem(SMALL).allocate(4)
         first = kernel_image()
         dpu_set.load(first)
         before = telemetry.GLOBAL_METRICS.snapshot()
-        with pytest.raises(DpuError, match="no kernel registered"):
-            dpu_set.load(kernel_image("bad", kernel_name="no_such_kernel"))
+        too_big = DpuImage(
+            "bad", program=assemble("nop\n" * 4000 + "halt")
+        )
+        with pytest.raises(DpuError, match="IRAM"):
+            dpu_set.load(too_big)
         delta = telemetry.GLOBAL_METRICS.delta_since(before)
         assert dpu_set.image is first
         assert all(dpu.image is first for dpu in dpu_set)
@@ -189,7 +187,7 @@ class TestSetLevelChecks:
             dpu_set.decide(n_tasklets, OptLevel.O3)
         assert checked == [0]
         with pytest.raises(LaunchError, match=message):
-            dpu_set.launch(n_tasklets=n_tasklets)
+            launch_kernel(dpu_set, double_kernel, n_tasklets=n_tasklets)
 
     @pytest.mark.parametrize("policy", faults.POLICIES)
     def test_decide_without_a_plan_runs_every_dpu_once(self, policy):
@@ -355,7 +353,7 @@ class TestFreedSet:
         with pytest.raises(AllocationError, match="use-after-free"):
             dpu_set.launch()
         with pytest.raises(AllocationError, match="use-after-free"):
-            dpu_set.launch_async()
+            dpu_set.decide(1, OptLevel.O0)
 
     def test_transfer_after_free_rejected(self):
         _, dpu_set = self._freed_set()

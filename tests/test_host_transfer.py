@@ -12,7 +12,7 @@ from repro.errors import MappingError, SymbolError, TransferError
 
 def make_dpus(n=3, symbol_size=64):
     image = DpuImage.from_symbol_layout(
-        "xfer_test", kernel_name="test_double", layout=[("data", symbol_size)]
+        "xfer_test", layout=[("data", symbol_size)]
     )
     dpus = []
     for i in range(n):
@@ -66,7 +66,7 @@ class TestRowHelpers:
     def test_scatter_missing_symbol_touches_nothing(self):
         dpus = make_dpus(3)
         dpus[2].load(DpuImage.from_symbol_layout(
-            "other", kernel_name="test_double", layout=[("blob", 64)]
+            "other", layout=[("blob", 64)]
         ))
         before = telemetry.GLOBAL_METRICS.snapshot()
         with pytest.raises(SymbolError, match="data"):
@@ -137,7 +137,7 @@ def _mixed_image_set(k, other_layout):
     """Four DPUs holding ``data`` at address 0; DPU ``k`` holds another image."""
     dpus = make_dpus(4, symbol_size=16)
     dpus[k].load(DpuImage.from_symbol_layout(
-        "other", kernel_name="test_double", layout=other_layout
+        "other", layout=other_layout
     ))
     return dpus
 
@@ -273,7 +273,7 @@ class TestSymbolResolution:
         """Two builds of one layout are distinct objects with one layout."""
         dpus = make_dpus(4)
         twin = DpuImage.from_symbol_layout(
-            "xfer_test", kernel_name="test_double", layout=[("data", 64)]
+            "xfer_test", layout=[("data", 64)]
         )
         assert twin is not dpus[0].image and twin == dpus[0].image
         dpus[2].load(twin)

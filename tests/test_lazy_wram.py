@@ -1,7 +1,7 @@
 """WRAM is allocated on first touch.
 
 Kernel images (the YOLO and eBNN mappings) never touch WRAM, so their
-DPUs must not pay 64 KB each for it; a launch snapshot or a cancel must
+DPUs must not pay 64 KB each for it; a checkpoint or a rollback must
 not allocate or copy it either.  An interpreted program allocates it and
 reads zeros, and rolling a DPU back restores an unallocated WRAM.
 """
@@ -94,29 +94,6 @@ def test_rollback_restores_an_unallocated_wram():
         report = dpu_set.launch()
     assert [o.ok for o in report.outcomes] == [True, False]
     assert [dpu.wram.allocated for dpu in dpu_set] == [True, False]
-
-
-def test_cancel_restores_an_unallocated_wram():
-    system = DpuSystem(SMALL)
-    dpu_set = system.allocate(2)
-    dpu_set.load(read_image())
-    with faults.fault_injection(None):
-        handle = dpu_set.launch_async()
-    assert all(dpu.wram.allocated for dpu in dpu_set)
-    handle.cancel()
-    assert not any(dpu.wram.allocated for dpu in dpu_set)
-
-
-def test_kernel_cancel_never_allocates_wram():
-    system = DpuSystem(SMALL)
-    dpu_set = system.allocate(2)
-    dpu_set.load(DpuImage.from_symbol_layout(
-        "double", kernel_name="test_double", layout=[("data", 16)]
-    ))
-    with faults.fault_injection(None):
-        handle = dpu_set.launch_async(count=4)
-        handle.cancel()
-    assert not any(dpu.wram.allocated for dpu in dpu_set)
 
 
 def test_unallocated_wram_checkpoints_as_none():

@@ -214,17 +214,22 @@ class TestServerBasics:
         assert len(server.result().completed) == 5
 
     def test_deadline_shedding_cancels_the_launch(self):
-        """A hopeless batch is abandoned: memory rolled back, no launch time."""
+        """A hopeless batch is abandoned before its launch: no launch,
+        no launch time."""
         pool = ebnn_pool()
         server = InferenceServer(
             pool, policy=BatchPolicy(max_batch=8, max_delay_s=1e-3)
         )
+        before = telemetry.GLOBAL_METRICS.snapshot()
         # eBNN service time is ~ tens of ms simulated; a 2 ms deadline
-        # cannot be met, so the wave is shed via AsyncLaunch.cancel().
+        # cannot be met, so the wave is shed instead of launched.
         result = server.run([ebnn_request(0, deadline_s=2e-3)])
+        delta = telemetry.GLOBAL_METRICS.delta_since(before)
         response = result.responses[0]
         assert not response.ok
         assert response.reason is RejectReason.DEADLINE_EXCEEDED
+        assert delta["launch.cancelled"]["state"] == 1
+        assert delta["dpu.launches"]["state"] == 0
 
     def test_every_request_resolves_exactly_once(self):
         pool = mixed_pool()
@@ -335,6 +340,33 @@ class TestFaultTolerance:
 class TestSimulatedClock:
     """Served times come from the system's clock, which counts every
     transfer, launch and host charge whether or not tracing is on."""
+
+    def test_a_shed_wave_leaves_no_launch_spans(self):
+        """A wave shed for its deadline never launches, so the traced
+        ``dpu.launch`` spans last what the clock charged for launches:
+        its advance less the transfers and the host's classification."""
+        server = InferenceServer(
+            ebnn_pool(), policy=BatchPolicy(max_batch=32, max_delay_s=1e-3)
+        )
+        # 2 DPUs take 32 images a wave: the first wave ends ~38 ms in,
+        # so the second, of 8 images, cannot end by 50 ms.
+        requests = [ebnn_request(i, deadline_s=0.05) for i in range(40)]
+        with faults.fault_injection(None), telemetry.tracing() as tracer:
+            result = server.run(requests)
+        assert len(result.completed) == 32
+        assert all(
+            r.reason is RejectReason.DEADLINE_EXCEEDED
+            for r in result.responses if not r.ok
+        )
+        launches = tracer.find("dpu.launch")
+        assert len(launches) == 1 and len(tracer.find("dpu.exec")) == 2
+        other = sum(
+            s.sim_seconds for s in tracer.all_spans()
+            if s.category == "transfer" or s.name == "ebnn.host_classify"
+        )
+        assert launches[0].sim_seconds == pytest.approx(
+            tracer.sim_now - other, rel=0, abs=1e-12
+        )
 
     def test_traced_and_untraced_serve_alike(self):
         """Under faults and retries, with YOLO layers charged wave by

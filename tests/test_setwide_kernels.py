@@ -1,7 +1,8 @@
 """Differential tests of the set-wide mapping kernels.
 
-A kernel image runs as one computation over every DPU of a launch
-(:func:`repro.dpu.device.launch_kernel`).  These tests hold that path to
+A kernel image runs as one call of its kernel over every DPU of a
+launch (:meth:`repro.host.runtime.DpuSet.charge`).  These tests hold that
+path to
 the per-DPU meaning it replaced, for sets of 1, 3, 16 and 64 DPUs, with
 and without injected faults:
 
@@ -25,6 +26,7 @@ from repro.core.lut import create_lut
 from repro.core.mapping_ebnn import (
     EBNN_TASKLETS,
     EbnnDpuLayout,
+    ebnn_conv_pool_kernel,
     ebnn_dpu_cycles,
 )
 from repro.core import mapping_yolo
@@ -33,6 +35,7 @@ from repro.core.mapping_yolo import (
     YoloDpuLayout,
     accumulator_divisor,
     gemm_layer_cycles,
+    yolo_gemm_row_kernel,
 )
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
@@ -42,6 +45,7 @@ from repro.host.runtime import DpuSystem
 from repro.nn.binary import pack_image, unpack_bits
 from repro.nn.gemm import GemmShape, gemm_row
 from repro.nn.models.ebnn import EbnnModel
+from tests.conftest import launch_kernel
 
 SIZES = [1, 3, 16, 64]
 
@@ -70,8 +74,8 @@ def _plan(policy, bad_dpu_id):
     )
 
 
-def _launch(dpu_set, policy, n_tasklets, **params):
-    """Launch under ``policy``'s plan, traced.
+def _launch(dpu_set, kernel, policy, n_tasklets, **params):
+    """Launch ``kernel`` under ``policy``'s plan, traced.
 
     Returns the report (or the exception), the metric deltas, the tracer
     and the id of the DPU the plan fails.
@@ -83,9 +87,9 @@ def _launch(dpu_set, policy, n_tasklets, **params):
     before = telemetry.GLOBAL_METRICS.snapshot()
     with telemetry.tracing() as tracer, faults.fault_injection(plan):
         try:
-            outcome = dpu_set.launch(
-                n_tasklets=n_tasklets, opt_level=OPT, fault_policy=policy,
-                **params,
+            outcome = launch_kernel(
+                dpu_set, kernel, n_tasklets=n_tasklets, opt_level=OPT,
+                fault_policy=policy, **params,
             )
         except (DpuFaultError, LaunchError) as exc:
             outcome = exc
@@ -201,7 +205,7 @@ def test_yolo_rows_match_gemm_row(n_dpus, policy):
     references = [_yolo_reference(dpu, shape) for dpu in dpu_set]
     cycles = gemm_layer_cycles(shape, n_tasklets=YOLO_TASKLETS, opt_level=OPT)
     outcome, delta, tracer, bad = _launch(
-        dpu_set, policy, YOLO_TASKLETS, layout=layout
+        dpu_set, yolo_gemm_row_kernel, policy, YOLO_TASKLETS, layout=layout
     )
     ran = _ran(dpu_set, policy, bad)
     for i, dpu in enumerate(dpu_set):
@@ -238,7 +242,10 @@ def test_yolo_c_row_garbage_keeps_one_group(monkeypatch):
         dpu_set[i].write_symbol("c_row", bytes([0xE0 + i]) * layout.c_row_bytes)
     calls = _count_groups(monkeypatch)
     with faults.fault_injection(None):
-        dpu_set.launch(n_tasklets=YOLO_TASKLETS, opt_level=OPT, layout=layout)
+        launch_kernel(
+            dpu_set, yolo_gemm_row_kernel, n_tasklets=YOLO_TASKLETS,
+            opt_level=OPT, layout=layout,
+        )
     assert calls == [8]
     for dpu, want in zip(dpu_set, references):
         assert np.array_equal(
@@ -262,7 +269,10 @@ def test_yolo_launch_over_differing_broadcasts_raises(symbol, offset, victim):
     with faults.fault_injection(None), pytest.raises(
         MappingError, match="B or metadata differ"
     ):
-        dpu_set.launch(n_tasklets=YOLO_TASKLETS, opt_level=OPT, layout=layout)
+        launch_kernel(
+            dpu_set, yolo_gemm_row_kernel, n_tasklets=YOLO_TASKLETS,
+            opt_level=OPT, layout=layout,
+        )
     for dpu in dpu_set:
         assert dpu.read_symbol("c_row", layout.c_row_bytes) == bytes(
             layout.c_row_bytes
@@ -276,7 +286,10 @@ def test_yolo_launch_over_mixed_images_raises():
     with faults.fault_injection(None), pytest.raises(
         MappingError, match="different images"
     ):
-        dpu_set.launch(n_tasklets=YOLO_TASKLETS, opt_level=OPT, layout=layout)
+        launch_kernel(
+            dpu_set, yolo_gemm_row_kernel, n_tasklets=YOLO_TASKLETS,
+            opt_level=OPT, layout=layout,
+        )
     for dpu in dpu_set:
         assert dpu.read_symbol("c_row", layout.c_row_bytes) == bytes(
             layout.c_row_bytes
@@ -336,7 +349,7 @@ def test_ebnn_features_match_model(n_dpus, policy, use_lut):
         for batch in images
     ]
     outcome, delta, tracer, bad = _launch(
-        dpu_set, policy, EBNN_TASKLETS,
+        dpu_set, ebnn_conv_pool_kernel, policy, EBNN_TASKLETS,
         model=MODEL, layout=layout, use_lut=use_lut,
     )
     ran = _ran(dpu_set, policy, bad)

@@ -27,10 +27,10 @@ from repro.core.mapping_yolo import (
     column_split,
     run_gemm_layer,
     weight_bound,
+    yolo_gemm_row_kernel,
 )
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
-from repro.dpu.device import launch_kernel
 from repro.errors import DpuFaultError, LaunchError
 from repro.faults import FaultPlan
 from repro.host.runtime import DpuSet, DpuSystem
@@ -40,6 +40,7 @@ from repro.nn.im2col import im2col
 from repro.nn.models.darknet import Yolov3Model
 from repro.nn.quantize import QuantParams
 from repro.serve import InferenceRequest, YoloBackend, default_payloads
+from tests.conftest import launch_kernel
 
 OPT = OptLevel.O3
 
@@ -86,7 +87,8 @@ def _per_wave_oracle(
             [np.ascontiguousarray(a_q[r], dtype=np.int16) for r in rows],
         )
         try:
-            report = view.launch(
+            report = launch_kernel(
+                view, yolo_gemm_row_kernel,
                 n_tasklets=YOLO_TASKLETS, opt_level=OPT,
                 fault_policy=fault_policy, layout=layout,
             )
@@ -244,7 +246,7 @@ def _parent_runner_layer(system, timings, alpha=1):
     """The offline runner's layer before the shared routine.
 
     One allocation per layer, B staged once, and one one-DPU
-    :func:`launch_kernel` per row of work: a row of A against the
+    :func:`yolo_gemm_row_kernel` call per row of work: a row of A against the
     layer's :func:`column_split` slice of B, each DPU pushed its slice
     (Algorithm 2's one row per DPU and broadcast B when the system has
     no DPUs to spare).  It lowers the float input first and quantizes
@@ -292,9 +294,9 @@ def _parent_runner_layer(system, timings, alpha=1):
                 scatter_rows(wave, "a_row", [a_q[r] for r, _ in rows])
                 wave_cycles = 0.0
                 for dpu in wave:
-                    (result,) = launch_kernel(
+                    (result,) = yolo_gemm_row_kernel(
                         [dpu], n_tasklets=YOLO_TASKLETS, opt_level=OPT,
-                        kernel_params={"layout": layout},
+                        layout=layout,
                     )
                     wave_cycles = max(wave_cycles, float(result.cycles))
                 cycles += wave_cycles

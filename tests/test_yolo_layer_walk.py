@@ -34,6 +34,7 @@ from repro.core.mapping_yolo import (
     YoloDpuLayout,
     accumulator_divisor,
     run_gemm_layer,
+    yolo_gemm_row_kernel,
 )
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
@@ -47,6 +48,7 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.host.runtime import DpuSet, DpuSystem
 from repro.nn.gemm import GemmShape
+from tests.conftest import launch_kernel
 
 #: (DPUs in the group, rows of A): every group but the single DPU ends
 #: in a short wave.
@@ -86,7 +88,8 @@ def _per_wave_layer(
             wave.image = staged.image
         wave.scatter("a_row", list(a_q[start:stop]))
         try:
-            report = wave.launch(
+            report = launch_kernel(
+                wave, yolo_gemm_row_kernel,
                 n_tasklets=n_tasklets,
                 opt_level=opt_level,
                 fault_policy=fault_policy,

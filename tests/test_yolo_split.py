@@ -35,6 +35,7 @@ from repro.core.mapping_yolo import (
     column_split,
     gemm_layer_cycles,
     run_gemm_layer,
+    yolo_gemm_row_kernel,
 )
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 from repro.dpu.costs import OptLevel
@@ -43,6 +44,7 @@ from repro.faults import FaultPlan
 from repro.host.runtime import DpuSet, DpuSystem
 from repro.host.transfer import transfer_seconds
 from repro.nn.gemm import GemmShape, gemm_fast
+from tests.conftest import launch_kernel
 from tests.test_yolo_layer_walk import _fresh_metrics
 
 OPT = OptLevel.O3
@@ -141,7 +143,8 @@ def _per_slice_layer(
         view = DpuSet(staged.dpus[j * shape.m : (j + 1) * shape.m], attributes)
         view.image = staged.image
         try:
-            report = view.launch(
+            report = launch_kernel(
+                view, yolo_gemm_row_kernel,
                 n_tasklets=YOLO_TASKLETS, opt_level=OPT,
                 fault_policy=fault_policy, layout=layout,
             )
