@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import experiments
+from repro import experiments, faults
 from repro.dpu.attributes import UPMEM_ATTRIBUTES
 
 
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduces the same fault sites (default: 0)",
     )
     parser.add_argument(
-        "--fault-policy", choices=["raise", "isolate", "retry"],
+        "--fault-policy", choices=faults.POLICIES,
         default=None,
         help="what a set-wide launch does with a faulted DPU "
         "(default: retry; healthy DPUs always complete)",
@@ -185,8 +185,6 @@ def main(argv: list[str] | None = None) -> int:
         or args.fault_seed is not None
         or args.fault_policy is not None
     ):
-        from repro import faults
-
         faults.install_plan(faults.FaultPlan(
             seed=args.fault_seed or 0,
             fault_rate=args.fault_rate or 0.0,

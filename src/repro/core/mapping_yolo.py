@@ -363,10 +363,10 @@ def run_gemm_layer(
         b_full = np.zeros((shape.k, splits * width), np.int16)
         b_full[:, : shape.n] = b_q
         b_rows = np.zeros((splits, layout.b_bytes), np.uint8)
-        b_rows[:, : 2 * shape.k * width] = (
+        b_rows[:, : 2 * shape.k * width] = np.ascontiguousarray(
             b_full.reshape(shape.k, splits, width).transpose(1, 0, 2)
-            .reshape(splits, -1).view(np.uint8)
-        )
+            .reshape(splits, -1)
+        ).view(np.uint8)
     meta = np.int32([shape.m, width, shape.k, alpha, divisor, 0]).tobytes()
     b_end, c_end = at["b"] + b_rows.shape[1], at["c_row"] + 4 * width
     end = at["meta"] + 24

@@ -30,7 +30,8 @@ def serving_load_sweep() -> ExperimentResult:
     requests or 1 ms) over a warm 4+3-DPU pool.  As load grows, eBNN
     batches fill toward ``max_batch`` (multi-image-per-DPU amortization)
     while YOLO requests — each occupying the whole lease — queue behind
-    one another, which is exactly the p99 growth the table shows.
+    other YOLO requests (each pool runs on its own timeline), which is
+    exactly the p99 growth the table shows.
     """
     from repro.host.runtime import DpuSystem
     from repro.serve import (

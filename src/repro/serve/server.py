@@ -8,19 +8,28 @@ a deterministic function of (requests, policies, pool), which is what
 makes the batched-vs-offline bit-identity and fixed-seed latency
 assertions of the test suite possible.
 
-Event loop semantics (:meth:`InferenceServer.run`):
+Event loop semantics (:meth:`InferenceServer.run`): each model's pool
+runs on its own timeline, as separately allocated DPU sets launch
+independently on the hardware.
 
-1. every request whose arrival time has passed is admitted into its
-   model's bounded queue (or rejected with ``queue_full`` backpressure),
-2. the earliest *flush event* over all queues (full batch / max-delay /
-   deadline margin, see :class:`~repro.serve.batcher.DynamicBatcher`)
-   or the next arrival — whichever is earlier — advances the clock,
-3. a flush leases the pool's healthy DPUs, executes the batch through
-   the model backend, and advances the clock by the batch's simulated
-   service time — how far the batch moved the system's
-   :class:`~repro.dpu.clock.SimClock`, the only source of service
-   time.  Arrivals during that window pile up behind the busy server,
-   which is exactly when a bounded queue overflows.
+1. a model's next event is the end of its running batch while its pool
+   is busy, else the earlier of its next arrival and its queue's *flush
+   event* (full batch / max-delay / deadline margin, see
+   :class:`~repro.serve.batcher.DynamicBatcher`); the earliest event
+   over all models runs next, ties going to the model that sorts first,
+2. the model's arrivals up to then are admitted into its bounded queue
+   (or rejected with ``queue_full`` backpressure),
+3. a flush executes a batch on the pool's healthy DPUs, and the pool is
+   busy for its simulated service time — how far the batch moved the
+   system's :class:`~repro.dpu.clock.SimClock`, the only source of
+   service time — plus any healing.  Arrivals for that model during the
+   window pile up behind its busy pool, which is exactly when a bounded
+   queue overflows; the other models' batches run meanwhile.
+
+A single-model serve is thus one serial timeline.  The clock stays a
+work accumulator: a trace's sim axis stacks overlapping pools' work,
+and overlapping batches' transfers overlap though the clock prices them
+on one serial host link.
 
 Fault handling: a batch executed under ``fault_policy="isolate"`` can
 come back with some requests failed and the dead DPUs named; the server
@@ -36,11 +45,12 @@ not a hope.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro import telemetry
+from repro import faults, telemetry
 from repro.errors import ServeError
 from repro.serve.batcher import BatchPolicy, DynamicBatcher
 from repro.serve.pool import DpuPool
@@ -181,6 +191,11 @@ class InferenceServer:
             raise ServeError(
                 f"max_request_retries must be >= 0, got {max_request_retries}"
             )
+        if fault_policy is not None and fault_policy not in faults.POLICIES:
+            raise ServeError(
+                f"unknown fault_policy {fault_policy!r}; use one of "
+                f"{faults.POLICIES}"
+            )
         default = policy if policy is not None else BatchPolicy.from_env()
         overrides = policies or {}
         self.pool = pool
@@ -257,41 +272,52 @@ class InferenceServer:
         response (completed or rejected) — guaranteed because a request
         either completes or runs out of retries.
         """
-        pending = sorted(
-            requests, key=lambda r: (r.arrival_s, r.request_id)
-        )
-        i, n = 0, len(pending)
-        while True:
-            # Admit everything that has arrived by now.  When the clock
-            # just jumped over a batch's service window, this is where
-            # the requests that arrived behind the busy server pile into
-            # the bounded queues — and overflow into backpressure.
-            while i < n and pending[i].arrival_s <= self.now:
-                self.submit(pending[i])
-                i += 1
-            next_flush, flush_model = self._next_flush()
-            next_arrival = pending[i].arrival_s if i < n else math.inf
-            if next_arrival < next_flush:
-                self.now = next_arrival
-                continue
-            if flush_model is None:
-                break
-            self.now = max(self.now, next_flush)
-            # Arrivals landing exactly at the flush instant join it.
-            while i < n and pending[i].arrival_s <= self.now:
-                self.submit(pending[i])
-                i += 1
-            self._flush(flush_model)
+        self._serve(requests)
         return self.result()
 
     def drain(self) -> None:
         """Flush every queue to empty, advancing the simulated clock."""
+        self._serve([])
+
+    def _serve(self, requests: list[InferenceRequest]) -> None:
+        """The event loop of :meth:`run` and :meth:`drain`.  A model's
+        flush time is computed only after its queue or its pool changed,
+        never while its pool is busy."""
+        arrivals = {model: deque() for model in self._batchers}
+        for request in sorted(
+            requests, key=lambda r: (r.arrival_s, r.request_id)
+        ):
+            if request.model not in arrivals:
+                self.submit(request)  # raises: the pool serves no such model
+            arrivals[request.model].append(request)
+        batchers, models = self._batchers, sorted(arrivals)
+        free_at = dict.fromkeys(models, self.now)
+        flush_at = dict.fromkeys(models)  # None: not computed yet
         while True:
-            next_flush, flush_model = self._next_flush()
-            if flush_model is None:
+            when, model = math.inf, None
+            for name in models:  # the earliest event; ties by name
+                due = free_at[name]
+                if due <= self.now:  # free: its next arrival or flush
+                    if flush_at[name] is None:
+                        flush_at[name] = batchers[name].flush_at(self.now)
+                    due, pending = flush_at[name], arrivals[name]
+                    if pending and pending[0].arrival_s < due:
+                        due = pending[0].arrival_s
+                    due = max(due, self.now)
+                if due < when:
+                    when, model = due, name
+            if model is None:
                 return
-            self.now = max(self.now, next_flush)
-            self._flush(flush_model)
+            self.now, pending = when, arrivals[model]
+            if pending and pending[0].arrival_s <= when:
+                # After a busy window, the requests that arrived behind
+                # the pool pile into its bounded queue — and overflow.
+                while pending and pending[0].arrival_s <= when:
+                    self.submit(pending.popleft())
+                flush_at[model] = None
+            elif flush_at[model] is not None and flush_at[model] <= when:
+                flush_at[model] = None
+                free_at[model] = self._flush(model)
 
     def shutdown(self) -> None:
         """Stop admitting, then finish the in-flight work.
@@ -316,15 +342,9 @@ class InferenceServer:
     # flush execution
     # ------------------------------------------------------------------ #
 
-    def _next_flush(self) -> tuple[float, str | None]:
-        earliest, chosen = math.inf, None
-        for model in sorted(self._batchers):
-            due = self._batchers[model].flush_at(self.now)
-            if due < earliest:
-                earliest, chosen = due, model
-        return earliest, chosen
-
-    def _flush(self, model: str) -> None:
+    def _flush(self, model: str) -> float:
+        """Run one batch of ``model`` from now; returns when its pool is
+        free again."""
         batcher = self._batchers[model]
         batch, expired = batcher.pop_batch(self.now)
         for request in expired:
@@ -332,7 +352,7 @@ class InferenceServer:
                 rejected(request, RejectReason.DEADLINE_EXCEEDED, self.now)
             )
         if not batch:
-            return
+            return self.now
         try:
             members, attributes = self.pool.lease(model)
         except ServeError:
@@ -342,14 +362,14 @@ class InferenceServer:
                 self._record(
                     rejected(request, RejectReason.DPU_FAILURE, self.now)
                 )
-            return
+            return self.now
         for request in batch:
             request.attempts += 1
         backend = self.pool.backend(model)
         execution = backend.run_batch(
             members, attributes, batch, self.now, self.fault_policy
         )
-        self.now += execution.seconds
+        end = self.now + execution.seconds
         if execution.seconds > 0:
             batcher.note_service(execution.seconds)
         _M_BATCHES.labels(model=model).inc()
@@ -360,29 +380,30 @@ class InferenceServer:
                     completed(
                         request,
                         execution.outputs[request.request_id],
-                        self.now,
+                        end,
                         batch_size=len(batch),
                     )
                 )
         for request in execution.shed:
             self._record(
-                rejected(request, RejectReason.DEADLINE_EXCEEDED, self.now)
+                rejected(request, RejectReason.DEADLINE_EXCEEDED, end)
             )
         if execution.failed_dpu_ids:
-            # Healing warms replacements on the system's clock; the
-            # server is busy until it is done.
+            # Healing warms replacements on the system's clock; this
+            # model's pool is busy until it is done.
             clock = self.pool.system.clock
             start = clock.now
             self.pool.quarantine(model, execution.failed_dpu_ids)
-            self.now += clock.now - start
+            end += clock.now - start
         for request in execution.failed:
             if request.attempts <= self.max_request_retries:
                 _M_RETRIES.inc()
                 batcher.requeue(request)
             else:
                 self._record(
-                    rejected(request, RejectReason.DPU_FAILURE, self.now)
+                    rejected(request, RejectReason.DPU_FAILURE, end)
                 )
+        return end
 
 
 def run_offline(

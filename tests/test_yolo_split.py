@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import faults, telemetry
+from repro.core import mapping_yolo
 from repro.core.mapping_yolo import (
     CTMP_WRAM_BUDGET_BYTES,
     YOLO_TASKLETS,
@@ -300,6 +301,34 @@ def test_split_layer_matches_under_the_installed_plan(shape, n_dpus):
     """Under whatever plan ``REPRO_FAULT_*`` installed, or none."""
     installed = faults.current_plan()
     _compare(shape, n_dpus, lambda dpus: installed, None)
+
+
+#: A layer tiled into slices one column wide, which no served layer
+#: gets from :func:`column_split` today: its transposed slices of B are
+#: not contiguous in memory.
+NARROW = GemmShape(m=2, n=4, k=3)
+
+
+@pytest.mark.parametrize("policy,index,expected", [
+    (None, 0, "ok"),
+    ("retry", 3, "ok"),
+    ("isolate", 3, LayerFailedError),
+    ("raise", 3, DpuFaultError),
+])
+def test_one_column_slices_match_per_slice_launches(
+    monkeypatch, policy, index, expected
+):
+    original = column_split
+
+    def one_column(shape, n_dpus):
+        if shape == NARROW:
+            return shape.n, GemmShape(m=shape.m, n=1, k=shape.k)
+        return original(shape, n_dpus)
+
+    monkeypatch.setattr(mapping_yolo, "column_split", one_column)
+    monkeypatch.setitem(globals(), "column_split", one_column)
+    got = _compare(NARROW, 8, _targeted(policy, index), policy)
+    assert got["result"][0] is expected or got["result"][0] == expected
 
 
 def test_split_layer_transfers():
